@@ -3,15 +3,13 @@ empirical verification of convex hull and maximum principles for the
 computed minimisers."""
 
 from .mesh import (
-    Mesh, ElementGeometry, AngleReport, MeshFormatError, MeshConformityError,
+    Mesh, AngleReport, MeshFormatError, MeshConformityError,
     ACUTE, NON_OBTUSE, OBTUSE,
-    basis_gradients, classify_mesh, node_neighbors, build_structured_mesh,
-    load_mesh, save_mesh, GENERATORS,
+    classify_mesh, build_structured_mesh, load_mesh, save_mesh, GENERATORS,
 )
 from .field import (
     NodalField, BoundaryData, FieldFormatError,
-    interpolate_boundary, gradient_on_element, eval_at_point, field_range,
-    save_field, load_field,
+    interpolate_boundary, eval_at_point, save_field, load_field,
 )
 from .energy import (
     EnergyModel, p_dirichlet, mean_curvature, orlicz, parse_energy,
@@ -20,12 +18,12 @@ from .energy import (
 )
 from .convex import (
     ConvexSet, finite_hull, half_line, hull_with_origin,
-    project_point, project_field, contains, boundary_hull, is_extreme,
+    project, worst_distance, boundary_hull, is_extreme,
     check_variational_inequality, CertificateError,
     certificate_stats, reset_certificate_stats,
 )
 from .solver import (
-    SolveReport, LineSearchError, line_search, minimize,
+    SolveReport, LineSearchError, minimize,
     solve_quadratic_oracle, assemble_hessian,
 )
 from .verify import (

@@ -35,7 +35,14 @@ CSV_COLUMNS = (
     "converged,iterations,residual,energy_value,theorem,outcome,violation,tol"
 )
 
-_THEOREM_CHOICES = ("chp", "dmp", "hull0", "strong-chp", "lemma-pos")
+# theorem -> (checker, default tolerance, the one extra input it takes)
+_THEOREMS = {
+    "chp": (verify_mod.verify_chp, 1e-8, None),
+    "dmp": (verify_mod.verify_dmp, 1e-6, "source"),
+    "hull0": (verify_mod.verify_hull_with_zero, 1e-8, None),
+    "strong-chp": (verify_mod.verify_strong_chp, 1e-9, "model"),
+    "lemma-pos": (verify_mod.verify_lemma_pos, 1e-10, "K"),
+}
 
 
 def _fmt(x) -> str:
@@ -184,41 +191,34 @@ _OUTCOME_EXIT = {
 }
 
 
-def _default_verify_tol(theorem: str) -> float:
-    return {"chp": 1e-8, "dmp": 1e-6, "hull0": 1e-8,
-            "strong-chp": 1e-9, "lemma-pos": 1e-10}[theorem]
+def _check_theorem(theorem: str, mesh: Mesh, field: NodalField, tol, extra_input):
+    """Run a theorem's checker; ``extra_input(name)`` supplies its extra input."""
+    check, default_tol, extra = _THEOREMS[theorem]
+    kwargs = {extra: extra_input(extra)} if extra else {}
+    return check(mesh, field, tol=default_tol if tol is None else tol, **kwargs)
 
 
 def cmd_verify(args) -> int:
     mesh = load_mesh(args.mesh)
     values, _ = load_field(args.field, mesh)
     field = NodalField(mesh, values)
-    tol = args.tol if args.tol is not None else _default_verify_tol(args.theorem)
 
-    if args.theorem == "chp":
-        report = verify_mod.verify_chp(mesh, field, tol=tol)
-    elif args.theorem == "dmp":
-        source = parse_source(args.source, mesh) if args.source else None
-        report = verify_mod.verify_dmp(mesh, field, source=source, tol=tol)
-    elif args.theorem == "hull0":
-        report = verify_mod.verify_hull_with_zero(mesh, field, tol=tol)
-    elif args.theorem == "strong-chp":
-        model = parse_energy(args.energy) if args.energy else None
-        report = verify_mod.verify_strong_chp(mesh, field, tol=tol, model=model)
-    elif args.theorem == "lemma-pos":
+    def extra_input(what):
+        if what == "source":
+            return parse_source(args.source, mesh) if args.source else None
+        if what == "model":
+            return parse_energy(args.energy) if args.energy else None
         if args.interval:
             lo, hi = args.interval
             if not lo < hi:
                 raise ValueError(f"interval needs lo < hi, got [{lo}, {hi}]")
-            K = convex.finite_hull([[lo], [hi]])
-        elif args.set_file:
+            return convex.finite_hull([[lo], [hi]])
+        if args.set_file:
             gens, _ = load_field(args.set_file)
-            K = convex.finite_hull(gens)
-        else:
-            raise ValueError("lemma-pos needs --interval LO HI or --set-file PATH")
-        report = verify_mod.verify_lemma_pos(mesh, field, K, tol=tol)
-    else:
-        raise ValueError(f"unknown theorem {args.theorem!r}")
+            return convex.finite_hull(gens)
+        raise ValueError("lemma-pos needs --interval LO HI or --set-file PATH")
+
+    report = _check_theorem(args.theorem, mesh, field, args.tol, extra_input)
 
     print(report.to_text())
     if args.csv:
@@ -310,7 +310,7 @@ def parse_experiment_spec(text: str) -> dict:
         elif key == "theorems":
             toks = [v.strip() for v in value.split(",") if v.strip()]
             for t in toks:
-                if t not in _THEOREM_CHOICES:
+                if t not in _THEOREMS:
                     raise ValueError(f"spec line {ln}: unknown theorem {t!r}")
             spec["theorems"] = toks
         elif key in ("solver_tol", "verify_tol"):
@@ -398,28 +398,22 @@ def cmd_experiment(args) -> int:
     for combo, (field, report, model, source, lumped) in zip(combos, solved):
         name, res, energy_text, m, seed = combo
         mesh = meshes[(name, res)]
-        vtol = spec["verify_tol"]
         any_noconv = any_noconv or not report.converged
+
+        def extra_input(what):
+            if what == "K":
+                return convex.boundary_hull(field)
+            return {"source": source, "model": model}[what]
+
         for theorem in spec["theorems"]:
-            tol = vtol if vtol is not None else _default_verify_tol(theorem)
-            if theorem == "chp":
-                rep = verify_mod.verify_chp(mesh, field, tol=tol)
-            elif theorem == "dmp":
-                rep = verify_mod.verify_dmp(mesh, field, source=source, tol=tol)
-            elif theorem == "hull0":
-                rep = verify_mod.verify_hull_with_zero(mesh, field, tol=tol)
-            elif theorem == "strong-chp":
-                rep = verify_mod.verify_strong_chp(mesh, field, tol=tol, model=model)
-            else:
-                K = convex.boundary_hull(field)
-                rep = verify_mod.verify_lemma_pos(mesh, field, K, tol=tol)
+            rep = _check_theorem(theorem, mesh, field, spec["verify_tol"], extra_input)
             any_fail = any_fail or rep.outcome == verify_mod.FAIL
             rows.append(",".join([
                 name, str(res), energy_text, str(m), str(seed),
                 str(mesh.num_vertices), str(mesh.num_elements), rep.mesh_class,
                 str(report.converged), str(report.iterations),
                 _fmt(report.residual_norm), _fmt(report.energy),
-                rep.theorem, rep.outcome, _fmt(rep.violation), _fmt(tol),
+                rep.theorem, rep.outcome, _fmt(rep.violation), _fmt(rep.tol),
             ]))
 
     out = spec["out"]
@@ -476,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a hull/maximum principle on a field")
-    p.add_argument("--theorem", required=True, choices=_THEOREM_CHOICES)
+    p.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
     p.add_argument("--mesh", required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--tol", type=float, default=None)

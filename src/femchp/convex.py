@@ -1,19 +1,22 @@
-"""Euclidean projection onto closed convex target sets in R^m.
+"""Certified Euclidean projection onto closed convex target sets in R^m.
 
-Supported sets: convex hulls of finitely many points (optionally including
-the origin) and the half-line (-inf, b] for scalar values.  Hull projection
-runs an active-set nearest-point iteration over affine subproblems.  Every
-projection is certified against the variational inequality
+A target set is the convex hull of finitely many generators (optionally
+including the origin) or the scalar half-line (-inf, b].  Every set with
+m = 1 is an interval and is projected by clipping; for m >= 2 an
+active-set nearest-point iteration over affine subproblems projects one
+row at a time.  ``project`` takes a point or a batch of rows and
+certifies every row against the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
-with tol = 1e-10 * (1 + |x|^2); a certificate failure raises, and global
-counters keep the worst observed slack for later inspection.
+with tol = 1e-10 * (1 + |x|^2).  A row that fails raises CertificateError.
+The statistics stay process-wide: every certified row counts once and
+the worst slack seen is kept, both read through ``certificate_stats``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +27,8 @@ __all__ = [
     "finite_hull",
     "half_line",
     "hull_with_origin",
-    "project_point",
-    "project_field",
-    "contains",
+    "project",
+    "worst_distance",
     "boundary_hull",
     "is_extreme",
     "check_variational_inequality",
@@ -39,6 +41,9 @@ __all__ = [
 CERT_REL_TOL = 1e-10
 # duplicate generators are collapsed below this relative spacing
 _DEDUP_REL = 1e-14
+# the certificate's (rows x generators) slack matrix is formed in blocks
+# of at most this many entries
+_VI_BLOCK = 1 << 20
 
 
 class CertificateError(AssertionError):
@@ -50,10 +55,11 @@ class CertificateStats:
     projections: int = 0
     worst_slack: float = -np.inf   # max over projections of (dot - tol)
 
-    def record(self, slack: float):
-        self.projections += 1
-        if slack > self.worst_slack:
-            self.worst_slack = slack
+    def record(self, slacks: np.ndarray):
+        """Count one certified projection per entry of ``slacks``."""
+        self.projections += len(slacks)
+        if len(slacks):
+            self.worst_slack = max(self.worst_slack, float(slacks.max()))
 
 
 _STATS = CertificateStats()
@@ -70,25 +76,31 @@ def reset_certificate_stats() -> CertificateStats:
 
 
 def _dedup_points(points: np.ndarray) -> np.ndarray:
+    """Rows of ``points`` in order, less any row within Chebyshev distance
+    1e-14 * (1 + max |entry|) of a row kept before it."""
     scale = 1.0 + (np.abs(points).max() if points.size else 0.0)
     tol = _DEDUP_REL * scale
-    kept: list = []
+    kept = np.empty_like(points)
+    n = 0
     for p in points:
-        if not any(np.abs(p - q).max() <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+        if n == 0 or np.abs(kept[:n] - p).max(axis=1).min() > tol:
+            kept[n] = p
+            n += 1
+    return kept[:n]
 
 
 @dataclass(frozen=True)
 class ConvexSet:
-    """Closed convex target set; kind 'hull' or 'half-line'."""
+    """Closed convex set: the hull of the rows of ``generators``.
+
+    kind is 'hull' or 'half-line'; the half-line (-inf, b] has the two
+    generators -inf and b.
+    """
 
     kind: str
     m: int
-    generators: np.ndarray | None = None
-    bound: float | None = None
+    generators: np.ndarray
     includes_origin: bool = False
-    _extra: dict = dataclass_field(default_factory=dict)
 
 
 def finite_hull(points) -> ConvexSet:
@@ -117,7 +129,9 @@ def half_line(bound: float) -> ConvexSet:
     bound = float(bound)
     if not np.isfinite(bound):
         raise ValueError("half-line bound must be finite")
-    return ConvexSet(kind="half-line", m=1, bound=bound)
+    generators = np.array([[-np.inf], [bound]])
+    generators.flags.writeable = False
+    return ConvexSet(kind="half-line", m=1, generators=generators)
 
 
 def _affine_coefficients(P: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,63 +194,77 @@ def _project_hull(points: np.ndarray, x: np.ndarray):
     return y
 
 
-def check_variational_inequality(K: ConvexSet, x, Px) -> float:
-    """Worst generator slack (x - Px).(z - Px); certified when <= tol(x)."""
+def check_variational_inequality(K: ConvexSet, x, Px):
+    """Worst generator slack max_z (x - Px).(z - Px), per row.
+
+    Takes a point (m,) and returns a float, or a batch (k, m) and returns
+    shape (k,).  A row is certified when its slack is <= tol(x).  A row
+    with x = Px has slack 0, also against an infinite generator.
+    """
     x = np.asarray(x, dtype=float)
-    Px = np.asarray(Px, dtype=float)
-    if K.kind == "half-line":
-        z = np.array([min(float(x[0]), K.bound)])
-        return float((x - Px) @ (z - Px))
-    gaps = (K.generators - Px) @ (x - Px)
-    return float(gaps.max())
+    P = np.atleast_2d(np.asarray(Px, dtype=float))
+    D = np.atleast_2d(x) - P
+    G = K.generators
+    worst = np.empty(len(D))
+    step = max(1, _VI_BLOCK // len(G))
+    for s in range(0, len(D), step):
+        d = D[s:s + step]
+        with np.errstate(invalid="ignore"):
+            gaps = d @ G.T - np.einsum("ij,ij->i", d, P[s:s + step])[:, None]
+        worst[s:s + step] = np.where(np.isnan(gaps), 0.0, gaps).max(axis=1)
+    return worst if x.ndim == 2 else float(worst[0])
 
 
-def _certify(K: ConvexSet, x: np.ndarray, Px: np.ndarray) -> np.ndarray:
-    tol = CERT_REL_TOL * (1.0 + float(x @ x))
-    worst = check_variational_inequality(K, x, Px)
-    _STATS.record(worst - tol)
-    if worst > tol:
-        raise CertificateError(
-            f"projection certificate failed: slack {worst:.3e} exceeds {tol:.3e}"
-        )
-    return Px
+def project(K: ConvexSet, x) -> np.ndarray:
+    """Euclidean projection onto K of a point (m,) or of each row of (k, m).
 
-
-def project_point(K: ConvexSet, x) -> np.ndarray:
-    """Euclidean projection of x onto K, certified before returning."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (K.m,):
-        raise ValueError(f"point has dimension {x.shape[0]}, set lives in R^{K.m}")
+    Returns an array of the same shape.  Every row is certified before
+    returning; a row that fails its certificate raises CertificateError.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != K.m:
+        raise ValueError(f"points of shape {x.shape} given, set lives in R^{K.m}")
     if not np.isfinite(x).all():
         raise ValueError("cannot project a non-finite point")
 
-    if K.kind == "half-line":
-        y = np.array([min(float(x[0]), K.bound)])
-        return _certify(K, x, y)
+    X = x.reshape(-1, K.m)
+    G = K.generators
+    if K.m == 1:
+        P = np.clip(X, G.min(), G.max())
+    else:
+        P = np.array([_project_hull(G, row) for row in X]).reshape(X.shape)
 
-    pts = K.generators
-    # quick exits: single generator, or x already optimal at nearest vertex
-    if len(pts) == 1:
-        return _certify(K, x, pts[0].copy())
-    y = _project_hull(pts, x)
-    return _certify(K, x, y)
+    tol = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
+    slack = check_variational_inequality(K, X, P) - tol
+    _STATS.record(slack)
+    if (slack > 0.0).any():
+        i = int(np.argmax(slack))
+        raise CertificateError(
+            f"projection certificate failed for row {i}: slack "
+            f"{slack[i] + tol[i]:.3e} exceeds {tol[i]:.3e}"
+        )
+    return P.reshape(x.shape)
 
 
-def contains(K: ConvexSet, x, tol: float = 0.0) -> bool:
-    """Membership via projection distance <= tol."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = project_point(K, x)
-    return float(np.linalg.norm(x - y)) <= tol
+# benchmarks/tracer.py wraps these two names and the benchmark's
+# per-layer metric list still names them, so they stay as aliases of
+# ``project`` until the benchmark traces ``project`` itself; nothing in
+# the package calls them
+project_point = project_field = project
 
 
-def project_field(K: ConvexSet, field: NodalField) -> NodalField:
-    """Project every vertex value; boundary and interior alike."""
-    if field.m != K.m:
-        raise ValueError(f"field has m={field.m}, set lives in R^{K.m}")
-    out = np.empty_like(field.values)
-    for i in range(len(out)):
-        out[i] = project_point(K, field.values[i])
-    return field.with_values(out)
+def worst_distance(K: ConvexSet, x) -> tuple:
+    """Largest distance from a row of ``x`` to K, and the first row at it.
+
+    ``x`` is a batch (k, m) or one point.  Returns (0.0, None) when every
+    row lies in K, and when there are no rows.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = np.linalg.norm(x - project(K, x), axis=1)
+    if not d.size or d.max() <= 0.0:
+        return 0.0, None
+    i = int(np.argmax(d))
+    return float(d[i]), i
 
 
 def boundary_hull(field: NodalField, include_origin: bool = False) -> ConvexSet:
@@ -261,6 +289,5 @@ def is_extreme(points, index: int, tol: float) -> bool:
     others = points[(dist > tol) & (np.arange(len(points)) != index)]
     if len(others) == 0:
         return True
-    hull = finite_hull(others)
-    q = project_point(hull, p)
-    return float(np.linalg.norm(p - q)) > tol
+    d, _ = worst_distance(finite_hull(others), p)
+    return d > tol

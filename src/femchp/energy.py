@@ -286,6 +286,24 @@ def _safe_a(model: EnergyModel, t: np.ndarray) -> np.ndarray:
     return out
 
 
+# relative floor on t where a(t) is unbounded at 0 (p < 2), for the Newton
+# model and the strong-CHP neighbour weights alike
+_A_CLAMP_REL = 1e-8
+
+
+def _clamped_a(model: EnergyModel, t: np.ndarray):
+    """(t_eff, a(t_eff)): a(t) with one clamp policy for models built on it.
+
+    A profile whose a(t) blows up at 0 is evaluated at t clamped from below
+    to 1e-8 * (1 + max t); any other takes a(0) on zero-gradient elements
+    and t_eff = t.  The energy and the residual stay unclamped.
+    """
+    if model.a_unbounded_at_zero:
+        te = np.maximum(t, _A_CLAMP_REL * (1.0 + float(t.max(initial=0.0))))
+        return te, model.a(te)
+    return t, np.where(t > 0.0, _safe_a(model, t), float(model.a(0.0)))
+
+
 def residual(model: EnergyModel, field: NodalField,
              source: SourceTerm | None = None,
              lumped: LumpedTerm | None = None) -> np.ndarray:

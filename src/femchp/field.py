@@ -15,9 +15,7 @@ __all__ = [
     "NodalField",
     "BoundaryData",
     "interpolate_boundary",
-    "gradient_on_element",
     "eval_at_point",
-    "field_range",
     "save_field",
     "load_field",
     "FieldFormatError",
@@ -60,16 +58,6 @@ class NodalField:
         return np.einsum("ein,eim->enm", self.mesh.gradients, vals)
 
 
-def gradient_on_element(field: NodalField, element: int) -> np.ndarray:
-    """Constant gradient of the field on one element, shape (n, m).
-
-    Column j holds the spatial gradient of component j.
-    """
-    geo = field.mesh.element_geometry(element)
-    vals = field.values[field.mesh.elements[element]]   # (n+1, m)
-    return geo.basis_gradients.T @ vals
-
-
 def eval_at_point(field: NodalField, point) -> np.ndarray:
     """Evaluate the field at a point of the domain, shape (m,).
 
@@ -90,18 +78,6 @@ def eval_at_point(field: NodalField, point) -> np.ndarray:
     lam_e = np.clip(lam[e], 0.0, None)
     lam_e = lam_e / lam_e.sum()
     return lam_e @ field.values[mesh.elements[e]]
-
-
-def field_range(field: NodalField, nodes) -> np.ndarray:
-    """Value rows at the given vertex indices (duplicates kept), shape (k, m)."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.ndim != 1:
-        raise ValueError("node subset must be one dimensional")
-    if len(nodes) == 0:
-        raise ValueError("node subset is empty")
-    if nodes.min() < 0 or nodes.max() >= field.mesh.num_vertices:
-        raise IndexError("node subset contains out of range indices")
-    return field.values[nodes]
 
 
 class BoundaryData:

@@ -16,16 +16,13 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "ElementGeometry",
     "AngleReport",
     "MeshFormatError",
     "MeshConformityError",
     "ACUTE",
     "NON_OBTUSE",
     "OBTUSE",
-    "basis_gradients",
     "classify_mesh",
-    "node_neighbors",
     "build_structured_mesh",
     "load_mesh",
     "save_mesh",
@@ -51,20 +48,6 @@ class MeshFormatError(ValueError):
 
 class MeshConformityError(ValueError):
     """Raised when element connectivity is not a conforming triangulation."""
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Per element geometry: volume and the constant P1 basis gradients.
-
-    basis_gradients has shape (n+1, n); row i is the gradient of the hat
-    function of local vertex i.  Rows sum to zero since the hats partition
-    unity.
-    """
-
-    element: int
-    volume: float
-    basis_gradients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,6 +82,10 @@ class Mesh:
     elements : (E, dim+1) int array of vertex indices
 
     Elements are reoriented to positive signed volume on construction.
+    ``volumes`` (E,) holds the element volumes and ``gradients``
+    (E, dim+1, dim) the constant P1 basis gradients: row i of an element
+    is the gradient of the hat function of its local vertex i, and the
+    rows sum to zero since the hats partition unity.
     Construction fails with MeshConformityError for degenerate elements,
     faces shared by more than two elements, or vertices that lie inside the
     closure of an element they are not a vertex of (hanging nodes).
@@ -143,7 +130,6 @@ class Mesh:
         self.elements.flags.writeable = False
         self.volumes.flags.writeable = False
         self.gradients.flags.writeable = False
-        self._neighbors = None
         self._grams = None
         self._angle_report = None
 
@@ -273,15 +259,6 @@ class Mesh:
     def num_elements(self) -> int:
         return len(self.elements)
 
-    def element_geometry(self, element: int) -> ElementGeometry:
-        if not 0 <= element < len(self.elements):
-            raise IndexError(f"element {element} out of range [0, {len(self.elements)})")
-        return ElementGeometry(
-            element=element,
-            volume=float(self.volumes[element]),
-            basis_gradients=self.gradients[element],
-        )
-
     @property
     def gradient_grams(self) -> np.ndarray:
         """Pairwise basis gradient dot products per element, shape (E, n+1, n+1)."""
@@ -295,22 +272,6 @@ class Mesh:
         if self._angle_report is None:
             self._angle_report = classify_mesh(self)
         return self._angle_report
-
-
-def basis_gradients(mesh: Mesh, element: int) -> ElementGeometry:
-    """Volume and P1 basis gradients of one element."""
-    return mesh.element_geometry(element)
-
-
-def node_neighbors(mesh: Mesh, node: int) -> set:
-    """Vertices sharing at least one element with ``node``, excluding itself."""
-    if not 0 <= node < mesh.num_vertices:
-        raise IndexError(f"node {node} out of range [0, {mesh.num_vertices})")
-    out: set = set()
-    for e in mesh._vertex_elements[node]:
-        out.update(mesh.elements[e].tolist())
-    out.discard(node)
-    return out
 
 
 def classify_mesh(mesh: Mesh) -> AngleReport:

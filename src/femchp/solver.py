@@ -22,12 +22,11 @@ import scipy.linalg
 
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
-from .energy import EnergyModel, SourceTerm, LumpedTerm, energy_value, residual, _safe_a
+from .energy import EnergyModel, SourceTerm, LumpedTerm, energy_value, residual, _clamped_a
 
 __all__ = [
     "SolveReport",
     "LineSearchError",
-    "line_search",
     "minimize",
     "solve_quadratic_oracle",
     "assemble_hessian",
@@ -37,7 +36,6 @@ _ARMIJO_C1 = 1e-4
 _SHRINK = 0.5
 _MIN_STEP = 1e-16
 _STAGNATION_REL = 1e-15
-_HESSIAN_T_CLAMP_REL = 1e-8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -114,16 +112,10 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     G = field.element_gradients()                        # (E, n, m)
     t = np.sqrt(np.einsum("enm,enm->e", G, G))
 
-    if model.a_unbounded_at_zero:
-        clamp = _HESSIAN_T_CLAMP_REL * (1.0 + float(t.max(initial=0.0)))
-        te = np.maximum(t, clamp)
-        a_eff = model.a(te)
-        b_eff = (model.F_tt(te) - a_eff) / te ** 2
-    else:
-        a_eff = np.where(t > 0.0, _safe_a(model, t), float(model.a(0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b_raw = (model.F_tt(t) - a_eff) / t ** 2
-        b_eff = np.where(t > 0.0, b_raw, 0.0)
+    te, a_eff = _clamped_a(model, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_raw = (model.F_tt(te) - a_eff) / te ** 2
+    b_eff = np.where(te > 0.0, b_raw, 0.0)
 
     coef = mesh.volumes * c
     S = mesh.gradient_grams                              # (E, n+1, n+1)
@@ -181,26 +173,6 @@ def _backtrack(model, mesh, base_values, interior, dmat, E0, slope,
             return s, Et, evals
         s *= _SHRINK
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
-
-
-def line_search(model: EnergyModel, field: NodalField, direction,
-                current_energy: float,
-                source: SourceTerm | None = None,
-                lumped: LumpedTerm | None = None,
-                slope: float | None = None) -> float:
-    """Backtracking Armijo search along ``direction`` (interior rows).
-
-    Starts at step 1, halves on rejection, accepts when the energy drop
-    beats 1e-4 * step * slope, and raises LineSearchError below 1e-16.
-    """
-    mesh = field.mesh
-    dmat = np.asarray(direction, dtype=float).reshape(len(mesh.interior_nodes), field.m)
-    if slope is None:
-        r = residual(model, field, source=source, lumped=lumped)
-        slope = float(np.sum(r * dmat))
-    s, _, _ = _backtrack(model, mesh, field.values, mesh.interior_nodes, dmat,
-                         current_energy, slope, source, lumped)
-    return s
 
 
 def _direction(model, field, lumped, r_flat):

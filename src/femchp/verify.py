@@ -15,7 +15,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import NodalField
-from .energy import EnergyModel, SourceTerm, LumpedTerm, p_dirichlet, _safe_a
+from .energy import EnergyModel, SourceTerm, LumpedTerm, p_dirichlet, _clamped_a
 from . import convex
 
 __all__ = [
@@ -88,6 +88,12 @@ def _check_pair(mesh: Mesh, field: NodalField):
         raise ValueError("field is attached to a different mesh")
 
 
+def _worst_interior(mesh: Mesh, field: NodalField, K):
+    """Largest distance from an interior value to K, and its node (or None)."""
+    worst, row = convex.worst_distance(K, field.values[mesh.interior_nodes])
+    return worst, None if row is None else int(mesh.interior_nodes[row])
+
+
 def verify_chp(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> VerifyReport:
     """Interior values lie in the convex hull of the boundary values.
 
@@ -98,14 +104,7 @@ def verify_chp(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> VerifyReport
     _check_pair(mesh, field)
     angle = mesh.angle_report()
     hull = convex.boundary_hull(field)
-
-    worst = 0.0
-    worst_node = None
-    for z in mesh.interior_nodes:
-        v = field.values[z]
-        d = float(np.linalg.norm(v - convex.project_point(hull, v)))
-        if d > worst:
-            worst, worst_node = d, int(z)
+    worst, worst_node = _worst_interior(mesh, field, hull)
 
     return VerifyReport(
         theorem=CHP,
@@ -136,15 +135,7 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
     angle = mesh.angle_report()
 
     bmax = float(field.values[mesh.boundary_nodes, 0].max())
-    K = convex.half_line(bmax)
-
-    worst = 0.0
-    worst_node = None
-    for z in mesh.interior_nodes:
-        v = field.values[z]
-        d = float(v[0] - convex.project_point(K, v)[0])
-        if d > worst:
-            worst, worst_node = d, int(z)
+    worst, worst_node = _worst_interior(mesh, field, convex.half_line(bmax))
 
     hyps = {
         "mesh-non-obtuse": angle.is_non_obtuse,
@@ -174,23 +165,12 @@ def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8,
     _check_pair(mesh, field)
     angle = mesh.angle_report()
     hull = convex.boundary_hull(field, include_origin=True)
-
-    worst = 0.0
-    worst_node = None
-    for z in mesh.interior_nodes:
-        v = field.values[z]
-        d = float(np.linalg.norm(v - convex.project_point(hull, v)))
-        if d > worst:
-            worst, worst_node = d, int(z)
+    worst, worst_node = _worst_interior(mesh, field, hull)
 
     details = {"hull_generators": len(hull.generators)}
     if track_plain_hull:
-        plain = convex.boundary_hull(field)
-        escape = 0.0
-        for z in mesh.interior_nodes:
-            v = field.values[z]
-            escape = max(escape, float(np.linalg.norm(v - convex.project_point(plain, v))))
-        details["plain_hull_escape"] = escape
+        details["plain_hull_escape"], _ = _worst_interior(
+            mesh, field, convex.boundary_hull(field))
 
     return VerifyReport(
         theorem=HULL_WITH_ZERO,
@@ -228,31 +208,22 @@ class BetaWeights:
         return self.betas / self.beta0 if self.beta0 != 0.0 else np.full_like(self.betas, np.nan)
 
 
-def beta_weights(mesh: Mesh, field: NodalField, node: int,
-                 model: EnergyModel | None = None) -> BetaWeights:
-    """Compute the neighbor weights of an interior node for the given model."""
-    if model is None:
-        model = p_dirichlet(2.0)
-    if node not in set(mesh.interior_nodes.tolist()):
-        raise ValueError(f"node {node} is not an interior node")
-
-    elems = mesh._vertex_elements[node]
-    c = model.element_coeff(mesh.num_elements)
+def _element_weights(mesh: Mesh, field: NodalField, model: EnergyModel) -> np.ndarray:
+    """|T| c_T a(|grad U|) per element, with a(t) clamped as in the Hessian."""
     G = field.element_gradients()
-    t_all = np.sqrt(np.einsum("enm,enm->e", G, G))
-    if model.a_unbounded_at_zero:
-        clamp = 1e-12 * (1.0 + float(t_all.max(initial=0.0)))
-        a_all = model.a(np.maximum(t_all, clamp))
-    else:
-        a_all = np.where(t_all > 0.0, _safe_a(model, t_all), float(model.a(0.0)))
+    _, a = _clamped_a(model, np.sqrt(np.einsum("enm,enm->e", G, G)))
+    return mesh.volumes * model.element_coeff(mesh.num_elements) * a
 
+
+def _node_betas(mesh: Mesh, weights: np.ndarray, node: int) -> BetaWeights:
+    """Neighbor weights of ``node`` from the per-element weights."""
     acc: dict = {}
     beta0 = 0.0
-    for e in elems:
+    for e in mesh._vertex_elements[node]:
         elem = mesh.elements[e].tolist()
         loc = elem.index(node)
         gz = mesh.gradients[e, loc]
-        w = float(mesh.volumes[e] * c[e] * a_all[e])
+        w = float(weights[e])
         beta0 += w * float(gz @ gz)
         for i, y in enumerate(elem):
             if i == loc:
@@ -262,6 +233,16 @@ def beta_weights(mesh: Mesh, field: NodalField, node: int,
     neighbors = np.array(sorted(acc), dtype=np.int64)
     betas = np.array([acc[int(y)] for y in neighbors])
     return BetaWeights(node=int(node), neighbors=neighbors, betas=betas, beta0=beta0)
+
+
+def beta_weights(mesh: Mesh, field: NodalField, node: int,
+                 model: EnergyModel | None = None) -> BetaWeights:
+    """Compute the neighbor weights of an interior node for the given model."""
+    if model is None:
+        model = p_dirichlet(2.0)
+    if node not in set(mesh.interior_nodes.tolist()):
+        raise ValueError(f"node {node} is not an interior node")
+    return _node_betas(mesh, _element_weights(mesh, field, model), node)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
@@ -295,13 +276,12 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
         if convex.is_extreme(values, int(z), tol)
     ]
 
-    ident_worst = 0.0
+    weights = _element_weights(mesh, field, model)
+    betas = {int(z): _node_betas(mesh, weights, int(z)) for z in mesh.interior_nodes}
+    ident_worst = max((bw.identity_rel_err for bw in betas.values()), default=0.0)
     lam_ok = True
-    for z in mesh.interior_nodes:
-        bw = beta_weights(mesh, field, int(z), model=model)
-        ident_worst = max(ident_worst, bw.identity_rel_err)
     for z in extreme:
-        bw = beta_weights(mesh, field, z, model=model)
+        bw = betas[z]
         if bw.beta0 > 0.0:
             lam = bw.lambdas
             lam_ok = lam_ok and bool(lam.min() >= -1e-10) and abs(lam.sum() - 1.0) <= 1e-10
@@ -338,13 +318,15 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     )
 
 
-def _lemma_excesses(mesh: Mesh, field: NodalField, projected: NodalField):
-    """Per-element normalized excesses of the two projection inequalities.
+def _lemma_excesses(field: NodalField, K):
+    """Worst per-element excess of the projection inequalities for P_K.
 
     On a non-obtuse mesh the nodal projection P_K V satisfies, elementwise,
     grad V : grad P_K V >= |grad P_K V|^2   and   |grad P_K V| <= |grad V|.
     Excesses are scaled by 1 / (1 + |grad V|^2) so one tolerance covers both.
+    Returns (worst, worst element, worst of the first, worst of the second).
     """
+    projected = field.with_values(convex.project(K, field.values))
     gV = field.element_gradients()
     gP = projected.element_gradients()
     dot = np.einsum("enm,enm->e", gV, gP)
@@ -353,18 +335,16 @@ def _lemma_excesses(mesh: Mesh, field: NodalField, projected: NodalField):
     scale = 1.0 + nv ** 2
     exc1 = (pp - dot) / scale
     exc2 = (np.sqrt(pp) - nv) / scale
-    return exc1, exc2
+    both = np.maximum(exc1, exc2)
+    worst_e = int(np.argmax(both))
+    return float(both[worst_e]), worst_e, float(exc1.max()), float(exc2.max())
 
 
 def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> VerifyReport:
     """Elementwise projection inequalities for the nodal projection onto K."""
     _check_pair(mesh, field)
     angle = mesh.angle_report()
-    projected = convex.project_field(K, field)
-    exc1, exc2 = _lemma_excesses(mesh, field, projected)
-    both = np.maximum(exc1, exc2)
-    worst_e = int(np.argmax(both))
-    violation = float(both[worst_e])
+    violation, worst_e, exc1, exc2 = _lemma_excesses(field, K)
 
     return VerifyReport(
         theorem=LEMMA_POS,
@@ -375,8 +355,8 @@ def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> Ve
         worst_index=worst_e,
         hypotheses={"mesh-non-obtuse": angle.is_non_obtuse},
         details={
-            "worst_inner_product_excess": float(exc1.max()),
-            "worst_norm_excess": float(exc2.max()),
+            "worst_inner_product_excess": exc1,
+            "worst_norm_excess": exc2,
         },
     )
 
@@ -403,18 +383,14 @@ def search_lemma_violation(mesh: Mesh, m: int = 1, seed: int = 0,
             pts = rng.normal(size=(m + 1, m)) * 0.5
             K = convex.finite_hull(pts)
             gens = pts.tolist()
-        fld = NodalField(mesh, values)
-        projected = convex.project_field(K, fld)
-        exc1, exc2 = _lemma_excesses(mesh, fld, projected)
-        both = np.maximum(exc1, exc2)
-        worst_e = int(np.argmax(both))
-        if both[worst_e] > threshold:
+        worst, worst_e, _, _ = _lemma_excesses(NodalField(mesh, values), K)
+        if worst > threshold:
             return {
                 "seed": seed,
                 "trial": trial,
                 "values": values,
                 "generators": gens,
                 "element": worst_e,
-                "violation": float(both[worst_e]),
+                "violation": worst,
             }
     return None

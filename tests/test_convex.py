@@ -2,82 +2,112 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from femchp import convex
 from femchp.convex import (
-    CERT_REL_TOL,
     CertificateError,
-    ConvexSet,
+    _project_hull,
     boundary_hull,
     certificate_stats,
     check_variational_inequality,
-    contains,
     finite_hull,
     half_line,
     hull_with_origin,
     is_extreme,
-    project_field,
-    project_point,
+    project,
     reset_certificate_stats,
+    worst_distance,
 )
 from femchp.field import NodalField
-from femchp.mesh import build_structured_mesh
 
 
 def test_project_onto_segment():
     K = finite_hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert_allclose(project_point(K, [0.5, 1.0]), [0.5, 0.0], atol=1e-12)
-    assert_allclose(project_point(K, [2.0, 1.0]), [1.0, 0.0], atol=1e-12)
-    assert_allclose(project_point(K, [-3.0, 0.0]), [0.0, 0.0], atol=1e-12)
-    assert_allclose(project_point(K, [0.25, 0.0]), [0.25, 0.0], atol=1e-12)
+    assert_allclose(project(K, [0.5, 1.0]), [0.5, 0.0], atol=1e-12)
+    assert_allclose(project(K, [2.0, 1.0]), [1.0, 0.0], atol=1e-12)
+    assert_allclose(project(K, [-3.0, 0.0]), [0.0, 0.0], atol=1e-12)
+    assert_allclose(project(K, [0.25, 0.0]), [0.25, 0.0], atol=1e-12)
 
 
 def test_project_onto_triangle():
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     # foot of (2,2) on the hypotenuse x + y = 2
-    assert_allclose(project_point(K, [2.0, 2.0]), [1.0, 1.0], atol=1e-12)
-    assert_allclose(project_point(K, [0.5, 0.5]), [0.5, 0.5], atol=1e-12)
-    assert_allclose(project_point(K, [-1.0, -1.0]), [0.0, 0.0], atol=1e-12)
-    assert_allclose(project_point(K, [1.0, -5.0]), [1.0, 0.0], atol=1e-12)
+    assert_allclose(project(K, [2.0, 2.0]), [1.0, 1.0], atol=1e-12)
+    assert_allclose(project(K, [0.5, 0.5]), [0.5, 0.5], atol=1e-12)
+    assert_allclose(project(K, [-1.0, -1.0]), [0.0, 0.0], atol=1e-12)
+    assert_allclose(project(K, [1.0, -5.0]), [1.0, 0.0], atol=1e-12)
 
 
 def test_project_single_point_hull():
     K = finite_hull(np.array([[1.0, 2.0, 3.0]]))
-    assert_allclose(project_point(K, [9.0, 9.0, 9.0]), [1.0, 2.0, 3.0], atol=1e-12)
+    assert_allclose(project(K, [9.0, 9.0, 9.0]), [1.0, 2.0, 3.0], atol=1e-12)
+    # constant data: every generator collapses onto one point
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3):
+        point = np.arange(1.0, m + 1.0)
+        K = finite_hull(np.tile(point, (5, 1)))
+        assert len(K.generators) == 1
+        X = rng.normal(size=(6, m)) * 4.0
+        assert_allclose(project(K, X), np.tile(point, (6, 1)), atol=1e-12)
 
 
 def test_project_degenerate_duplicates_and_collinear():
+    # collinear generators at m = 2, with duplicates
     K = finite_hull(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                               [0.5, 0.5], [1.0, 1.0]]))
-    assert_allclose(project_point(K, [1.0, 0.0]), [0.5, 0.5], atol=1e-12)
+    assert len(K.generators) == 3
+    assert_allclose(project(K, [1.0, 0.0]), [0.5, 0.5], atol=1e-12)
+    assert_allclose(project(K, [[3.0, 2.0], [-1.0, -2.0]]),
+                    [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
+    # coplanar generators at m = 3: the unit square in the plane z = 1
+    K = finite_hull(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                              [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+    X = np.array([[0.25, 0.5, 3.0], [2.0, 0.5, -1.0], [0.5, 0.5, 1.0]])
+    assert_allclose(project(K, X), [[0.25, 0.5, 1.0], [1.0, 0.5, 1.0],
+                                    [0.5, 0.5, 1.0]], atol=1e-12)
 
 
 def test_half_line():
     K = half_line(3.0)
     assert K.kind == "half-line"
     assert K.m == 1
-    assert_allclose(project_point(K, [5.0]), [3.0], atol=1e-15)
-    assert_allclose(project_point(K, [2.0]), [2.0], atol=1e-15)
-    assert_allclose(project_point(K, [-7.0]), [-7.0], atol=1e-15)
-    assert contains(K, [3.0])
-    assert not contains(K, [3.1])
+    assert_allclose(project(K, [5.0]), [3.0], atol=1e-15)
+    assert_allclose(project(K, [2.0]), [2.0], atol=1e-15)
+    assert_allclose(project(K, [-7.0]), [-7.0], atol=1e-15)
+    assert worst_distance(K, [[3.0], [-1e6]]) == (0.0, None)
+    assert worst_distance(K, [[3.0], [3.1], [3.1]]) == pytest.approx((0.1, 1))
+    # an interval with lo == hi is one point
+    P = finite_hull(np.array([[2.0], [2.0]]))
+    assert_allclose(project(P, [[-1.0], [2.0], [5.0]]), [[2.0]] * 3, atol=0.0)
 
 
 def test_hull_with_origin():
     K = hull_with_origin(np.array([[2.0], [3.0]]))
     assert K.includes_origin
-    assert_allclose(project_point(K, [-1.0]), [0.0], atol=1e-15)
-    assert_allclose(project_point(K, [2.5]), [2.5], atol=1e-15)
-    assert_allclose(project_point(K, [4.0]), [3.0], atol=1e-15)
+    assert_allclose(project(K, [-1.0]), [0.0], atol=1e-15)
+    assert_allclose(project(K, [2.5]), [2.5], atol=1e-15)
+    assert_allclose(project(K, [4.0]), [3.0], atol=1e-15)
     # plain hull of the same generators starts at 2
     P = finite_hull(np.array([[2.0], [3.0]]))
-    assert_allclose(project_point(P, [0.0]), [2.0], atol=1e-15)
+    assert_allclose(project(P, [0.0]), [2.0], atol=1e-15)
 
 
 def test_contains():
     K = finite_hull(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    assert contains(K, [0.5, 0.5])
-    assert contains(K, [1.0, 1.0])
-    assert not contains(K, [1.001, 0.5])
-    assert contains(K, [1.001, 0.5], tol=1e-2)
+    X = np.array([[0.5, 0.5], [1.0, 1.0], [1.001, 0.5]])
+    d = np.linalg.norm(X - project(K, X), axis=1)
+    assert_allclose(d, [0.0, 0.0, 0.001], atol=1e-12)
+    assert worst_distance(K, X) == pytest.approx((0.001, 2))
+    assert worst_distance(K, X[:2]) == (0.0, None)
+
+
+def test_interval_clip_matches_active_set():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        gens = rng.normal(size=(int(rng.integers(1, 6)), 1)) * 3.0
+        K = finite_hull(gens)
+        X = rng.normal(size=(20, 1)) * 5.0
+        ref = np.array([_project_hull(K.generators, x) for x in X])
+        assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-14)
 
 
 def test_is_extreme():
@@ -97,6 +127,21 @@ def test_variational_inequality_measure():
     # an interior point pretending to be the projection violates the VI
     bad = check_variational_inequality(K, x, np.array([0.5, 0.5]))
     assert bad > 0.1
+    # a batch gives one slack per row
+    both = check_variational_inequality(K, np.array([x, x]), np.array([[1.0, 1.0], [0.5, 0.5]]))
+    assert_allclose(both, [good, bad], atol=1e-15)
+    # the half-line (-inf, 3]: a point left of its projection is caught by
+    # the generator at -inf, a point inside has slack 0
+    H = half_line(3.0)
+    assert check_variational_inequality(H, [1.0], [3.0]) == np.inf
+    assert check_variational_inequality(H, [1.0], [1.0]) == 0.0
+
+
+def test_wrong_projection_raises(monkeypatch):
+    K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
+    monkeypatch.setattr(convex, "_project_hull", lambda pts, x: pts[0])
+    with pytest.raises(CertificateError):
+        project(K, np.array([[0.0, 0.0], [2.0, 2.0]]))
 
 
 def test_certificate_stats_accumulate():
@@ -104,9 +149,14 @@ def test_certificate_stats_accumulate():
     K = finite_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        project_point(K, rng.standard_normal(2) * 3.0)
+        project(K, rng.standard_normal(2) * 3.0)
     stats = certificate_stats()
     assert stats.projections == 50
+    # a batch counts once per row, an empty batch not at all
+    for k in (7, 0, 3):
+        project(K, rng.standard_normal((k, 2)) * 3.0)
+        project(half_line(0.5), rng.standard_normal((k, 1)))
+    assert stats.projections == 70
     assert stats.worst_slack <= 0.0
     reset_certificate_stats()
     assert certificate_stats().projections == 0
@@ -119,7 +169,7 @@ def test_project_field_and_boundary_hull(right2d_n2):
     f = NodalField(right2d_n2, vals)
     K = boundary_hull(f)
     assert K.m == 1
-    proj = project_field(K, f)
+    proj = f.with_values(project(K, f.values))
     assert_allclose(proj.values[4, 0], 2.0, atol=1e-12)
     assert_allclose(proj.values[right2d_n2.boundary_nodes],
                     vals[right2d_n2.boundary_nodes], atol=1e-12)
@@ -130,7 +180,7 @@ def test_project_field_and_boundary_hull(right2d_n2):
 def test_dimension_mismatch():
     K = finite_hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        project_point(K, [1.0, 2.0, 3.0])
+        project(K, [1.0, 2.0, 3.0])
 
 
 def _sampled_distance(points, x, steps=2000):
@@ -175,7 +225,7 @@ def test_projection_against_dense_sampling():
         pts = rng.uniform(0.0, 1.0, size=(4, 2))
         K = finite_hull(pts)
         x = queries[trial]
-        d_alg = float(np.linalg.norm(x - project_point(K, x)))
+        d_alg = float(np.linalg.norm(x - project(K, x)))
         d_samp = _sampled_distance(pts, x)
         assert d_alg <= d_samp + 1e-12
         assert abs(d_alg - d_samp) <= 1e-6, (trial, d_alg, d_samp)

@@ -7,8 +7,6 @@ from femchp.field import (
     FieldFormatError,
     NodalField,
     eval_at_point,
-    field_range,
-    gradient_on_element,
     interpolate_boundary,
     load_field,
     save_field,
@@ -38,12 +36,11 @@ def test_element_gradients_affine(right2d_n4):
     grads = f.element_gradients()               # (E, n, m)
     for e in range(right2d_n4.num_elements):
         assert_allclose(grads[e], coeffs.T, atol=1e-12)
-    assert_allclose(gradient_on_element(f, 3), coeffs.T, atol=1e-12)
 
 
 def test_gradient_on_element_hat(ref_triangle):
     f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
-    assert_allclose(gradient_on_element(f, 0), [[1.0], [0.0]], atol=1e-14)
+    assert_allclose(f.element_gradients()[0], [[1.0], [0.0]], atol=1e-14)
 
 
 def test_eval_at_point(ref_triangle):
@@ -66,16 +63,6 @@ def test_eval_matches_affine_everywhere(equilateral_n4):
         pt = lam @ equilateral_n4.vertices[equilateral_n4.elements[e]]
         expect = 0.5 + coeffs[0] @ pt
         assert_allclose(eval_at_point(f, pt), [expect], atol=1e-12)
-
-
-def test_field_range(right2d_n2):
-    f = NodalField(right2d_n2, np.arange(18.0).reshape(9, 2))
-    got = field_range(f, [0, 4, 4])
-    assert_array_equal(got, [[0.0, 1.0], [8.0, 9.0], [8.0, 9.0]])
-    with pytest.raises(IndexError):
-        field_range(f, [0, 99])
-    with pytest.raises(ValueError):
-        field_range(f, [])
 
 
 def test_interpolate_boundary(right2d_n2):

@@ -10,26 +10,22 @@ from femchp.mesh import (
     MeshFormatError,
     NON_OBTUSE,
     OBTUSE,
-    basis_gradients,
     build_structured_mesh,
     classify_mesh,
     load_mesh,
-    node_neighbors,
     save_mesh,
 )
 
 
 def test_reference_triangle_geometry(ref_triangle):
-    geo = basis_gradients(ref_triangle, 0)
-    assert_allclose(geo.volume, 0.5, rtol=0, atol=1e-15)
-    assert_allclose(geo.basis_gradients,
+    assert_allclose(ref_triangle.volumes[0], 0.5, rtol=0, atol=1e-15)
+    assert_allclose(ref_triangle.gradients[0],
                     [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
 
 def test_reference_tet_geometry(ref_tet):
-    geo = basis_gradients(ref_tet, 0)
-    assert_allclose(geo.volume, 1.0 / 6.0, rtol=0, atol=1e-15)
-    assert_allclose(geo.basis_gradients,
+    assert_allclose(ref_tet.volumes[0], 1.0 / 6.0, rtol=0, atol=1e-15)
+    assert_allclose(ref_tet.gradients[0],
                     [[-1.0, -1.0, -1.0],
                      [1.0, 0.0, 0.0],
                      [0.0, 1.0, 0.0],
@@ -112,7 +108,7 @@ def test_crisscross_counts_and_center():
     assert_allclose(mesh.vertices[4], [0.5, 0.5], atol=1e-15)
     assert_allclose(mesh.volumes, 0.25, atol=1e-15)
     assert_array_equal(mesh.interior_nodes, [4])
-    assert node_neighbors(mesh, 4) == {0, 1, 2, 3}
+    assert set(mesh.elements[(mesh.elements == 4).any(axis=1)].ravel()) == {0, 1, 2, 3, 4}
     assert_allclose(mesh.volumes.sum(), 1.0, atol=1e-14)
 
 

@@ -15,8 +15,8 @@ from femchp.field import BoundaryData, NodalField, interpolate_boundary
 from femchp.mesh import build_structured_mesh
 from femchp.solver import (
     LineSearchError,
+    _backtrack,
     assemble_hessian,
-    line_search,
     minimize,
     solve_quadratic_oracle,
 )
@@ -160,13 +160,16 @@ def test_line_search_rejects_ascent(right2d_n4):
     model = p_dirichlet(2.0)
     E = energy_value(model, f)
     r = residual(model, f)
-    with pytest.raises(LineSearchError):
-        line_search(model, f, r, E)          # +gradient is uphill
-    s = line_search(model, f, -r, E)
-    assert 0.0 < s <= 1.0
+    interior = right2d_n4.interior_nodes
+    slope = float(np.sum(r * r))
+    with pytest.raises(LineSearchError):      # +gradient is uphill
+        _backtrack(model, right2d_n4, f.values, interior, r, E, slope, None, None)
+    s, E_new, evals = _backtrack(model, right2d_n4, f.values, interior, -r, E,
+                                 -slope, None, None)
+    assert 0.0 < s <= 1.0 and evals >= 1
     trial = f.values.copy()
     trial[right2d_n4.interior_nodes] += s * (-r)
-    assert energy_value(model, f.with_values(trial)) < E
+    assert energy_value(model, f.with_values(trial)) == E_new < E
 
 
 def test_solve_report_fields(right2d_n4):

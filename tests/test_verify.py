@@ -211,3 +211,16 @@ def test_mismatched_mesh_field_rejected(right2d_n4, right2d_n2):
     f = NodalField(right2d_n2, np.zeros(9))
     with pytest.raises(ValueError):
         verify_chp(right2d_n4, f)
+
+
+def test_meshes_without_interior_nodes():
+    # zero rows to project: both checks pass and no projection is counted
+    for gen in ("right2d", "kuhn3d"):
+        mesh = build_structured_mesh(gen, 1)
+        assert len(mesh.interior_nodes) == 0
+        f = NodalField(mesh, np.linspace(-1.0, 1.0, mesh.num_vertices))
+        before = convex.certificate_stats().projections
+        for out in (verify_chp(mesh, f), verify_dmp(mesh, f)):
+            assert out.outcome == "pass"
+            assert out.violation == 0.0 and out.worst_index is None
+        assert convex.certificate_stats().projections == before
