@@ -17,7 +17,7 @@ from .energy import (
     convexity_probe, ConvexityReport,
 )
 from .convex import (
-    ConvexSet, finite_hull, half_line, hull_with_origin,
+    ConvexSet, finite_hull, hull_with_origin,
     project, worst_distance, boundary_hull, is_extreme,
     check_variational_inequality, CertificateError,
     certificate_stats, reset_certificate_stats,

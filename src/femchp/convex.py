@@ -1,8 +1,8 @@
 """Certified Euclidean projection onto closed convex target sets in R^m.
 
 A target set is the convex hull of finitely many generators (optionally
-including the origin) or the scalar half-line (-inf, b].  Every set with
-m = 1 is an interval and is projected by clipping; for m >= 2 an
+including the origin).  Every set with m = 1 is an interval and is
+projected by clipping; for m >= 2 an
 active-set nearest-point iteration over affine subproblems projects one
 row at a time.  ``project`` takes a point or a batch of rows and
 certifies every row against the variational inequality
@@ -25,7 +25,6 @@ from .field import NodalField
 __all__ = [
     "ConvexSet",
     "finite_hull",
-    "half_line",
     "hull_with_origin",
     "project",
     "worst_distance",
@@ -91,16 +90,10 @@ def _dedup_points(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvexSet:
-    """Closed convex set: the hull of the rows of ``generators``.
+    """Closed convex set: the hull of the rows of ``generators``."""
 
-    kind is 'hull' or 'half-line'; the half-line (-inf, b] has the two
-    generators -inf and b.
-    """
-
-    kind: str
     m: int
     generators: np.ndarray
-    includes_origin: bool = False
 
 
 def finite_hull(points) -> ConvexSet:
@@ -112,26 +105,13 @@ def finite_hull(points) -> ConvexSet:
         raise ValueError("hull generators contain non-finite entries")
     points = _dedup_points(points)
     points.flags.writeable = False
-    return ConvexSet(kind="hull", m=points.shape[1], generators=points)
+    return ConvexSet(m=points.shape[1], generators=points)
 
 
 def hull_with_origin(points) -> ConvexSet:
     """Convex hull of the given points together with the origin."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    points = np.vstack([points, np.zeros((1, points.shape[1]))])
-    hull = finite_hull(points)
-    return ConvexSet(kind="hull", m=hull.m, generators=hull.generators,
-                     includes_origin=True)
-
-
-def half_line(bound: float) -> ConvexSet:
-    """The scalar half-line (-inf, bound]."""
-    bound = float(bound)
-    if not np.isfinite(bound):
-        raise ValueError("half-line bound must be finite")
-    generators = np.array([[-np.inf], [bound]])
-    generators.flags.writeable = False
-    return ConvexSet(kind="half-line", m=1, generators=generators)
+    return finite_hull(np.vstack([points, np.zeros((1, points.shape[1]))]))
 
 
 def _affine_coefficients(P: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -198,8 +178,7 @@ def check_variational_inequality(K: ConvexSet, x, Px):
     """Worst generator slack max_z (x - Px).(z - Px), per row.
 
     Takes a point (m,) and returns a float, or a batch (k, m) and returns
-    shape (k,).  A row is certified when its slack is <= tol(x).  A row
-    with x = Px has slack 0, also against an infinite generator.
+    shape (k,).  A row is certified when its slack is <= tol(x).
     """
     x = np.asarray(x, dtype=float)
     P = np.atleast_2d(np.asarray(Px, dtype=float))
@@ -209,9 +188,8 @@ def check_variational_inequality(K: ConvexSet, x, Px):
     step = max(1, _VI_BLOCK // len(G))
     for s in range(0, len(D), step):
         d = D[s:s + step]
-        with np.errstate(invalid="ignore"):
-            gaps = d @ G.T - np.einsum("ij,ij->i", d, P[s:s + step])[:, None]
-        worst[s:s + step] = np.where(np.isnan(gaps), 0.0, gaps).max(axis=1)
+        gaps = d @ G.T - np.einsum("ij,ij->i", d, P[s:s + step])[:, None]
+        worst[s:s + step] = gaps.max(axis=1)
     return worst if x.ndim == 2 else float(worst[0])
 
 

@@ -94,8 +94,10 @@ class Mesh:
     def __init__(self, dim: int, vertices, elements):
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-        elements = np.ascontiguousarray(np.asarray(elements, dtype=np.int64))
+        # private copies: elements are reoriented in place and both arrays
+        # are frozen below, which must not reach the caller's arrays
+        vertices = np.array(vertices, dtype=float, order="C")
+        elements = np.array(elements, dtype=np.int64, order="C")
         if vertices.ndim != 2 or vertices.shape[1] != dim:
             raise ValueError(f"vertices must have shape (V, {dim}), got {vertices.shape}")
         if elements.ndim != 2 or elements.shape[1] != dim + 1:
@@ -110,9 +112,12 @@ class Mesh:
             raise MeshConformityError(
                 f"element vertex index out of range [0, {V})"
             )
-        for e, elem in enumerate(elements):
-            if len(set(elem.tolist())) != dim + 1:
-                raise MeshConformityError(f"element {e} repeats a vertex index: {tuple(elem)}")
+        sorted_rows = np.sort(elements, axis=1)
+        repeats = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+        if repeats.any():
+            e = int(np.argmax(repeats))
+            raise MeshConformityError(
+                f"element {e} repeats a vertex index: {tuple(elements[e])}")
 
         self.dim = dim
         self.vertices = vertices
@@ -176,25 +181,34 @@ class Mesh:
         self._affine_consts = np.ascontiguousarray(C[:, 0, :])   # (E, n+1)
 
     def _check_conformity(self):
+        """Build the face table and reject faces of more than two elements.
+
+        Face k of an element omits its local vertex k.  ``_face_ids`` (E, n+1)
+        holds the id of each such face in a sorted table of distinct faces,
+        and ``_face_counts`` the number of elements sharing each face; faces
+        of one element are boundary faces.
+        """
         n = self.dim
-        face_count: dict = {}
-        vertex_elements = [[] for _ in range(len(self.vertices))]
-        for e, elem in enumerate(self.elements):
-            elem_t = elem.tolist()
-            for v in elem_t:
-                vertex_elements[v].append(e)
-            for skip in range(n + 1):
-                face = tuple(sorted(elem_t[:skip] + elem_t[skip + 1:]))
-                face_count[face] = face_count.get(face, 0) + 1
-                if face_count[face] > 2:
-                    raise MeshConformityError(
-                        f"face {face} is shared by more than two elements"
-                    )
+        E = len(self.elements)
+        local = np.arange(n + 1)
+        keep = np.array([np.delete(local, k) for k in local])   # (n+1, n)
+        faces = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
+        table, face_ids, counts = np.unique(
+            faces, axis=0, return_inverse=True, return_counts=True)
+        face_ids = face_ids.ravel()
+
+        over = np.flatnonzero(counts > 2)
+        if len(over):
+            # report the face whose third element comes first in element order
+            order = np.argsort(face_ids, kind="stable")
+            first = np.cumsum(counts) - counts
+            k = int(order[first[over] + 2].min())
+            raise MeshConformityError(
+                f"face {tuple(faces[k].tolist())} is shared by more than two elements"
+            )
 
         boundary_mask = np.zeros(len(self.vertices), dtype=bool)
-        for face, count in face_count.items():
-            if count == 1:
-                boundary_mask[list(face)] = True
+        boundary_mask[table[counts == 1].ravel()] = True
 
         used = np.zeros(len(self.vertices), dtype=bool)
         used[self.elements.ravel()] = True
@@ -205,7 +219,8 @@ class Mesh:
         self.is_boundary = boundary_mask
         self.boundary_nodes = np.flatnonzero(boundary_mask)
         self.interior_nodes = np.flatnonzero(~boundary_mask)
-        self._vertex_elements = vertex_elements
+        self._face_ids = face_ids.reshape(E, n + 1)
+        self._face_counts = counts
 
     def _scan_hanging_nodes(self):
         """Reject vertices lying inside the closure of a foreign element.
@@ -214,7 +229,6 @@ class Mesh:
         the affine basis coefficients; a vertex counts as inside when every
         coordinate exceeds -1e-12 * diameter scaled by the gradient norm.
         """
-        n = self.dim
         V = len(self.vertices)
         geo_tol = _HANGING_REL * self.diameter
         coords = self.vertices[self.elements]
@@ -222,13 +236,15 @@ class Mesh:
         hi = coords.max(axis=1) + geo_tol
         grad_norms = np.linalg.norm(self.gradients, axis=2)   # (E, n+1)
 
+        axes = np.ascontiguousarray(self.vertices.T)   # (n, V)
         chunk = 512
         for start in range(0, len(self.elements), chunk):
             sl = slice(start, start + chunk)
-            inside_box = np.logical_and(
-                (self.vertices[None, :, :] >= lo[sl, None, :]).all(axis=2),
-                (self.vertices[None, :, :] <= hi[sl, None, :]).all(axis=2),
-            )                                           # (C, V)
+            # one coordinate axis at a time keeps the temporaries at (C, V)
+            inside_box = np.ones((len(lo[sl]), V), dtype=bool)
+            for x, lo_d, hi_d in zip(axes, lo[sl].T, hi[sl].T):
+                inside_box &= x >= lo_d[:, None]
+                inside_box &= x <= hi_d[:, None]
             e_loc, v_idx = np.nonzero(inside_box)
             if len(e_loc) == 0:
                 continue
@@ -299,10 +315,7 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     worst_p = int(np.argmax(pair_dots[worst_e]))
     worst_pair = (int(iu[worst_p]), int(ju[worst_p]))
 
-    interior_set = set(mesh.interior_nodes.tolist())
-    touches = all(
-        any(int(v) in interior_set for v in elem) for elem in mesh.elements
-    )
+    touches = bool((~mesh.is_boundary[mesh.elements]).any(axis=1).all())
 
     max_sum = None
     if n == 2:
@@ -325,24 +338,16 @@ def _max_opposite_angle_sum(mesh: Mesh) -> float:
 
     A 2D mesh is Delaunay when this never exceeds pi.
     """
-    opp: dict = {}
-    coords = mesh.vertices
-    for elem in mesh.elements:
-        elem_t = elem.tolist()
-        for skip in range(3):
-            k = elem_t[skip]
-            i, j = (x for idx, x in enumerate(elem_t) if idx != skip)
-            u = coords[i] - coords[k]
-            v = coords[j] - coords[k]
-            cosang = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-            ang = math.acos(min(1.0, max(-1.0, cosang)))
-            key = (i, j) if i < j else (j, i)
-            opp.setdefault(key, []).append(ang)
-    best = 0.0
-    for angles in opp.values():
-        if len(angles) == 2:
-            best = max(best, angles[0] + angles[1])
-    return best
+    coords = mesh.vertices[mesh.elements]                     # (E, 3, 2)
+    # the angle at local vertex k sits opposite face (edge) k
+    u = np.roll(coords, -1, axis=1) - coords
+    v = np.roll(coords, 1, axis=1) - coords
+    cosang = np.einsum("ekn,ekn->ek", u, v) / (
+        np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
+    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    sums = np.bincount(mesh._face_ids.ravel(), weights=angles.ravel(),
+                       minlength=len(mesh._face_counts))
+    return float(sums[mesh._face_counts == 2].max(initial=0.0))
 
 
 # -- structured generators ---------------------------------------------------

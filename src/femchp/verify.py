@@ -42,6 +42,9 @@ PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
+# strong CHP: relative spread below which a field counts as constant
+_CONSTANCY_TOL = 1e-10
+
 
 @dataclass
 class VerifyReport:
@@ -125,9 +128,10 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
                tol: float = 1e-6) -> VerifyReport:
     """Maximum principle: interior max below boundary max for f <= 0.
 
-    Scalar fields only.  The target set is the half-line capped at the
-    boundary maximum, so each interior value is checked through a certified
-    projection.
+    Scalar fields only.  The target set is the interval from the smallest
+    nodal value to the boundary maximum: no value lies below it, so the
+    distances are those to the half-line (-inf, boundary max], and each
+    interior value is checked through a certified projection.
     """
     _check_pair(mesh, field)
     if field.m != 1:
@@ -135,7 +139,8 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
     angle = mesh.angle_report()
 
     bmax = float(field.values[mesh.boundary_nodes, 0].max())
-    worst, worst_node = _worst_interior(mesh, field, convex.half_line(bmax))
+    vmin = float(field.values[:, 0].min())
+    worst, worst_node = _worst_interior(mesh, field, convex.finite_hull([[vmin], [bmax]]))
 
     hyps = {
         "mesh-non-obtuse": angle.is_non_obtuse,
@@ -215,24 +220,25 @@ def _element_weights(mesh: Mesh, field: NodalField, model: EnergyModel) -> np.nd
     return mesh.volumes * model.element_coeff(mesh.num_elements) * a
 
 
-def _node_betas(mesh: Mesh, weights: np.ndarray, node: int) -> BetaWeights:
-    """Neighbor weights of ``node`` from the per-element weights."""
-    acc: dict = {}
-    beta0 = 0.0
-    for e in mesh._vertex_elements[node]:
-        elem = mesh.elements[e].tolist()
-        loc = elem.index(node)
-        gz = mesh.gradients[e, loc]
-        w = float(weights[e])
-        beta0 += w * float(gz @ gz)
-        for i, y in enumerate(elem):
-            if i == loc:
-                continue
-            acc[y] = acc.get(y, 0.0) + w * float(-(mesh.gradients[e, i] @ gz))
+def _weighted_stiffness(mesh: Mesh, weights: np.ndarray):
+    """Sparse V x V matrix A[i, k] = sum_T w_T grad phi_i . grad phi_k (CSR)."""
+    import scipy.sparse as sp
 
-    neighbors = np.array(sorted(acc), dtype=np.int64)
-    betas = np.array([acc[int(y)] for y in neighbors])
-    return BetaWeights(node=int(node), neighbors=neighbors, betas=betas, beta0=beta0)
+    n = mesh.dim
+    V = mesh.num_vertices
+    S = mesh.gradient_grams * weights[:, None, None]            # (E, n+1, n+1)
+    rows = np.repeat(mesh.elements, n + 1, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, n + 1)).ravel()
+    return sp.coo_matrix((S.ravel(), (rows, cols)), shape=(V, V)).tocsr()
+
+
+def _row_betas(A, node: int) -> BetaWeights:
+    """Neighbor weights of ``node`` from row ``node`` of the weighted stiffness."""
+    lo, hi = A.indptr[node], A.indptr[node + 1]
+    cols, vals = A.indices[lo:hi], A.data[lo:hi]
+    off = cols != node
+    return BetaWeights(node=int(node), neighbors=cols[off].astype(np.int64),
+                       betas=-vals[off], beta0=float(vals[~off].sum()))
 
 
 def beta_weights(mesh: Mesh, field: NodalField, node: int,
@@ -242,22 +248,24 @@ def beta_weights(mesh: Mesh, field: NodalField, node: int,
         model = p_dirichlet(2.0)
     if node not in set(mesh.interior_nodes.tolist()):
         raise ValueError(f"node {node} is not an interior node")
-    return _node_betas(mesh, _element_weights(mesh, field, model), node)
+    return _row_betas(_weighted_stiffness(mesh, _element_weights(mesh, field, model)), node)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
                       model: EnergyModel | None = None,
                       source: SourceTerm | None = None,
-                      lumped: LumpedTerm | None = None,
-                      constancy_tol: float = 1e-10) -> VerifyReport:
+                      lumped: LumpedTerm | None = None) -> VerifyReport:
     """Strict variant: an extreme interior value forces a constant field.
 
     Hypotheses: acute mesh, every element touches an interior vertex, pure
     gradient energy (monotone, strictly convex profile; no source, no lumped
     term).  The checker takes a census of interior nodes whose value is
     extreme in the hull of all nodal values (tolerance ``tol``); if any
-    exist, the field must be constant up to ``constancy_tol`` and the
+    exist, the field must be constant up to ``_CONSTANCY_TOL`` and the
     neighbor-weight convex combination at each such node must check out.
+    The neighbor weights are read from the rows of the sparse matrix
+    A = sum_T w_T grad phi_i . grad phi_k: beta_0 = A[z, z] and
+    beta_y = -A[z, y], so beta_0 - sum_y beta_y is the row sum of A.
     """
     _check_pair(mesh, field)
     if source is not None or lumped is not None:
@@ -276,19 +284,22 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
         if convex.is_extreme(values, int(z), tol)
     ]
 
-    weights = _element_weights(mesh, field, model)
-    betas = {int(z): _node_betas(mesh, weights, int(z)) for z in mesh.interior_nodes}
-    ident_worst = max((bw.identity_rel_err for bw in betas.values()), default=0.0)
+    A = _weighted_stiffness(mesh, _element_weights(mesh, field, model))
+    interior = mesh.interior_nodes
+    row_sums = np.asarray(A.sum(axis=1)).ravel()[interior]
+    beta0 = A.diagonal()[interior]
+    ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(beta0), 1e-300))
+                        .max(initial=0.0))
     lam_ok = True
     for z in extreme:
-        bw = betas[z]
+        bw = _row_betas(A, z)
         if bw.beta0 > 0.0:
             lam = bw.lambdas
             lam_ok = lam_ok and bool(lam.min() >= -1e-10) and abs(lam.sum() - 1.0) <= 1e-10
 
     if extreme:
         spread = float((values.max(axis=0) - values.min(axis=0)).max())
-        conclusion = spread <= constancy_tol * (1.0 + scale) and lam_ok
+        conclusion = spread <= _CONSTANCY_TOL * (1.0 + scale) and lam_ok
         violation = spread
         worst = extreme[0]
     else:

@@ -10,7 +10,6 @@ from femchp.convex import (
     certificate_stats,
     check_variational_inequality,
     finite_hull,
-    half_line,
     hull_with_origin,
     is_extreme,
     project,
@@ -66,13 +65,13 @@ def test_project_degenerate_duplicates_and_collinear():
                                     [0.5, 0.5, 1.0]], atol=1e-12)
 
 
-def test_half_line():
-    K = half_line(3.0)
-    assert K.kind == "half-line"
+def test_interval():
+    K = finite_hull(np.array([[3.0], [-1e6]]))
     assert K.m == 1
     assert_allclose(project(K, [5.0]), [3.0], atol=1e-15)
     assert_allclose(project(K, [2.0]), [2.0], atol=1e-15)
     assert_allclose(project(K, [-7.0]), [-7.0], atol=1e-15)
+    assert_allclose(project(K, [-2e6]), [-1e6], atol=1e-15)
     assert worst_distance(K, [[3.0], [-1e6]]) == (0.0, None)
     assert worst_distance(K, [[3.0], [3.1], [3.1]]) == pytest.approx((0.1, 1))
     # an interval with lo == hi is one point
@@ -82,7 +81,7 @@ def test_half_line():
 
 def test_hull_with_origin():
     K = hull_with_origin(np.array([[2.0], [3.0]]))
-    assert K.includes_origin
+    assert_allclose(K.generators, [[2.0], [3.0], [0.0]], atol=0.0)
     assert_allclose(project(K, [-1.0]), [0.0], atol=1e-15)
     assert_allclose(project(K, [2.5]), [2.5], atol=1e-15)
     assert_allclose(project(K, [4.0]), [3.0], atol=1e-15)
@@ -130,10 +129,10 @@ def test_variational_inequality_measure():
     # a batch gives one slack per row
     both = check_variational_inequality(K, np.array([x, x]), np.array([[1.0, 1.0], [0.5, 0.5]]))
     assert_allclose(both, [good, bad], atol=1e-15)
-    # the half-line (-inf, 3]: a point left of its projection is caught by
-    # the generator at -inf, a point inside has slack 0
-    H = half_line(3.0)
-    assert check_variational_inequality(H, [1.0], [3.0]) == np.inf
+    # the interval [-1, 3]: a point left of its claimed projection is caught
+    # by the generator -1, (1 - 3) * (-1 - 3) = 8; a point inside has slack 0
+    H = finite_hull(np.array([[-1.0], [3.0]]))
+    assert check_variational_inequality(H, [1.0], [3.0]) == 8.0
     assert check_variational_inequality(H, [1.0], [1.0]) == 0.0
 
 
@@ -155,7 +154,7 @@ def test_certificate_stats_accumulate():
     # a batch counts once per row, an empty batch not at all
     for k in (7, 0, 3):
         project(K, rng.standard_normal((k, 2)) * 3.0)
-        project(half_line(0.5), rng.standard_normal((k, 1)))
+        project(finite_hull([[-1.0], [0.5]]), rng.standard_normal((k, 1)))
     assert stats.projections == 70
     assert stats.worst_slack <= 0.0
     reset_certificate_stats()
@@ -174,7 +173,7 @@ def test_project_field_and_boundary_hull(right2d_n2):
     assert_allclose(proj.values[right2d_n2.boundary_nodes],
                     vals[right2d_n2.boundary_nodes], atol=1e-12)
     K0 = boundary_hull(f, include_origin=True)
-    assert K0.includes_origin
+    assert_allclose(project(K0, [[0.0], [-1.0]]), [[0.0], [0.0]], atol=0.0)
 
 
 def test_dimension_mismatch():

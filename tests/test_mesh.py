@@ -50,10 +50,16 @@ def test_equilateral_gradient_dots():
 
 def test_negative_orientation_is_fixed():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = Mesh(2, verts, np.array([[0, 2, 1]]))   # clockwise on purpose
+    elems = np.array([[0, 2, 1]])                  # clockwise on purpose
+    mesh = Mesh(2, verts, elems)
     assert mesh.volumes[0] > 0
     assert_allclose(mesh.volumes[0], 0.5, atol=1e-15)
     assert set(mesh.elements[0].tolist()) == {0, 1, 2}
+    # the mesh reorients and freezes its own copies, not the caller's arrays
+    assert_array_equal(elems, [[0, 2, 1]])
+    assert verts.flags.writeable and elems.flags.writeable
+    elems.flags.writeable = False
+    assert Mesh(2, verts, elems).volumes[0] > 0
 
 
 def test_degenerate_element_rejected():
@@ -62,12 +68,33 @@ def test_degenerate_element_rejected():
         Mesh(2, verts, np.array([[0, 1, 2]]))
 
 
+TET = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
 def test_face_shared_by_three_elements_rejected():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
-                      [0.0, -1.0], [1.0, 1.0]])
-    elems = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-    with pytest.raises(MeshConformityError):
-        Mesh(2, verts, elems)
+    cases = [
+        (2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+         [[0, 1, 2], [0, 1, 3], [0, 1, 4]], "(0, 1)"),
+        # two faces over-shared: the one whose third element comes first
+        (2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0],
+             [-1.0, 0.0], [-1.0, 1.0]],
+         [[0, 2, 5], [0, 1, 2], [0, 2, 6], [0, 1, 3], [0, 2, 4], [0, 1, 4]],
+         "(0, 2)"),
+        (3, TET + [[0.0, 0.0, -1.0], [1.0, 1.0, 1.0]],
+         [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]], "(0, 1, 2)"),
+    ]
+    for dim, verts, elems, face in cases:
+        with pytest.raises(MeshConformityError) as exc:
+            Mesh(dim, np.array(verts), np.array(elems))
+        assert str(exc.value) == f"face {face} is shared by more than two elements"
+
+
+def test_repeated_vertex_index_rejected():
+    with pytest.raises(MeshConformityError, match="element 1 repeats a vertex index"):
+        Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+             np.array([[0, 1, 2], [3, 3, 1]]))
+    with pytest.raises(MeshConformityError, match="element 0 repeats a vertex index"):
+        Mesh(3, np.array(TET), np.array([[0, 1, 2, 2]]))
 
 
 def test_orphan_vertex_rejected():
@@ -77,13 +104,20 @@ def test_orphan_vertex_rejected():
 
 
 def test_hanging_node_rejected():
-    # v3 sits at the midpoint of edge (v0, v1) of the top triangle; the two
-    # bottom triangles resolve it, the top one does not
-    verts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0],
-                      [1.0, 0.0], [1.0, -1.0]])
-    elems = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 1]])
-    with pytest.raises(MeshConformityError):
-        Mesh(2, verts, elems)
+    cases = [
+        # v3 sits at the midpoint of edge (v0, v1) of the top triangle; the
+        # two bottom triangles resolve it, the top one does not
+        (2, [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, -1.0]],
+         [[0, 1, 2], [0, 4, 3], [3, 4, 1]], 3),
+        # v4 lies strictly inside the reference tet, element 0
+        (3, TET + [[0.1, 0.1, 0.1], [1.0, 1.0, 1.0]],
+         [[0, 1, 2, 3], [1, 2, 3, 5], [4, 1, 2, 5]], 4),
+    ]
+    for dim, verts, elems, vertex in cases:
+        with pytest.raises(MeshConformityError) as exc:
+            Mesh(dim, np.array(verts), np.array(elems))
+        assert str(exc.value) == (f"vertex {vertex} lies inside element 0 without "
+                                  "being one of its vertices (hanging node)")
 
 
 def test_right2d_counts_and_structure():
@@ -134,6 +168,11 @@ def test_kuhn3d_counts():
     assert mesh.num_elements == 48
     assert_array_equal(mesh.interior_nodes, [13])
     assert_allclose(mesh.volumes.sum(), 1.0, atol=1e-13)
+    # the boundary nodes are exactly the vertices on the cube surface
+    mesh = build_structured_mesh("kuhn3d", 3)
+    surface = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    assert_array_equal(mesh.boundary_nodes, np.flatnonzero(surface))
+    assert len(mesh.interior_nodes) == 8
 
 
 def test_obtuse2d_displaces_one_vertex():
@@ -171,6 +210,21 @@ def test_angle_report_details():
     rep = classify_mesh(build_structured_mesh("obtuse2d", 2))
     assert not rep.is_non_obtuse
     assert rep.worst_dot > 0
+
+    # brute force: per edge, the angles opposite it in each element
+    mesh = build_structured_mesh("obtuse2d", 4)
+    opposite = {}
+    for elem in mesh.elements.tolist():
+        for k in range(3):
+            i, j = sorted(elem[:k] + elem[k + 1:])
+            u = mesh.vertices[i] - mesh.vertices[elem[k]]
+            v = mesh.vertices[j] - mesh.vertices[elem[k]]
+            cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            opposite.setdefault((i, j), []).append(np.arccos(cos))
+    ref = max(sum(a) for a in opposite.values() if len(a) == 2)
+    assert ref > np.pi   # the displaced vertex breaks the Delaunay property
+    assert_allclose(classify_mesh(mesh).max_opposite_angle_sum, ref,
+                    rtol=0.0, atol=1e-15)
 
     # the opposite-angle (Delaunay) measure is 2D only
     rep = classify_mesh(build_structured_mesh("kuhn3d", 2))

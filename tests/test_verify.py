@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import convex
 from femchp.energy import LumpedTerm, SourceTerm, mean_curvature, p_dirichlet
@@ -70,9 +70,11 @@ def test_dmp_pass_and_fail(right2d_n4):
 
     vals = np.zeros((right2d_n4.num_vertices, 1))
     vals[right2d_n4.interior_nodes[0], 0] = 0.75
+    vals[right2d_n4.interior_nodes[1], 0] = -3.0   # far below: no violation
     out = verify_dmp(right2d_n4, NodalField(right2d_n4, vals))
     assert out.outcome == "fail"
     assert_allclose(out.violation, 0.75, atol=1e-12)
+    assert out.worst_index == int(right2d_n4.interior_nodes[0])
 
 
 def test_dmp_rejects_vector_fields(right2d_n4):
@@ -165,6 +167,9 @@ def test_beta_weights_identity_and_sign():
             f = NodalField(mesh, vals)
             for node in mesh.interior_nodes[:3]:
                 bw = beta_weights(mesh, f, int(node), model=model)
+                # the neighbors are the vertices sharing an element with node
+                star = np.unique(mesh.elements[(mesh.elements == node).any(axis=1)])
+                assert_array_equal(bw.neighbors, star[star != node])
                 # partition of unity makes the identity exact
                 assert abs(bw.beta0 - bw.betas.sum()) <= 1e-12 * max(1.0, abs(bw.beta0))
                 if gen == "equilateral2d":
