@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Mesh",
@@ -117,7 +118,7 @@ class Mesh:
         if repeats.any():
             e = int(np.argmax(repeats))
             raise MeshConformityError(
-                f"element {e} repeats a vertex index: {tuple(elements[e])}")
+                f"element {e} repeats a vertex index: {tuple(elements[e].tolist())}")
 
         self.dim = dim
         self.vertices = vertices
@@ -137,6 +138,7 @@ class Mesh:
         self.gradients.flags.writeable = False
         self._grams = None
         self._angle_report = None
+        self._scatters = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -284,6 +286,52 @@ class Mesh:
             self._grams = g
         return self._grams
 
+    def assemble(self, blocks: np.ndarray, diagonal: np.ndarray | None = None,
+                 interior: bool = True) -> scipy.sparse.csc_matrix:
+        """Sum element blocks into a sparse matrix over nodal DOFs.
+
+        ``blocks`` (E, n+1, m, n+1, m) couples component j of local vertex i
+        (row) with component l of local vertex k (column); ``diagonal``
+        (N0, m, m) adds one block per node.  DOF z*m + j is component j of
+        the z-th interior node, or of the z-th vertex with
+        ``interior=False``; entries of other nodes are dropped.  The pattern
+        and the slots are built once per (m, interior) and kept, so a call
+        only sums the data with one ``np.bincount``.
+        """
+        m = blocks.shape[-1]
+        # threads sharing a mesh may build the same scatter twice; the
+        # copies are equal, so whichever is kept gives the same matrix
+        if (m, interior) not in self._scatters:
+            self._scatters[m, interior] = self._scatter(m, interior)
+        indptr, indices, slots, diag = self._scatters[m, interior]
+        nnz = len(indices)
+        data = np.bincount(slots, weights=blocks.ravel(), minlength=nnz + 1)[:nnz]
+        if diagonal is not None:
+            data[diag] += diagonal.ravel()
+        N = len(indptr) - 1
+        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(N, N))
+
+    def _scatter(self, m: int, interior: bool):
+        """CSC pattern, and the data slot of each block entry and diagonal block."""
+        nodes = self.interior_nodes if interior else np.arange(self.num_vertices)
+        pos = np.full(self.num_vertices, -1)
+        pos[nodes] = np.arange(len(nodes))
+        dof = pos[self.elements][:, :, None] * m + np.arange(m)       # (E, n+1, m)
+        dof[pos[self.elements] < 0] = -1
+        rows, cols = dof[:, :, :, None, None], dof[:, None, None, :, :]
+        N = len(nodes) * m
+        # column-major keys; dropped entries share the key N*N, past all others,
+        # so their slot is nnz
+        keys = np.where((rows >= 0) & (cols >= 0), cols * N + rows, N * N)
+        pattern, slots = np.unique(keys.ravel(), return_inverse=True)
+        pattern = pattern[pattern < N * N]
+        indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
+        A = scipy.sparse.csc_matrix((np.zeros(len(pattern)), pattern % N, indptr),
+                                    shape=(N, N))       # lets scipy pick the index type
+        d = np.arange(N).reshape(-1, m)
+        diag = np.searchsorted(pattern, d[:, None, :] * N + d[:, :, None])
+        return A.indptr, A.indices, slots, diag.ravel()
+
     def angle_report(self) -> AngleReport:
         if self._angle_report is None:
             self._angle_report = classify_mesh(self)
@@ -353,46 +401,29 @@ def _max_opposite_angle_sum(mesh: Mesh) -> float:
 # -- structured generators ---------------------------------------------------
 
 
+def _cells(n: int):
+    """Corner indices (v00, v10, v01, v11) of the n x n grid cells, row by row."""
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return v00, v00 + 1, v00 + n + 1, v00 + n + 2
+
+
 def _right2d(n: int):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    return vertices, np.array(elements)
+    v00, v10, v01, v11 = _cells(n)
+    return vertices, np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
 
 def _crisscross2d(n: int):
-    grid, elements_sq = _right2d(n)
-    centers = np.array(
-        [[(i + 0.5) / n, (j + 0.5) / n] for j in range(n) for i in range(n)]
-    )
-    vertices = np.vstack([grid, centers])
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    base = (n + 1) ** 2
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            c = base + j * n + i
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            elements.append((v00, v10, c))
-            elements.append((v10, v11, c))
-            elements.append((v11, v01, c))
-            elements.append((v01, v00, c))
-    return vertices, np.array(elements)
+    grid, _ = _right2d(n)
+    cs = (np.arange(n) + 0.5) / n
+    X, Y = np.meshgrid(cs, cs, indexing="xy")
+    vertices = np.vstack([grid, np.column_stack([X.ravel(), Y.ravel()])])
+    v00, v10, v01, v11 = _cells(n)
+    c = (n + 1) ** 2 + np.arange(n * n)
+    elements = np.column_stack([v00, v10, c, v10, v11, c, v11, v01, c, v01, v00, c])
+    return vertices, elements.reshape(-1, 3)
 
 
 def _equilateral2d(n: int):
@@ -405,26 +436,13 @@ def _equilateral2d(n: int):
         raise ValueError("equilateral2d needs resolution >= 2 (corner trim leaves nothing)")
     h = 1.0 / n
     root3half = math.sqrt(3.0) / 2.0
-    vertices = np.array(
-        [[(i + 0.5 * j) * h, j * root3half * h] for j in range(n + 1) for i in range(n + 1)]
-    )
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            if not (i == 0 and j == 0):
-                elements.append((idx(i, j), idx(i + 1, j), idx(i, j + 1)))
-            if not (i == n - 1 and j == n - 1):
-                elements.append((idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)))
-
-    used = sorted({v for elem in elements for v in elem})
-    remap = {old: new for new, old in enumerate(used)}
-    vertices = vertices[used]
-    elements = [[remap[v] for v in elem] for elem in elements]
-    return vertices, np.array(elements)
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    vertices = np.column_stack([(i + 0.5 * j) * h, j * root3half * h])
+    v00, v10, v01, v11 = _cells(n)
+    # per cell the lower then the upper triangle; drop the two corner ones
+    elements = np.column_stack([v00, v10, v01, v10, v11, v01]).reshape(-1, 3)[1:-1]
+    used, elements = np.unique(elements, return_inverse=True)
+    return vertices[used], elements.reshape(-1, 3)
 
 
 def _obtuse2d(n: int):
@@ -444,26 +462,16 @@ def _obtuse2d(n: int):
 
 def _kuhn3d(n: int):
     xs = np.linspace(0.0, 1.0, n + 1)
-    vertices = np.array(
-        [[x, y, z] for z in xs for y in xs for x in xs]
-    )
-
-    def idx(i, j, k):
-        return (k * (n + 1) + j) * (n + 1) + i
-
-    perms = list(itertools.permutations(range(3)))
-    elements = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                for perm in perms:
-                    cur = [i, j, k]
-                    tet = [idx(*cur)]
-                    for axis in perm:
-                        cur[axis] += 1
-                        tet.append(idx(*cur))
-                    elements.append(tuple(tet))
-    return vertices, np.array(elements)
+    Z, Y, X = np.meshgrid(xs, xs, xs, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    # a tet per axis permutation: the path from the cell's low corner that
+    # steps along the axes in that order
+    stride = np.array([1, n + 1, (n + 1) ** 2])
+    paths = np.array([np.cumsum(np.concatenate(([0], stride[list(p)])))
+                      for p in itertools.permutations(range(3))])       # (6, 4)
+    r = np.arange(n)
+    low = ((r[:, None, None] * (n + 1) + r[:, None]) * (n + 1) + r).ravel()
+    return vertices, (low[:, None, None] + paths).reshape(-1, 4)
 
 
 GENERATORS = {

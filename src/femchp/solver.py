@@ -1,10 +1,10 @@
 """Minimisation of convex gradient energies over interior vertex values.
 
-The solver runs damped Newton steps on the (dense) interior Hessian with an
+The solver runs damped Newton steps on the sparse interior Hessian with an
 Armijo backtracking line search, falling back to a diagonally preconditioned
-gradient direction whenever the Hessian factorisation fails.  Boundary rows
-of the iterate are never touched, so prescribed boundary values survive
-bit for bit.
+gradient direction when the Hessian, also with a small ridge, is not
+numerically positive definite.  Boundary rows of the iterate are never
+touched, so prescribed boundary values survive bit for bit.
 
 For profiles whose weight a(t) = F'(t)/t blows up as t -> 0 (p-Dirichlet
 with p < 2) the Hessian evaluation clamps t from below.  The energy and the
@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
@@ -95,18 +96,19 @@ def _energy_of(model, mesh, values, source, lumped) -> float:
 
 
 def assemble_hessian(model: EnergyModel, field: NodalField,
-                     lumped: LumpedTerm | None = None) -> np.ndarray:
-    """Dense energy Hessian w.r.t. interior values, shape (N0*m, N0*m).
+                     lumped: LumpedTerm | None = None) -> scipy.sparse.csc_matrix:
+    """Sparse energy Hessian w.r.t. interior values, shape (N0*m, N0*m).
 
     Block (z j), (y l) of the gradient part is
         sum_T |T| c_T [ a(t) (g_z . g_y) delta_jl + b(t) P_zj P_yl ]
     with P_zj = (grad U column j) . g_z and b = (F'' - a) / t^2; the b term
     vanishes with the gradient, so zero-gradient elements only keep the a
-    part.  Linear source terms do not contribute.
+    part.  The lumped term adds one m x m block per interior node.  Linear
+    source terms do not contribute.  The blocks are summed through the
+    mesh's cached scatter (``Mesh.assemble``).
     """
     mesh = field.mesh
     m = field.m
-    n = mesh.dim
     c = model.element_coeff(mesh.num_elements)
 
     G = field.element_gradients()                        # (E, n, m)
@@ -125,18 +127,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     loc = (coef * a_eff)[:, None, None, None, None] * S[:, :, None, :, None] * eye_m[None, None, :, None, :]
     loc += (coef * b_eff)[:, None, None, None, None] * P[:, :, :, None, None] * P[:, None, None, :, :]
 
-    ipos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    ipos[mesh.interior_nodes] = np.arange(len(mesh.interior_nodes))
-    dof = ipos[mesh.elements][:, :, None] * m + np.arange(m)[None, None, :]
-    dof = np.where(ipos[mesh.elements][:, :, None] >= 0, dof, -1)   # (E, n+1, m)
-
-    N = len(mesh.interior_nodes) * m
-    H = np.zeros((N, N))
-    rows = np.broadcast_to(dof[:, :, :, None, None], loc.shape)
-    cols = np.broadcast_to(dof[:, None, None, :, :], loc.shape)
-    ok = (rows >= 0) & (cols >= 0)
-    np.add.at(H, (rows[ok], cols[ok]), loc[ok])
-
+    nodal = None
     if lumped is not None:
         q = lumped.q
         w = lumped.weights[mesh.interior_nodes]
@@ -144,18 +135,11 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         vn = np.linalg.norm(v, axis=1)
         pos = vn > 0.0
         f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
-        idx = np.arange(len(w)) * m
-        for j in range(m):
-            H[idx + j, idx + j] += w * f1
-        if q != 2.0:
-            f2 = np.zeros_like(vn)
-            f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
-            outer = (w * f2)[:, None, None] * v[:, :, None] * v[:, None, :]
-            for j in range(m):
-                for l in range(m):
-                    H[idx + j, idx + l] += outer[:, j, l]
+        f2 = np.zeros_like(vn)
+        f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
+        nodal = (w * f1)[:, None, None] * eye_m + (w * f2)[:, None, None] * v[:, :, None] * v[:, None, :]
 
-    return H
+    return mesh.assemble(loc, nodal)
 
 
 def _backtrack(model, mesh, base_values, interior, dmat, E0, slope,
@@ -175,22 +159,39 @@ def _backtrack(model, mesh, base_values, interior, dmat, E0, slope,
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
 
 
+def _factor(H):
+    """Sparse LU of H, or None unless H is numerically positive definite.
+
+    SuperLU runs in symmetric mode (minimum degree ordering of H + H^T)
+    with diagonal pivots only; the factors are then L D L^T in disguise, so
+    H counts as positive definite exactly when the pivots stayed on the
+    diagonal and every pivot (diagonal of U) is positive.  A non-positive
+    diagonal is refused before SuperLU sees it.
+    """
+    if not (H.diagonal() > 0.0).all():
+        return None
+    try:
+        lu = scipy.sparse.linalg.splu(H, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    if (lu.perm_r != lu.perm_c).any() or not (lu.U.diagonal() > 0.0).all():
+        return None
+    return lu
+
+
 def _direction(model, field, lumped, r_flat):
     """Newton direction if the Hessian factorises, else scaled gradient."""
     H = assemble_hessian(model, field, lumped=lumped)
-    diag = np.diag(H)
-    try:
-        cf = scipy.linalg.cho_factor(H, check_finite=False)
-        return scipy.linalg.cho_solve(cf, -r_flat, check_finite=False), "newton"
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    ridge = 1e-12 * max(1.0, float(diag.max(initial=0.0)))
-    try:
-        cf = scipy.linalg.cho_factor(H + ridge * np.eye(len(H)), check_finite=False)
-        return scipy.linalg.cho_solve(cf, -r_flat, check_finite=False), "newton"
-    except (np.linalg.LinAlgError, ValueError):
-        floor = 1e-12 * max(1.0, float(diag.max(initial=0.0)))
-        return -r_flat / np.maximum(diag, floor), "gradient"
+    diag = H.diagonal()
+    scale = 1e-12 * max(1.0, float(diag.max(initial=0.0)))
+    lu = _factor(H)
+    if lu is None:
+        lu = _factor(H + scale * scipy.sparse.identity(H.shape[0], format="csc"))
+    if lu is not None:
+        return lu.solve(-r_flat), "newton"
+    return -r_flat / np.maximum(diag, scale), "gradient"
 
 
 def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,

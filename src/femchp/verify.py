@@ -205,35 +205,25 @@ class BetaWeights:
     beta0: float
 
     @property
-    def identity_rel_err(self) -> float:
-        return abs(self.beta0 - self.betas.sum()) / max(abs(self.beta0), 1e-300)
-
-    @property
     def lambdas(self) -> np.ndarray:
         return self.betas / self.beta0 if self.beta0 != 0.0 else np.full_like(self.betas, np.nan)
 
 
-def _element_weights(mesh: Mesh, field: NodalField, model: EnergyModel) -> np.ndarray:
-    """|T| c_T a(|grad U|) per element, with a(t) clamped as in the Hessian."""
+def _a_stiffness(mesh: Mesh, field: NodalField, model: EnergyModel):
+    """V x V matrix A[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k.
+
+    a(t) is clamped as in the Hessian, and A comes from the same cached
+    scatter.  A is symmetric, so column z of its CSC arrays is row z.
+    """
     G = field.element_gradients()
     _, a = _clamped_a(model, np.sqrt(np.einsum("enm,enm->e", G, G)))
-    return mesh.volumes * model.element_coeff(mesh.num_elements) * a
-
-
-def _weighted_stiffness(mesh: Mesh, weights: np.ndarray):
-    """Sparse V x V matrix A[i, k] = sum_T w_T grad phi_i . grad phi_k (CSR)."""
-    import scipy.sparse as sp
-
-    n = mesh.dim
-    V = mesh.num_vertices
-    S = mesh.gradient_grams * weights[:, None, None]            # (E, n+1, n+1)
-    rows = np.repeat(mesh.elements, n + 1, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, n + 1)).ravel()
-    return sp.coo_matrix((S.ravel(), (rows, cols)), shape=(V, V)).tocsr()
+    w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
+    S = mesh.gradient_grams * w[:, None, None]
+    return mesh.assemble(S[:, :, None, :, None], interior=False)
 
 
 def _row_betas(A, node: int) -> BetaWeights:
-    """Neighbor weights of ``node`` from row ``node`` of the weighted stiffness."""
+    """Neighbor weights of ``node`` from row (= column) ``node`` of the a-stiffness."""
     lo, hi = A.indptr[node], A.indptr[node + 1]
     cols, vals = A.indices[lo:hi], A.data[lo:hi]
     off = cols != node
@@ -248,7 +238,7 @@ def beta_weights(mesh: Mesh, field: NodalField, node: int,
         model = p_dirichlet(2.0)
     if node not in set(mesh.interior_nodes.tolist()):
         raise ValueError(f"node {node} is not an interior node")
-    return _row_betas(_weighted_stiffness(mesh, _element_weights(mesh, field, model)), node)
+    return _row_betas(_a_stiffness(mesh, field, model), node)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
@@ -284,7 +274,7 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
         if convex.is_extreme(values, int(z), tol)
     ]
 
-    A = _weighted_stiffness(mesh, _element_weights(mesh, field, model))
+    A = _a_stiffness(mesh, field, model)
     interior = mesh.interior_nodes
     row_sums = np.asarray(A.sum(axis=1)).ravel()[interior]
     beta0 = A.diagonal()[interior]

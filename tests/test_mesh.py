@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -90,11 +93,46 @@ def test_face_shared_by_three_elements_rejected():
 
 
 def test_repeated_vertex_index_rejected():
-    with pytest.raises(MeshConformityError, match="element 1 repeats a vertex index"):
-        Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-             np.array([[0, 1, 2], [3, 3, 1]]))
-    with pytest.raises(MeshConformityError, match="element 0 repeats a vertex index"):
-        Mesh(3, np.array(TET), np.array([[0, 1, 2, 2]]))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cases = [(2, square, [[0, 1, 2], [3, 3, 1]], "element 1 repeats a vertex index: (3, 3, 1)"),
+             (2, square, [[0, 1, 1]], "element 0 repeats a vertex index: (0, 1, 1)"),
+             (3, np.array(TET), [[0, 1, 2, 2]],
+              "element 0 repeats a vertex index: (0, 1, 2, 2)")]
+    for dim, verts, elems, message in cases:
+        with pytest.raises(MeshConformityError) as exc:
+            Mesh(dim, verts, np.array(elems))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("gen,n", [("right2d", 3), ("kuhn3d", 2)])
+def test_assemble_matches_dense_scatter(gen, n):
+    # random, non-symmetric blocks pin the row/column orientation
+    mesh = build_structured_mesh(gen, n)
+    rng = np.random.default_rng(5)
+    k = mesh.dim + 1
+    for m in (1, 2):
+        blocks = rng.standard_normal((mesh.num_elements, k, m, k, m))
+        for interior, nodes in ((True, mesh.interior_nodes),
+                                (False, np.arange(mesh.num_vertices))):
+            pos = np.full(mesh.num_vertices, -1)
+            pos[nodes] = np.arange(len(nodes))
+            dof = pos[mesh.elements][:, :, None] * m + np.arange(m)
+            dof[pos[mesh.elements] < 0] = -1
+            rows = np.broadcast_to(dof[:, :, :, None, None], blocks.shape)
+            cols = np.broadcast_to(dof[:, None, None, :, :], blocks.shape)
+            ok = (rows >= 0) & (cols >= 0)
+            N = len(nodes) * m
+            ref = np.zeros((N, N))
+            np.add.at(ref, (rows[ok], cols[ok]), blocks[ok])
+            A = mesh.assemble(blocks, interior=interior)
+            assert A.format == "csc" and A.has_sorted_indices
+            assert_allclose(A.toarray(), ref, rtol=1e-14, atol=1e-14)
+
+            diagonal = rng.standard_normal((len(nodes), m, m))
+            for z in range(len(nodes)):
+                ref[z * m:(z + 1) * m, z * m:(z + 1) * m] += diagonal[z]
+            A = mesh.assemble(blocks, diagonal, interior=interior)
+            assert_allclose(A.toarray(), ref, rtol=1e-14, atol=1e-14)
 
 
 def test_orphan_vertex_rejected():
@@ -118,6 +156,51 @@ def test_hanging_node_rejected():
             Mesh(dim, np.array(verts), np.array(elems))
         assert str(exc.value) == (f"vertex {vertex} lies inside element 0 without "
                                   "being one of its vertices (hanging node)")
+
+
+def _loop_generator(gen, n):
+    """The structured meshes built one cell at a time, as a reference."""
+    def at(i, j):
+        return j * (n + 1) + i
+
+    h = 1.0 / n
+    cells = [(at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1))
+             for j in range(n) for i in range(n)]
+    xs = np.linspace(0.0, 1.0, n + 1)
+    grid = [[x, y] for y in xs for x in xs]
+    if gen == "right2d":
+        return grid, [t for a, b, c, d in cells for t in ((a, b, d), (a, d, c))]
+    if gen == "crisscross2d":
+        centres = [[(i + 0.5) / n, (j + 0.5) / n] for j in range(n) for i in range(n)]
+        tris = [t for k, (a, b, c, d) in enumerate(cells, start=(n + 1) ** 2)
+                for t in ((a, b, k), (b, d, k), (d, c, k), (c, a, k))]
+        return grid + centres, tris
+    if gen == "equilateral2d":
+        verts = [[(i + 0.5 * j) * h, j * math.sqrt(3.0) / 2.0 * h]
+                 for j in range(n + 1) for i in range(n + 1)]
+        tris = [t for a, b, c, d in cells for t in ((a, b, c), (b, d, c))][1:-1]
+        used = sorted({v for t in tris for v in t})
+        return [verts[v] for v in used], [[used.index(v) for v in t] for t in tris]
+    verts = [[x, y, z] for z in xs for y in xs for x in xs]
+    tets = []
+    for k, j, i in itertools.product(range(n), repeat=3):
+        for perm in itertools.permutations(range(3)):
+            cur = [i, j, k]
+            tet = [(k * (n + 1) + j) * (n + 1) + i]
+            for axis in perm:
+                cur[axis] += 1
+                tet.append((cur[2] * (n + 1) + cur[1]) * (n + 1) + cur[0])
+            tets.append(tet)
+    return verts, tets
+
+
+@pytest.mark.parametrize("gen", ["right2d", "crisscross2d", "equilateral2d", "kuhn3d"])
+def test_generators_match_the_cell_loops(gen):
+    for n in (2, 3, 5):
+        verts, elems = _loop_generator(gen, n)
+        vertices, elements = GENERATORS[gen][1](n)
+        assert_array_equal(vertices, np.array(verts))
+        assert_array_equal(elements, np.array(elems))
 
 
 def test_right2d_counts_and_structure():

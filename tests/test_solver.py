@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp.energy import (
@@ -12,10 +13,12 @@ from femchp.energy import (
     residual,
 )
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
-from femchp.mesh import build_structured_mesh
+from femchp.mesh import Mesh, build_structured_mesh
 from femchp.solver import (
     LineSearchError,
     _backtrack,
+    _direction,
+    _factor,
     assemble_hessian,
     minimize,
     solve_quadratic_oracle,
@@ -28,7 +31,7 @@ ALL_MODELS = [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
 
 def test_hessian_p2_is_stiffness(right2d_n2):
     f = NodalField(right2d_n2, np.zeros(9))
-    H = assemble_hessian(p_dirichlet(2.0), f)
+    H = assemble_hessian(p_dirichlet(2.0), f).toarray()
     assert_allclose(H, [[4.0]], atol=1e-13)
 
 
@@ -41,7 +44,7 @@ def test_hessian_symmetry_and_fd(right2d_n2):
             m = 2
             vals = rng.standard_normal((9, m)) + 1.5
             f = NodalField(right2d_n2, vals)
-            H = assemble_hessian(model, f, lumped=lumped)
+            H = assemble_hessian(model, f, lumped=lumped).toarray()
             N = len(right2d_n2.interior_nodes) * m
             assert H.shape == (N, N)
             assert_allclose(H, H.T, atol=1e-12)
@@ -54,6 +57,75 @@ def test_hessian_symmetry_and_fd(right2d_n2):
                       - residual(model, NodalField(right2d_n2, vm), lumped=lumped)
                       ) / (2 * h)
                 assert_allclose(H[:, col], fd.reshape(-1), rtol=2e-5, atol=2e-6)
+
+
+def _stored(dense):
+    """CSC matrix that stores every entry, zeros included, as assembly does."""
+    i, j = np.indices(dense.shape)
+    return sp.csc_matrix((dense.ravel(), (i.ravel(), j.ravel())), shape=dense.shape)
+
+
+def test_factor_accepts_only_positive_definite(capfd):
+    spd = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    lu = _factor(_stored(spd))
+    assert lu is not None
+    assert_allclose(spd @ lu.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0],
+                    rtol=1e-14)
+    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert _factor(_stored(indefinite)) is None
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert _factor(_stored(singular)) is None
+    # the refusals are silent: nothing from SuperLU or BLAS reaches the terminal
+    assert capfd.readouterr() == ("", "")
+
+
+def test_p3_zero_interior_start_takes_the_ridge(right2d_n4, capfd):
+    # a(0) = 0 for p = 3, and the centre node's star has no boundary vertex,
+    # so at the zero-interior start its Hessian row is exactly zero
+    model = p_dirichlet(3.0)
+    bc = BoundaryData.random_uniform(3, -1.0, 1.0)
+    start = interpolate_boundary(right2d_n4, bc, 1)
+    H = assemble_hessian(model, start)
+    centre = int(np.flatnonzero(right2d_n4.interior_nodes == 12)[0])
+    assert H.diagonal()[centre] == 0.0
+    assert _factor(H) is None
+    r = residual(model, start).reshape(-1)
+    d, kind = _direction(model, start, None, r)
+    assert kind == "newton" and float(r @ d) < 0.0
+    _, rep = minimize(model, right2d_n4, bc)
+    assert rep.converged and rep.gradient_steps == 0
+    # here the zero region shrinks by one ring per step; handed to SuperLU
+    # unchecked, the fifth zero-diagonal Hessian makes it print "On entry
+    # to DTRSV parameter number 6 had an illegal value"
+    mesh = build_structured_mesh("right2d", 30)
+    bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
+    _, rep = minimize(model, mesh, bc, m=2, max_iters=5)
+    assert rep.newton_steps == 5 and rep.gradient_steps == 0
+    assert capfd.readouterr() == ("", "")
+
+
+def test_hessian_cache_follows_the_mesh():
+    # each mesh keeps its own scatter: meshes used in alternation, and a new
+    # mesh built right after another was dropped (which in CPython usually
+    # gets the dropped mesh's id()), give the Hessians of a fresh mesh
+    model = p_dirichlet(3.0)
+    specs = [("right2d", 4), ("crisscross2d", 3), ("kuhn3d", 2)]
+
+    def hessian(mesh, m):
+        vals = np.random.default_rng(m).standard_normal((mesh.num_vertices, m))
+        return assemble_hessian(model, NodalField(mesh, vals)).toarray()
+
+    live = {spec: build_structured_mesh(*spec) for spec in specs}
+    ref = {(spec, m): hessian(build_structured_mesh(*spec), m)
+           for spec in specs for m in (1, 2)}
+    for m in (1, 2, 1):
+        for spec in specs:
+            assert_array_equal(hessian(live[spec], m), ref[spec, m])
+    for _ in range(3):
+        for spec in specs:
+            mesh = Mesh(live[spec].dim, live[spec].vertices, live[spec].elements)
+            assert_array_equal(hessian(mesh, 2), ref[spec, 2])
+            del mesh
 
 
 def test_minimize_p2_matches_oracle():
