@@ -2,10 +2,10 @@
 
 A target set is the convex hull of finitely many generators (optionally
 including the origin).  Every set with m = 1 is an interval and is
-projected by clipping; for m >= 2 an
-active-set nearest-point iteration over affine subproblems projects one
-row at a time.  ``project`` takes a point or a batch of rows and
-certifies every row against the variational inequality
+projected by clipping; for m >= 2 an active-set nearest-point iteration
+over affine subproblems advances all rows of a batch together.
+``project`` takes a point or a batch of rows and certifies every row
+against the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
@@ -38,11 +38,9 @@ __all__ = [
 ]
 
 CERT_REL_TOL = 1e-10
-# duplicate generators are collapsed below this relative spacing
-_DEDUP_REL = 1e-14
-# the certificate's (rows x generators) slack matrix is formed in blocks
-# of at most this many entries
-_VI_BLOCK = 1 << 20
+# ``project`` works on blocks of rows whose (rows x generators) arrays
+# hold at most this many entries, or on single rows
+_BLOCK = 1 << 17
 
 
 class CertificateError(AssertionError):
@@ -74,20 +72,6 @@ def reset_certificate_stats() -> CertificateStats:
     return _STATS
 
 
-def _dedup_points(points: np.ndarray) -> np.ndarray:
-    """Rows of ``points`` in order, less any row within Chebyshev distance
-    1e-14 * (1 + max |entry|) of a row kept before it."""
-    scale = 1.0 + (np.abs(points).max() if points.size else 0.0)
-    tol = _DEDUP_REL * scale
-    kept = np.empty_like(points)
-    n = 0
-    for p in points:
-        if n == 0 or np.abs(kept[:n] - p).max(axis=1).min() > tol:
-            kept[n] = p
-            n += 1
-    return kept[:n]
-
-
 @dataclass(frozen=True)
 class ConvexSet:
     """Closed convex set: the hull of the rows of ``generators``."""
@@ -97,13 +81,18 @@ class ConvexSet:
 
 
 def finite_hull(points) -> ConvexSet:
-    """Convex hull of finitely many points in R^m (m >= 1)."""
+    """Convex hull of finitely many points in R^m (m >= 1).
+
+    Exactly repeated rows are dropped, keeping each first occurrence in
+    input order; distinct rows are all kept, however close.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("hull needs at least one generator point")
     if not np.isfinite(points).all():
         raise ValueError("hull generators contain non-finite entries")
-    points = _dedup_points(points)
+    _, first = np.unique(points, axis=0, return_index=True)
+    points = points[np.sort(first)]
     points.flags.writeable = False
     return ConvexSet(m=points.shape[1], generators=points)
 
@@ -114,64 +103,78 @@ def hull_with_origin(points) -> ConvexSet:
     return finite_hull(np.vstack([points, np.zeros((1, points.shape[1]))]))
 
 
-def _affine_coefficients(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients of the point of the affine hull of rows of P nearest x.
+def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per row of X, the coefficients of its nearest point in the affine
+    hull of the generators ``act`` names (-1 marks a free slot, which gets 0).
 
-    Coefficients sum to one but may be negative.  Solved through least
-    squares with rcond 1e-13 so affinely dependent active sets stay stable.
+    Coefficients sum to one but may be negative.  The pseudo-inverse
+    (rcond 1e-13) keeps affinely dependent active sets stable.
     """
-    k = len(P)
-    if k == 1:
-        return np.ones(1)
-    Q = P[1:] - P[0]
-    rhs = Q @ (x - P[0])
-    M = Q @ Q.T
-    nu, *_ = np.linalg.lstsq(M, rhs, rcond=1e-13)
-    mu = np.empty(k)
-    mu[1:] = nu
-    mu[0] = 1.0 - nu.sum()
-    return mu
+    rows = np.arange(len(act))
+    occ = act >= 0
+    ref = occ.argmax(axis=1)
+    P = G[act]
+    p0 = P[rows, ref]
+    Q = np.where(occ[:, :, None], P - p0[:, None], 0.0)
+    rhs = Q @ (X - p0)[:, :, None]
+    nu = (np.linalg.pinv(Q @ Q.transpose(0, 2, 1), rcond=1e-13) @ rhs)[:, :, 0]
+    nu[rows, ref] = 1.0 - nu.sum(axis=1)
+    return nu
 
 
-def _project_hull(points: np.ndarray, x: np.ndarray):
-    """Active-set nearest point iteration over the hull of ``points``."""
-    d2 = ((points - x) ** 2).sum(axis=1)
-    active = [int(np.argmin(d2))]
-    lam = np.ones(1)
-    max_outer = 20 * len(points) + 200
+def _project_hull(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Active-set nearest point iteration over the hull of the rows of G,
+    run for all rows of X (k, m) together.
 
-    y = points[active[0]]
-    for _ in range(max_outer):
-        gap = (points - y) @ (x - y)
-        j = int(np.argmax(gap))
-        if gap[j] <= 1e-14 * (1.0 + x @ x) or j in active:
+    Each row keeps at most m + 2 active generators and their convex
+    weights; a row whose slots are full stops.
+    """
+    k, m = X.shape
+    act = np.full((k, m + 2), -1)
+    act[:, 0] = ((G - X[:, None]) ** 2).sum(axis=2).argmin(axis=1)
+    lam = (act >= 0).astype(float)
+    Y = G[act[:, 0]]
+    tol = 1e-14 * (1.0 + np.einsum("ij,ij->i", X, X))
+    rows = np.arange(k)
+    for _ in range(20 * len(G) + 200):
+        D = X[rows] - Y[rows]
+        gap = D @ G.T
+        gap -= np.einsum("ij,ij->i", Y[rows], D)[:, None]
+        j = gap.argmax(axis=1)
+        a = act[rows]
+        go = ((gap.max(axis=1) > tol[rows])
+              & (a != j[:, None]).all(axis=1) & (a < 0).any(axis=1))
+        rows, j, a = rows[go], j[go], a[go]
+        if not len(rows):
             break
-        active.append(j)
-        lam = np.append(lam, 0.0)
-
+        a[np.arange(len(rows)), (a < 0).argmax(axis=1)] = j
+        w = lam[rows]
         # restore feasibility of the affine minimiser over the active set
-        for _ in range(2 * len(points) + 50):
-            mu = _affine_coefficients(points[active], x)
-            if (mu >= -1e-12).all():
-                lam = np.clip(mu, 0.0, None)
-                s = lam.sum()
-                lam = lam / s if s > 0 else np.ones(len(active)) / len(active)
+        todo = np.arange(len(rows))
+        for _ in range(2 * len(G) + 50):
+            mu = _affine_coefficients(G, a[todo], X[rows[todo]])
+            ok = (mu >= -1e-12).all(axis=1)
+            v = np.clip(mu[ok], 0.0, None)
+            w[todo[ok]] = v / v.sum(axis=1, keepdims=True)
+            todo, mu = todo[~ok], mu[~ok]
+            if not len(todo):
                 break
-            shrink = lam - mu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(shrink > 1e-300, lam / shrink, np.inf)
-            alpha = min(1.0, float(ratio.min()))
-            lam = lam + alpha * (mu - lam)
-            keep = lam > 1e-14
-            if keep.all():
-                # numerical stall: drop the smallest coefficient
-                keep[int(np.argmin(lam))] = False
-            active = [a for a, k_ in zip(active, keep) if k_]
-            lam = lam[keep]
-            s = lam.sum()
-            lam = lam / s if s > 0 else np.ones(len(active)) / len(active)
-        y = lam @ points[active]
-    return y
+            occ = a[todo] >= 0
+            v = w[todo]
+            shrink = v - mu
+            ratio = np.divide(v, shrink, out=np.full_like(v, np.inf),
+                              where=occ & (shrink > 1e-300))
+            v += np.minimum(1.0, ratio.min(axis=1))[:, None] * (mu - v)
+            keep = occ & (v > 1e-14)
+            # numerical stall: drop the smallest coefficient
+            stall = np.flatnonzero((keep == occ).all(axis=1))
+            keep[stall, np.where(occ, v, np.inf)[stall].argmin(axis=1)] = False
+            v = np.where(keep, v, 0.0)
+            w[todo] = v / v.sum(axis=1, keepdims=True)
+            a[todo] = np.where(keep, a[todo], -1)
+        act[rows], lam[rows] = a, w
+        Y[rows] = np.einsum("rs,rsk->rk", w, G[a])
+    return Y
 
 
 def check_variational_inequality(K: ConvexSet, x, Px):
@@ -183,13 +186,9 @@ def check_variational_inequality(K: ConvexSet, x, Px):
     x = np.asarray(x, dtype=float)
     P = np.atleast_2d(np.asarray(Px, dtype=float))
     D = np.atleast_2d(x) - P
-    G = K.generators
-    worst = np.empty(len(D))
-    step = max(1, _VI_BLOCK // len(G))
-    for s in range(0, len(D), step):
-        d = D[s:s + step]
-        gaps = d @ G.T - np.einsum("ij,ij->i", d, P[s:s + step])[:, None]
-        worst[s:s + step] = gaps.max(axis=1)
+    gaps = D @ K.generators.T
+    gaps -= np.einsum("ij,ij->i", D, P)[:, None]
+    worst = gaps.max(axis=1)
     return worst if x.ndim == 2 else float(worst[0])
 
 
@@ -207,13 +206,17 @@ def project(K: ConvexSet, x) -> np.ndarray:
 
     X = x.reshape(-1, K.m)
     G = K.generators
-    if K.m == 1:
-        P = np.clip(X, G.min(), G.max())
-    else:
-        P = np.array([_project_hull(G, row) for row in X]).reshape(X.shape)
-
+    P = np.empty_like(X)
     tol = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
-    slack = check_variational_inequality(K, X, P) - tol
+    slack = np.empty(len(X))
+    step = max(1, _BLOCK // len(G))
+    for s in range(0, len(X), step):
+        b = slice(s, s + step)
+        if K.m == 1:
+            P[b] = np.clip(X[b], G.min(), G.max())
+        else:
+            P[b] = _project_hull(G, X[b])
+        slack[b] = check_variational_inequality(K, X[b], P[b]) - tol[b]
     _STATS.record(slack)
     if (slack > 0.0).any():
         i = int(np.argmax(slack))

@@ -55,7 +55,6 @@ class MeshConformityError(ValueError):
 class AngleReport:
     """Result of classifying every element of a mesh by its angles."""
 
-    classifications: tuple
     worst_dot: float
     worst_element: int
     worst_pair: tuple
@@ -339,7 +338,7 @@ class Mesh:
 
 
 def classify_mesh(mesh: Mesh) -> AngleReport:
-    """Classify each element as acute / non-obtuse / obtuse.
+    """Classify the mesh as acute / non-obtuse / obtuse by its elements.
 
     An element is non-obtuse exactly when all pairwise dots of its basis
     gradients are <= 0, and acute when they are < 0 strictly; ties are broken
@@ -357,8 +356,6 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     non_obtuse = max_dot <= tol
     acute = max_dot < -tol
 
-    classes = np.where(non_obtuse, np.where(acute, ACUTE, NON_OBTUSE), OBTUSE)
-
     worst_e = int(np.argmax(max_dot))
     worst_p = int(np.argmax(pair_dots[worst_e]))
     worst_pair = (int(iu[worst_p]), int(ju[worst_p]))
@@ -370,7 +367,6 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
         max_sum = _max_opposite_angle_sum(mesh)
 
     return AngleReport(
-        classifications=tuple(classes.tolist()),
         worst_dot=float(max_dot[worst_e]),
         worst_element=worst_e,
         worst_pair=worst_pair,

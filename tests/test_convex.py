@@ -105,8 +105,84 @@ def test_interval_clip_matches_active_set():
         gens = rng.normal(size=(int(rng.integers(1, 6)), 1)) * 3.0
         K = finite_hull(gens)
         X = rng.normal(size=(20, 1)) * 5.0
-        ref = np.array([_project_hull(K.generators, x) for x in X])
+        ref = _project_hull(K.generators, X)
         assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-14)
+
+
+_LOCKSTEP_SETS = {
+    "triangle": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+    "pentagon": [[np.cos(t), np.sin(t)] for t in np.linspace(0.0, 2.0 * np.pi, 6)[:-1]],
+    "collinear2d": [[0.0, 0.0], [1.0, 2.0], [0.5, 1.0], [-1.0, -2.0]],
+    "tetrahedron": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "cube": [[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)],
+    "coplanar3d": [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
+                   [0.5, 0.2, 1.0]],
+    "collinear3d": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_SETS))
+def test_lockstep_batch_matches_rows_alone(name):
+    G = np.array(_LOCKSTEP_SETS[name])
+    m = G.shape[1]
+    rng = np.random.default_rng(len(name))
+    centroid = G.mean(axis=0)
+    X = np.vstack([
+        centroid,                                   # inside, or on a flat hull
+        G[1],                                       # at a vertex
+        0.5 * (G[0] + G[1]),                        # on an edge
+        G[:m].mean(axis=0),                         # on a facet
+        G[0] + 3.0 * (G[0] - centroid),             # beyond a vertex
+        centroid + 1e3 * rng.normal(size=m),        # far outside
+        centroid + 0.3 * rng.normal(size=(12, m)),  # a mix near the hull
+    ])
+    X = X[rng.permutation(len(X))]
+    batch = _project_hull(G, X)
+    alone = np.array([_project_hull(G, x[None])[0] for x in X])
+    assert_allclose(batch, alone, rtol=0.0, atol=1e-13)
+    reset_certificate_stats()
+    assert_allclose(project(finite_hull(G), X), batch, rtol=0.0, atol=1e-13)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
+
+
+def test_blocks_match_one_block(monkeypatch):
+    K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 1.5]]))
+    X = np.random.default_rng(4).normal(size=(40, 2)) * 3.0
+    reset_certificate_stats()
+    whole = project(K, X)
+    monkeypatch.setattr(convex, "_BLOCK", 3 * len(K.generators))
+    assert_allclose(project(K, X), whole, rtol=0.0, atol=1e-13)
+    assert certificate_stats().projections == 2 * len(X)
+    # a row failing in a later block is reported by its row in the batch
+    inside = np.tile([0.5, 0.5], (12, 1))
+    inside[7] = [5.0, 5.0]
+    monkeypatch.setattr(convex, "_project_hull",
+                        lambda G, X: np.where(X > 4.0, G[0], X))
+    with pytest.raises(CertificateError, match="row 7:"):
+        project(K, inside)
+    assert certificate_stats().projections == 2 * len(X) + 12
+
+
+def test_near_duplicate_generators_are_kept():
+    one_ulp = np.nextafter(1.0, 2.0)
+    K = finite_hull(np.array([[1.0, 0.0], [one_ulp, 0.0], [1.0, 1e-15],
+                              [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]))
+    assert_allclose(K.generators, [[1.0, 0.0], [one_ulp, 0.0], [1.0, 1e-15],
+                                   [0.0, 1.0], [0.0, 0.0]], rtol=0.0, atol=0.0)
+    K3 = finite_hull(np.array([[1.0, 0.0, 0.0], [one_ulp, 0.0, 0.0],
+                               [1.0, 0.0, 1e-15], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert len(K3.generators) == 5
+    rng = np.random.default_rng(8)
+    reset_certificate_stats()
+    for H in (K, K3):
+        X = np.vstack([rng.normal(size=(30, H.m)) * 2.0,
+                       H.generators[0] + 1e-3 * rng.normal(size=(10, H.m)),
+                       np.eye(H.m)[0] * 2.0])
+        P = project(H, X)
+        assert_allclose(P[-1], np.eye(H.m)[0], rtol=0.0, atol=1e-15)
+    assert certificate_stats().projections == 82
+    assert certificate_stats().worst_slack <= 0.0
 
 
 def test_is_extreme():
@@ -138,7 +214,8 @@ def test_variational_inequality_measure():
 
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda pts, x: pts[0])
+    monkeypatch.setattr(convex, "_project_hull",
+                        lambda G, X: G[np.zeros(len(X), dtype=int)])
     with pytest.raises(CertificateError):
         project(K, np.array([[0.0, 0.0], [2.0, 2.0]]))
 
