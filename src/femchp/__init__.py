@@ -9,12 +9,11 @@ from .mesh import (
 )
 from .field import (
     NodalField, BoundaryData, FieldFormatError,
-    interpolate_boundary, eval_at_point, save_field, load_field,
+    interpolate_boundary, save_field, load_field,
 )
 from .energy import (
     EnergyModel, p_dirichlet, mean_curvature, orlicz, parse_energy,
     SourceTerm, LumpedTerm, lumped_weights, energy_value, residual,
-    convexity_probe, ConvexityReport,
 )
 from .convex import (
     ConvexSet, finite_hull, hull_with_origin,

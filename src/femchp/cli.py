@@ -35,13 +35,13 @@ CSV_COLUMNS = (
     "converged,iterations,residual,energy_value,theorem,outcome,violation,tol"
 )
 
-# theorem -> (checker, default tolerance, the one extra input it takes)
+# theorem -> (checker, the one extra input it takes)
 _THEOREMS = {
-    "chp": (verify_mod.verify_chp, 1e-8, None),
-    "dmp": (verify_mod.verify_dmp, 1e-6, "source"),
-    "hull0": (verify_mod.verify_hull_with_zero, 1e-8, None),
-    "strong-chp": (verify_mod.verify_strong_chp, 1e-9, "model"),
-    "lemma-pos": (verify_mod.verify_lemma_pos, 1e-10, "K"),
+    "chp": (verify_mod.verify_chp, None),
+    "dmp": (verify_mod.verify_dmp, "source"),
+    "hull0": (verify_mod.verify_hull_with_zero, None),
+    "strong-chp": (verify_mod.verify_strong_chp, "model"),
+    "lemma-pos": (verify_mod.verify_lemma_pos, "K"),
 }
 
 
@@ -192,10 +192,13 @@ _OUTCOME_EXIT = {
 
 
 def _check_theorem(theorem: str, mesh: Mesh, field: NodalField, tol, extra_input):
-    """Run a theorem's checker; ``extra_input(name)`` supplies its extra input."""
-    check, default_tol, extra = _THEOREMS[theorem]
+    """Run a theorem's checker; ``extra_input(name)`` supplies its extra
+    input, and ``tol`` overrides the checker's default only when given."""
+    check, extra = _THEOREMS[theorem]
     kwargs = {extra: extra_input(extra)} if extra else {}
-    return check(mesh, field, tol=default_tol if tol is None else tol, **kwargs)
+    if tol is not None:
+        kwargs["tol"] = tol
+    return check(mesh, field, **kwargs)
 
 
 def cmd_verify(args) -> int:
@@ -342,7 +345,7 @@ def _combo_bc(bc_text: str, seed: int) -> BoundaryData:
     return bc
 
 
-def _run_combo(spec, mesh, gen_name, res, energy_text, m, seed):
+def _run_combo(spec, mesh, energy_text, m, seed):
     model = parse_energy(energy_text)
     bc = _combo_bc(spec["bc"], seed)
     source = parse_source(spec["source"], mesh) if spec["source"] else None
@@ -384,7 +387,7 @@ def cmd_experiment(args) -> int:
 
     def solve_one(combo):
         name, res, energy, m, seed = combo
-        return _run_combo(spec, meshes[(name, res)], name, res, energy, m, seed)
+        return _run_combo(spec, meshes[(name, res)], energy, m, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -10,8 +10,10 @@ against the variational inequality
     (x - Px) . (z - Px) <= tol   for all generators z,
 
 with tol = 1e-10 * (1 + |x|^2).  A row that fails raises CertificateError.
-The statistics stay process-wide: every certified row counts once and
-the worst slack seen is kept, both read through ``certificate_stats``.
+``is_extreme`` runs the same block loop and certificate with a per-row
+generator mask.  The statistics stay process-wide: every certified row
+counts once and the worst slack seen is kept, both read through
+``certificate_stats``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ __all__ = [
 ]
 
 CERT_REL_TOL = 1e-10
-# ``project`` works on blocks of rows whose (rows x generators) arrays
-# hold at most this many entries, or on single rows
+# the block loop of ``project`` and ``is_extreme`` works on blocks of rows
+# whose (rows x generators) arrays hold at most this many entries, or on
+# single rows
 _BLOCK = 1 << 17
 
 
@@ -108,7 +111,9 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     hull of the generators ``act`` names (-1 marks a free slot, which gets 0).
 
     Coefficients sum to one but may be negative.  The pseudo-inverse
-    (rcond 1e-13) keeps affinely dependent active sets stable.
+    (rcond 1e-13) of the normal matrix keeps affinely dependent active sets
+    stable; one step of iterative refinement against the residual in R^m
+    wins back the accuracy the normal equations lose on thin simplices.
     """
     rows = np.arange(len(act))
     occ = act >= 0
@@ -116,22 +121,32 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     P = G[act]
     p0 = P[rows, ref]
     Q = np.where(occ[:, :, None], P - p0[:, None], 0.0)
-    rhs = Q @ (X - p0)[:, :, None]
-    nu = (np.linalg.pinv(Q @ Q.transpose(0, 2, 1), rcond=1e-13) @ rhs)[:, :, 0]
+    Qt = Q.transpose(0, 2, 1)
+    M = np.linalg.pinv(Q @ Qt, rcond=1e-13)
+    d = (X - p0)[:, :, None]
+    nu = M @ (Q @ d)
+    nu = (nu + M @ (Q @ (d - Qt @ nu)))[:, :, 0]
     nu[rows, ref] = 1.0 - nu.sum(axis=1)
     return nu
 
 
-def _project_hull(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _project_hull(G: np.ndarray, X: np.ndarray, off=None) -> np.ndarray:
     """Active-set nearest point iteration over the hull of the rows of G,
     run for all rows of X (k, m) together.
 
-    Each row keeps at most m + 2 active generators and their convex
-    weights; a row whose slots are full stops.
+    Row r sees only the generators where ``off[r]`` is False (all of them
+    when ``off`` is None) and must see at least one.  Each row keeps at
+    most m + 2 active generators and their convex weights.  A row stops
+    when its slots are full, or when the generator it added was dropped
+    again, which leaves its active set and weights as they were.
     """
     k, m = X.shape
+    d2 = ((G - X[:, None]) ** 2).sum(axis=2)
+    if off is not None:
+        d2[off] = np.inf
     act = np.full((k, m + 2), -1)
-    act[:, 0] = ((G - X[:, None]) ** 2).sum(axis=2).argmin(axis=1)
+    act[:, 0] = d2.argmin(axis=1)
+    del d2
     lam = (act >= 0).astype(float)
     Y = G[act[:, 0]]
     tol = 1e-14 * (1.0 + np.einsum("ij,ij->i", X, X))
@@ -140,6 +155,8 @@ def _project_hull(G: np.ndarray, X: np.ndarray) -> np.ndarray:
         D = X[rows] - Y[rows]
         gap = D @ G.T
         gap -= np.einsum("ij,ij->i", Y[rows], D)[:, None]
+        if off is not None:
+            gap[off[rows]] = -np.inf
         j = gap.argmax(axis=1)
         a = act[rows]
         go = ((gap.max(axis=1) > tol[rows])
@@ -172,9 +189,21 @@ def _project_hull(G: np.ndarray, X: np.ndarray) -> np.ndarray:
             v = np.where(keep, v, 0.0)
             w[todo] = v / v.sum(axis=1, keepdims=True)
             a[todo] = np.where(keep, a[todo], -1)
+        back = (a == act[rows]).all(axis=1)
         act[rows], lam[rows] = a, w
         Y[rows] = np.einsum("rs,rsk->rk", w, G[a])
+        rows = rows[~back]
     return Y
+
+
+def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
+    """Per row, the max of (x - Px).(z - Px) over the generators z it sees."""
+    D = X - P
+    gaps = D @ G.T
+    gaps -= np.einsum("ij,ij->i", D, P)[:, None]
+    if off is not None:
+        gaps[off] = -np.inf
+    return gaps.max(axis=1)
 
 
 def check_variational_inequality(K: ConvexSet, x, Px):
@@ -185,11 +214,44 @@ def check_variational_inequality(K: ConvexSet, x, Px):
     """
     x = np.asarray(x, dtype=float)
     P = np.atleast_2d(np.asarray(Px, dtype=float))
-    D = np.atleast_2d(x) - P
-    gaps = D @ K.generators.T
-    gaps -= np.einsum("ij,ij->i", D, P)[:, None]
-    worst = gaps.max(axis=1)
+    worst = _worst_gaps(K.generators, np.atleast_2d(x), P)
     return worst if x.ndim == 2 else float(worst[0])
+
+
+def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
+    """The one block loop behind ``project`` and ``is_extreme``.
+
+    Projects each row of X (k, m) onto the hull of the rows of G,
+    certifies it and counts it in the statistics, on blocks of at most
+    ``_BLOCK`` row x generator entries.  With ``tol``, row r sees only the
+    generators farther than tol from it; a row that sees none stays NaN
+    and is neither projected nor counted.
+    """
+    P = np.full_like(X, np.nan)
+    cert = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
+    slack = np.full(len(X), -np.inf)
+    step = max(1, _BLOCK // len(G))
+    for s in range(0, len(X), step):
+        r, off = slice(s, s + step), None
+        if tol is not None:
+            off = np.linalg.norm(G - X[r, None], axis=2) <= tol
+            sees = ~off.all(axis=1)
+            r, off = s + np.flatnonzero(sees), off[sees]
+        if G.shape[1] == 1:
+            g = G[:, 0] if off is None else np.where(off, np.nan, G[:, 0])
+            P[r] = np.clip(X[r], np.nanmin(g, axis=-1, keepdims=True),
+                           np.nanmax(g, axis=-1, keepdims=True))
+        else:
+            P[r] = _project_hull(G, X[r], off)
+        slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
+        _STATS.record(slack[r])
+    if (slack > 0.0).any():
+        i = int(np.argmax(slack))
+        raise CertificateError(
+            f"projection certificate failed for row {i}: slack "
+            f"{slack[i] + cert[i]:.3e} exceeds {cert[i]:.3e}"
+        )
+    return P
 
 
 def project(K: ConvexSet, x) -> np.ndarray:
@@ -203,28 +265,7 @@ def project(K: ConvexSet, x) -> np.ndarray:
         raise ValueError(f"points of shape {x.shape} given, set lives in R^{K.m}")
     if not np.isfinite(x).all():
         raise ValueError("cannot project a non-finite point")
-
-    X = x.reshape(-1, K.m)
-    G = K.generators
-    P = np.empty_like(X)
-    tol = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
-    slack = np.empty(len(X))
-    step = max(1, _BLOCK // len(G))
-    for s in range(0, len(X), step):
-        b = slice(s, s + step)
-        if K.m == 1:
-            P[b] = np.clip(X[b], G.min(), G.max())
-        else:
-            P[b] = _project_hull(G, X[b])
-        slack[b] = check_variational_inequality(K, X[b], P[b]) - tol[b]
-    _STATS.record(slack)
-    if (slack > 0.0).any():
-        i = int(np.argmax(slack))
-        raise CertificateError(
-            f"projection certificate failed for row {i}: slack "
-            f"{slack[i] + tol[i]:.3e} exceeds {tol[i]:.3e}"
-        )
-    return P.reshape(x.shape)
+    return _certified(K.generators, x.reshape(-1, K.m)).reshape(x.shape)
 
 
 # benchmarks/tracer.py wraps these two names and the benchmark's
@@ -256,19 +297,22 @@ def boundary_hull(field: NodalField, include_origin: bool = False) -> ConvexSet:
     return finite_hull(bvals)
 
 
-def is_extreme(points, index: int, tol: float) -> bool:
+def is_extreme(points, index, tol: float):
     """Whether points[index] is an extreme point of the hull of all points.
 
     True exactly when the point stays at distance > tol from the hull of the
-    other points (points within tol of it are ignored as duplicates).
+    other points (points within tol of it are ignored as duplicates).  An
+    int ``index`` gives a bool, an array of indices a bool array.  All
+    indices share one pass through ``project``'s block loop: each point is
+    projected onto the hull of the generators of ``finite_hull(points)``
+    farther than tol from it, and a point with none is extreme.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not 0 <= index < len(points):
-        raise IndexError(f"index {index} out of range [0, {len(points)})")
-    p = points[index]
-    dist = np.linalg.norm(points - p, axis=1)
-    others = points[(dist > tol) & (np.arange(len(points)) != index)]
-    if len(others) == 0:
-        return True
-    d, _ = worst_distance(finite_hull(others), p)
-    return d > tol
+    index = np.asarray(index)
+    bad = (index < 0) | (index >= len(points))
+    if bad.any():
+        raise IndexError(f"index {index[bad].flat[0]} out of range [0, {len(points)})")
+    X = points[index.reshape(-1)]
+    P = _certified(finite_hull(points).generators, X, tol)
+    extreme = ~(np.linalg.norm(X - P, axis=1) <= tol)
+    return bool(extreme[0]) if index.ndim == 0 else extreme

@@ -28,8 +28,6 @@ __all__ = [
     "lumped_weights",
     "energy_value",
     "residual",
-    "convexity_probe",
-    "ConvexityReport",
 ]
 
 
@@ -341,59 +339,3 @@ def residual(model: EnergyModel, field: NodalField,
         r_full += (lumped.weights * fac)[:, None] * field.values
 
     return r_full[mesh.interior_nodes]
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    monotone: bool
-    worst_convexity_margin: float
-    worst_monotonicity_margin: float
-    worst_convexity_args: tuple
-    worst_monotonicity_arg: float
-
-
-def convexity_probe(F, grid=None, trials: int = 2000, seed: int = 0,
-                    margin: float = 0.0) -> ConvexityReport:
-    """Sampled convexity and monotonicity check of a scalar profile.
-
-    Draws random midpoint combinations theta*s + (1-theta)*t from the grid
-    and records the worst chord gap F(theta s + (1-theta) t) subtracted from
-    theta F(s) + (1-theta) F(t); negative worst margin (below -``margin``)
-    means a convexity violation was found.  Monotonicity is checked on
-    consecutive grid points.
-    """
-    if grid is None:
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e2, 161)])
-    grid = np.sort(np.asarray(grid, dtype=float))
-    rng = np.random.default_rng(seed)
-
-    Fg = np.asarray(F(grid), dtype=float)
-    dm = np.diff(Fg)
-    worst_mono = float(dm.min()) if len(dm) else 0.0
-    mono_arg = float(grid[int(np.argmin(dm))]) if len(dm) else 0.0
-
-    worst_conv = np.inf
-    conv_args = (0.0, 0.0, 0.5)
-    for _ in range(trials):
-        i, j = rng.integers(0, len(grid), size=2)
-        if i == j:
-            continue
-        s, t = grid[i], grid[j]
-        theta = rng.uniform(0.01, 0.99)
-        chord = theta * Fg[i] + (1 - theta) * Fg[j]
-        gap = float(chord - F(theta * s + (1 - theta) * t))
-        if gap < worst_conv:
-            worst_conv = gap
-            conv_args = (float(s), float(t), float(theta))
-    if not np.isfinite(worst_conv):
-        worst_conv = 0.0
-
-    return ConvexityReport(
-        convex=worst_conv >= -margin,
-        monotone=worst_mono >= -margin,
-        worst_convexity_margin=worst_conv,
-        worst_monotonicity_margin=worst_mono,
-        worst_convexity_args=conv_args,
-        worst_monotonicity_arg=mono_arg,
-    )

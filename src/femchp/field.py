@@ -1,8 +1,6 @@
 """Piecewise linear nodal fields over a mesh, with values in R^m.
 
-A field stores one value row per mesh vertex.  Evaluation anywhere in the
-domain goes through the barycentric coordinates of a containing element, so
-interpolation of affine data is reproduced exactly up to roundoff.
+A field stores one value row per mesh vertex.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ __all__ = [
     "NodalField",
     "BoundaryData",
     "interpolate_boundary",
-    "eval_at_point",
     "save_field",
     "load_field",
     "FieldFormatError",
@@ -46,9 +43,6 @@ class NodalField:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "NodalField":
-        return NodalField(self.mesh, self.values.copy())
-
     def with_values(self, values) -> "NodalField":
         return NodalField(self.mesh, values)
 
@@ -56,28 +50,6 @@ class NodalField:
         """Gradients on all elements at once, shape (E, n, m)."""
         vals = self.values[self.mesh.elements]          # (E, n+1, m)
         return np.einsum("ein,eim->enm", self.mesh.gradients, vals)
-
-
-def eval_at_point(field: NodalField, point) -> np.ndarray:
-    """Evaluate the field at a point of the domain, shape (m,).
-
-    The point must lie in some element up to 1e-12 * diameter slack;
-    otherwise a ValueError reports it as outside.
-    """
-    mesh = field.mesh
-    point = np.asarray(point, dtype=float)
-    if point.shape != (mesh.dim,):
-        raise ValueError(f"point must have shape ({mesh.dim},), got {point.shape}")
-
-    lam = mesh._affine_consts + mesh.gradients @ point   # (E, n+1)
-    slack = 1e-12 * mesh.diameter * np.linalg.norm(mesh.gradients, axis=2)
-    ok = (lam >= -slack).all(axis=1)
-    if not ok.any():
-        raise ValueError(f"point {point.tolist()} lies outside the mesh")
-    e = int(np.argmax(ok))
-    lam_e = np.clip(lam[e], 0.0, None)
-    lam_e = lam_e / lam_e.sum()
-    return lam_e @ field.values[mesh.elements[e]]
 
 
 class BoundaryData:
@@ -197,7 +169,7 @@ def interpolate_boundary(mesh: Mesh, data: BoundaryData, m: int) -> NodalField:
 # -- nodal value files -------------------------------------------------------
 
 
-def save_field(field_or_values, path, m: int | None = None) -> None:
+def save_field(field_or_values, path) -> None:
     """Write nodal values: header 'field m V' then one row per vertex."""
     if isinstance(field_or_values, NodalField):
         values = field_or_values.values

@@ -269,13 +269,10 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
 
     values = field.values
     scale = float(np.abs(values).max(initial=0.0))
-    extreme = [
-        int(z) for z in mesh.interior_nodes
-        if convex.is_extreme(values, int(z), tol)
-    ]
+    interior = mesh.interior_nodes
+    extreme = interior[convex.is_extreme(values, interior, tol)]
 
     A = _a_stiffness(mesh, field, model)
-    interior = mesh.interior_nodes
     row_sums = np.asarray(A.sum(axis=1)).ravel()[interior]
     beta0 = A.diagonal()[interior]
     ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(beta0), 1e-300))
@@ -287,11 +284,11 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
             lam = bw.lambdas
             lam_ok = lam_ok and bool(lam.min() >= -1e-10) and abs(lam.sum() - 1.0) <= 1e-10
 
-    if extreme:
+    if len(extreme):
         spread = float((values.max(axis=0) - values.min(axis=0)).max())
         conclusion = spread <= _CONSTANCY_TOL * (1.0 + scale) and lam_ok
         violation = spread
-        worst = extreme[0]
+        worst = int(extreme[0])
     else:
         conclusion = True
         violation = 0.0

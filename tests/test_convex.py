@@ -17,6 +17,7 @@ from femchp.convex import (
     worst_distance,
 )
 from femchp.field import NodalField
+from femchp.mesh import build_structured_mesh
 
 
 def test_project_onto_segment():
@@ -158,7 +159,7 @@ def test_blocks_match_one_block(monkeypatch):
     inside = np.tile([0.5, 0.5], (12, 1))
     inside[7] = [5.0, 5.0]
     monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X: np.where(X > 4.0, G[0], X))
+                        lambda G, X, off: np.where(X > 4.0, G[0], X))
     with pytest.raises(CertificateError, match="row 7:"):
         project(K, inside)
     assert certificate_stats().projections == 2 * len(X) + 12
@@ -194,6 +195,126 @@ def test_is_extreme():
     assert not is_extreme(square, 5, tol=1e-9)   # edge midpoint
 
 
+def _is_extreme_alone(points, index, tol):
+    """One census node at a time: project points[index] onto the hull of
+    the points farther than tol from it."""
+    p = points[index]
+    dist = np.linalg.norm(points - p, axis=1)
+    others = points[(dist > tol) & (np.arange(len(points)) != index)]
+    if len(others) == 0:
+        return True
+    d, _ = worst_distance(finite_hull(others), p)
+    return d > tol
+
+
+_TOL = 1e-9
+
+
+def _census_case(name):
+    rng = np.random.default_rng(len(name))
+    if name.startswith("constant"):
+        m = int(name[-1])
+        return np.tile(np.arange(1.0, m + 1.0), (7, 1)), None
+    if name == "circle":
+        t = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+        return np.column_stack([np.cos(t), np.sin(t)]), None
+    if name == "repeated-exactly":
+        pts = rng.uniform(-1.0, 1.0, (12, 2))
+        return np.vstack([pts, pts[[0, 3, 3, 7]]]), None
+    if name == "repeated-within-tol":
+        pts = rng.uniform(-1.0, 1.0, (12, 3))
+        return np.vstack([pts, pts[:6] + 0.3 * _TOL * rng.normal(size=(6, 3)) / np.sqrt(3)]), None
+    if name == "flat-m3":
+        pts = rng.uniform(-1.0, 1.0, (15, 2))
+        return np.column_stack([pts, pts @ [0.5, -2.0]]), None
+    if name == "empty-index":
+        return rng.uniform(-1.0, 1.0, (5, 2)), np.array([], dtype=int)
+    if name == "right2d-1":
+        mesh = build_structured_mesh("right2d", 1)
+        return rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2)), mesh.interior_nodes
+    m = int(name[-1])   # random-m<m>: a cloud plus points spread over its hull
+    pts = rng.uniform(-1.0, 1.0, (25, m))
+    return np.vstack([pts, 3.0 * rng.normal(size=(6, m))]), None
+
+
+@pytest.mark.parametrize("name", [
+    "constant-m1", "constant-m2", "constant-m3", "circle", "repeated-exactly",
+    "repeated-within-tol", "flat-m3", "random-m1", "random-m2", "random-m3",
+    "empty-index", "right2d-1"])
+def test_census_matches_per_node_reference(name, monkeypatch):
+    points, index = _census_case(name)
+    if index is None:
+        index = np.arange(len(points))
+    expect = [_is_extreme_alone(points, int(i), _TOL) for i in index]
+    reset_certificate_stats()
+    got = is_extreme(points, index, _TOL)
+    assert got.dtype == bool and got.shape == index.shape
+    assert got.tolist() == expect
+    if name.startswith(("constant", "circle")):
+        assert got.all()
+    # one certified projection per node that sees a point farther than tol
+    dist = np.linalg.norm(points[index][:, None] - points, axis=2)
+    seen = int((dist > _TOL).any(axis=1).sum())
+    assert certificate_stats().projections == seen
+    assert certificate_stats().worst_slack <= 0.0
+    # one row per block gives the same census
+    monkeypatch.setattr(convex, "_BLOCK", 1)
+    assert is_extreme(points, index, _TOL).tolist() == expect
+    for i, e in zip(index[:4], expect):
+        assert is_extreme(points, int(i), _TOL) is e
+    for bad in (len(points), -1):
+        with pytest.raises(IndexError, match="out of range"):
+            is_extreme(points, bad, _TOL)
+        with pytest.raises(IndexError, match="out of range"):
+            is_extreme(points, np.append(index, bad), _TOL)
+
+
+def _normal_equations(G, act, X):
+    """Affine coefficients from the normal equations alone, without
+    refinement: on the input below this solve makes the iteration cycle."""
+    rows = np.arange(len(act))
+    occ = act >= 0
+    ref = occ.argmax(axis=1)
+    P = G[act]
+    p0 = P[rows, ref]
+    Q = np.where(occ[:, :, None], P - p0[:, None], 0.0)
+    nu = (np.linalg.pinv(Q @ Q.transpose(0, 2, 1), rcond=1e-13)
+          @ (Q @ (X - p0)[:, :, None]))[:, :, 0]
+    nu[rows, ref] = 1.0 - nu.sum(axis=1)
+    return nu
+
+
+@pytest.mark.parametrize("solve", ["refined", "normal-equations"])
+def test_a_dropped_generator_stops_the_row(solve, monkeypatch):
+    rng = np.random.default_rng(58)
+    pts = rng.uniform(-1.0, 1.0, (int(rng.integers(20, 120)), 2))
+    K = finite_hull(np.delete(pts, 12, axis=0))
+    inner = convex._affine_coefficients if solve == "refined" else _normal_equations
+    calls = []
+
+    def counted(G, act, X):
+        calls.append(len(act))
+        return inner(G, act, X)
+
+    monkeypatch.setattr(convex, "_affine_coefficients", counted)
+    d = np.linalg.norm(project(K, pts[12]) - pts[12])
+    assert len(calls) <= 20
+    assert d <= 1e-13
+
+
+def test_thin_simplices_keep_their_accuracy():
+    # a point strictly inside a thin triangle (barycentric 0.31 / 0.49 / 0.20)
+    p = np.array([0.9988217002824133, 0.2020538074763143])
+    T = finite_hull([[0.9983986365569166, 0.9072666791232531],
+                     [0.9990067962371056, 0.1245616311317812],
+                     [0.9990314186287432, -0.704814285925117]])
+    assert np.linalg.norm(project(T, p) - p) <= 1e-15
+    # the normal equations alone leave this node 6.1e-10 from its own
+    # projection's certificate, and CertificateError follows
+    points = np.random.default_rng(1).uniform(-1.0, 1.0, (4223, 2))
+    assert is_extreme(points, 509, 1e-9) is False
+
+
 def test_variational_inequality_measure():
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     x = np.array([2.0, 2.0])
@@ -215,7 +336,7 @@ def test_variational_inequality_measure():
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X: G[np.zeros(len(X), dtype=int)])
+                        lambda G, X, off: G[np.zeros(len(X), dtype=int)])
     with pytest.raises(CertificateError):
         project(K, np.array([[0.0, 0.0], [2.0, 2.0]]))
 

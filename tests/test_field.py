@@ -6,7 +6,6 @@ from femchp.field import (
     BoundaryData,
     FieldFormatError,
     NodalField,
-    eval_at_point,
     interpolate_boundary,
     load_field,
     save_field,
@@ -41,28 +40,6 @@ def test_element_gradients_affine(right2d_n4):
 def test_gradient_on_element_hat(ref_triangle):
     f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
     assert_allclose(f.element_gradients()[0], [[1.0], [0.0]], atol=1e-14)
-
-
-def test_eval_at_point(ref_triangle):
-    f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
-    assert_allclose(eval_at_point(f, [0.25, 0.25]), [0.25], atol=1e-14)
-    assert_allclose(eval_at_point(f, [1.0, 0.0]), [1.0], atol=1e-14)
-    with pytest.raises(ValueError):
-        eval_at_point(f, [2.0, 2.0])
-    with pytest.raises(ValueError):
-        eval_at_point(f, [0.1, 0.1, 0.1])
-
-
-def test_eval_matches_affine_everywhere(equilateral_n4):
-    coeffs = np.array([[1.0, 2.0]])
-    f = NodalField(equilateral_n4, affine_values(equilateral_n4, [0.5], coeffs))
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        e = rng.integers(equilateral_n4.num_elements)
-        lam = rng.dirichlet(np.ones(3))
-        pt = lam @ equilateral_n4.vertices[equilateral_n4.elements[e]]
-        expect = 0.5 + coeffs[0] @ pt
-        assert_allclose(eval_at_point(f, pt), [expect], atol=1e-12)
 
 
 def test_interpolate_boundary(right2d_n2):
