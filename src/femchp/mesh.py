@@ -8,6 +8,7 @@ everything downstream (energies, solvers, angle classification) relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,9 @@ OBTUSE = "obtuse"
 _DEGENERACY_REL = 1e-14
 # geometric tolerance for the hanging node scan, relative to mesh diameter
 _HANGING_REL = 1e-12
+# rows of grid cells, and candidate (element, vertex) pairs, per block of
+# the hanging node scan
+_SCAN_BLOCK = 1 << 15
 # angle classification tolerance, relative to the largest pairwise
 # gradient dot within the element
 _ANGLE_REL = 1e-12
@@ -88,7 +92,12 @@ class Mesh:
     rows sum to zero since the hats partition unity.
     Construction fails with MeshConformityError for degenerate elements,
     faces shared by more than two elements, or vertices that lie inside the
-    closure of an element they are not a vertex of (hanging nodes).
+    closure of an element they are not a vertex of (hanging nodes).  Faces
+    are matched through one sort of the face rows, and hanging-node
+    candidates come from a uniform grid of cells about one median element
+    wide, so set-up costs close to O(V + E) on quasi-uniform meshes.  When
+    several vertices hang, the error names the first (element, vertex) pair
+    in element order, then vertex order.
     """
 
     def __init__(self, dim: int, vertices, elements):
@@ -194,15 +203,20 @@ class Mesh:
         local = np.arange(n + 1)
         keep = np.array([np.delete(local, k) for k in local])   # (n+1, n)
         faces = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
-        table, face_ids, counts = np.unique(
-            faces, axis=0, return_inverse=True, return_counts=True)
-        face_ids = face_ids.ravel()
+        # lexsort is stable, so each face's copies keep their element order
+        order = np.lexsort(faces.T[::-1])
+        sorted_faces = faces[order]
+        new = np.ones(len(faces), dtype=bool)
+        new[1:] = (sorted_faces[1:] != sorted_faces[:-1]).any(axis=1)
+        first = np.flatnonzero(new)
+        table = sorted_faces[first]
+        counts = np.diff(first, append=len(faces))
+        face_ids = np.empty(len(faces), dtype=np.int64)
+        face_ids[order] = np.cumsum(new) - 1
 
         over = np.flatnonzero(counts > 2)
         if len(over):
             # report the face whose third element comes first in element order
-            order = np.argsort(face_ids, kind="stable")
-            first = np.cumsum(counts) - counts
             k = int(order[first[over] + 2].min())
             raise MeshConformityError(
                 f"face {tuple(faces[k].tolist())} is shared by more than two elements"
@@ -226,41 +240,85 @@ class Mesh:
     def _scan_hanging_nodes(self):
         """Reject vertices lying inside the closure of a foreign element.
 
-        Barycentric coordinates of each candidate vertex are evaluated from
-        the affine basis coefficients; a vertex counts as inside when every
-        coordinate exceeds -1e-12 * diameter scaled by the gradient norm.
+        Candidates come from a uniform grid of cells about one median
+        element box wide.  The vertices are sorted once by cell key.  Each
+        element lists the rows of cells (runs along the last axis) that its
+        box, widened by 1e-12 * diameter, covers, and each row maps to its
+        vertices through two ``np.searchsorted`` calls.  A candidate inside
+        the widened box that is not a vertex of the element counts as
+        hanging when every barycentric coordinate, evaluated from the affine
+        basis coefficients, exceeds -1e-12 * diameter scaled by the gradient
+        norm.  Elements are checked in element order, in blocks of about
+        ``_SCAN_BLOCK`` candidates; the first block with a hanging pair
+        reports its smallest (element, vertex) pair, which is the first
+        hanging pair in (element, vertex) order.
         """
-        V = len(self.vertices)
+        V, n = self.vertices.shape
         geo_tol = _HANGING_REL * self.diameter
         coords = self.vertices[self.elements]
-        lo = coords.min(axis=1) - geo_tol              # (E, n)
-        hi = coords.max(axis=1) + geo_tol
+        lo = coords.min(axis=1)                        # (E, n)
+        hi = coords.max(axis=1)
+        ext = (hi - lo).max(axis=1)
+        lo -= geo_tol
+        hi += geo_tol
         grad_norms = np.linalg.norm(self.gradients, axis=2)   # (E, n+1)
 
-        axes = np.ascontiguousarray(self.vertices.T)   # (n, V)
-        chunk = 512
-        for start in range(0, len(self.elements), chunk):
-            sl = slice(start, start + chunk)
-            # one coordinate axis at a time keeps the temporaries at (C, V)
-            inside_box = np.ones((len(lo[sl]), V), dtype=bool)
-            for x, lo_d, hi_d in zip(axes, lo[sl].T, hi[sl].T):
-                inside_box &= x >= lo_d[:, None]
-                inside_box &= x <= hi_d[:, None]
-            e_loc, v_idx = np.nonzero(inside_box)
-            if len(e_loc) == 0:
-                continue
-            e_idx = e_loc + start
-            own = (self.elements[e_idx] == v_idx[:, None]).any(axis=1)
-            e_idx, v_idx = e_idx[~own], v_idx[~own]
-            if len(e_idx) == 0:
-                continue
+        # The cell width starts at the median box and doubles while the
+        # boxes cover more than 2^n rows per element on average (a few large
+        # elements among many small ones).  At most 2^20 cells per axis keep
+        # the keys in int64.  The half-cell shift puts the vertices of the
+        # structured meshes mid-cell, where a box covers 2 cells per axis.
+        vmin = self.vertices.min(axis=0)
+        vmax = self.vertices.max(axis=0)
+        h = max(np.median(ext), (vmax - vmin).max() / 2 ** 20)
+        while True:
+            origin = vmin - h / 2
+            shape = np.floor((vmax - origin) / h).astype(np.int64) + 1
+            c0, c1 = (np.clip(np.floor((b - origin) / h).astype(np.int64), 0, shape - 1)
+                      for b in (lo, hi))
+            rows = np.prod(c1[:, :-1] - c0[:, :-1] + 1, axis=1)    # (E,)
+            if rows.sum() <= 2 ** n * len(rows):
+                break
+            h *= 2
+        strides = np.cumprod(np.append(1, shape[:0:-1]))[::-1]
+        keys = np.floor((self.vertices - origin) / h).astype(np.int64) @ strides
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+
+        # The keys of one row are contiguous, and so are its vertices in
+        # `order`: count[r] of them from first[r] on.
+        bounds = np.concatenate(([0], np.cumsum(rows)))
+        first = np.empty(bounds[-1], dtype=np.int64)
+        count = np.empty_like(first)
+        for s, t in _blocks(rows):
+            e = np.repeat(np.arange(s, t), rows[s:t])
+            j = np.arange(bounds[s], bounds[t]) - bounds[e]    # row within its element
+            key = c0[e, -1]
+            for d in range(n - 2, -1, -1):
+                j, r = np.divmod(j, c1[e, d] - c0[e, d] + 1)
+                key = key + (c0[e, d] + r) * strides[d]
+            last = np.searchsorted(keys, key + c1[e, -1] - c0[e, -1], side="right")
+            rs = slice(bounds[s], bounds[t])
+            first[rs] = np.searchsorted(keys, key, side="left")
+            count[rs] = last - first[rs]
+
+        for s, t in _blocks(np.add.reduceat(count, bounds[:-1])):
+            rs = slice(bounds[s], bounds[t])
+            c = count[rs]
+            e_idx = np.repeat(np.repeat(np.arange(s, t), rows[s:t]), c)
+            v_idx = order[np.arange(len(e_idx)) + np.repeat(first[rs] - (np.cumsum(c) - c), c)]
+            foreign = _all_columns(self.elements[e_idx] != v_idx[:, None])
+            e_idx, v_idx = e_idx[foreign], v_idx[foreign]
+            x = self.vertices[v_idx]
+            inside = _all_columns((x >= lo[e_idx]) & (x <= hi[e_idx]))
+            e_idx, v_idx = e_idx[inside], v_idx[inside]
             lam = self._affine_consts[e_idx] + np.einsum(
                 "pin,pn->pi", self.gradients[e_idx], self.vertices[v_idx]
             )                                           # (P, n+1)
             slack = geo_tol * grad_norms[e_idx]
-            hanging = (lam >= -slack).all(axis=1)
-            if hanging.any():
-                k = int(np.argmax(hanging))
+            hanging = np.flatnonzero(_all_columns(lam >= -slack))
+            if len(hanging):
+                k = hanging[np.argmin(e_idx[hanging] * V + v_idx[hanging])]
                 raise MeshConformityError(
                     f"vertex {v_idx[k]} lies inside element {e_idx[k]} "
                     "without being one of its vertices (hanging node)"
@@ -335,6 +393,24 @@ class Mesh:
         if self._angle_report is None:
             self._angle_report = classify_mesh(self)
         return self._angle_report
+
+
+def _all_columns(mask):
+    """``mask.all(axis=1)`` for a tall, narrow mask, one column at a time
+    (numpy reduces a short last axis row by row, several times slower)."""
+    return functools.reduce(np.logical_and, mask.T)
+
+
+def _blocks(sizes):
+    """Consecutive (start, stop) runs of ``sizes`` whose sum stays within
+    ``_SCAN_BLOCK``; a run holds at least one item."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(ends):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _SCAN_BLOCK, side="right")))
+        yield start, stop
+        start = stop
 
 
 def classify_mesh(mesh: Mesh) -> AngleReport:
@@ -445,11 +521,9 @@ def _obtuse2d(n: int):
     if n < 2:
         raise ValueError("obtuse2d needs resolution >= 2 (no interior vertex otherwise)")
     vertices, elements = _right2d(n)
-    interior = [
-        j * (n + 1) + i for j in range(1, n) for i in range(1, n)
-    ]
+    interior = (np.arange(1, n)[:, None] * (n + 1) + np.arange(1, n)).ravel()
     pts = vertices[interior]
-    nearest = interior[int(np.argmin(((pts - 0.5) ** 2).sum(axis=1)))]
+    nearest = interior[np.argmin(((pts - 0.5) ** 2).sum(axis=1))]
     h = 1.0 / n
     vertices = vertices.copy()
     vertices[nearest] += (0.3 * h, 0.1 * h)

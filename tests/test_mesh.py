@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from femchp import mesh as mesh_module
 from femchp.mesh import (
     ACUTE,
     GENERATORS,
@@ -13,6 +15,7 @@ from femchp.mesh import (
     MeshFormatError,
     NON_OBTUSE,
     OBTUSE,
+    _max_opposite_angle_sum,
     build_structured_mesh,
     classify_mesh,
     load_mesh,
@@ -158,6 +161,138 @@ def test_hanging_node_rejected():
                                   "being one of its vertices (hanging node)")
 
 
+def _box_scan_reference(mesh):
+    """The O(E·V) scan: every vertex against every element's widened box,
+    then the barycentric test.  Returns the message for the first hanging
+    (element, vertex) pair, or None."""
+    geo_tol = mesh_module._HANGING_REL * mesh.diameter
+    coords = mesh.vertices[mesh.elements]
+    lo = coords.min(axis=1) - geo_tol
+    hi = coords.max(axis=1) + geo_tol
+    x = mesh.vertices[None]
+    e_idx, v_idx = np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
+    own = (mesh.elements[e_idx] == v_idx[:, None]).any(axis=1)
+    e_idx, v_idx = e_idx[~own], v_idx[~own]
+    lam = mesh._affine_consts[e_idx] + np.einsum(
+        "pin,pn->pi", mesh.gradients[e_idx], mesh.vertices[v_idx])
+    slack = geo_tol * np.linalg.norm(mesh.gradients, axis=2)[e_idx]
+    hanging = np.flatnonzero((lam >= -slack).all(axis=1))
+    if len(hanging) == 0:
+        return None
+    k = hanging[0]
+    return (f"vertex {v_idx[k]} lies inside element {e_idx[k]} without "
+            "being one of its vertices (hanging node)")
+
+
+def _split(verts, elems, e, local, point):
+    """Add ``point`` as a vertex and split element e there: one part per
+    local vertex in ``local``, with that vertex replaced by the point.  The
+    first part keeps index e, the others are appended."""
+    verts = np.vstack([verts, point])
+    parts = np.repeat(elems[e][None], len(local), axis=0)
+    parts[np.arange(len(local)), local] = len(verts) - 1
+    elems = np.vstack([elems, parts[1:]])
+    elems[e] = parts[0]
+    return verts, elems
+
+
+def _hanging_cases():
+    """(name, dim, vertices, elements, expected message or None)."""
+    msg = "vertex {} lies inside element {} without being one of its vertices (hanging node)"
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    yield "one triangle", 2, tri, [[0, 1, 2]], None
+    yield "one tet", 3, np.array(TET), [[0, 1, 2, 3]], None
+
+    # right2d:4: cell (i, j) holds elements 2c = (v, v+1, v+6) and
+    # 2c+1 = (v, v+6, v+5), with c = 4j + i and v = 5j + i.  The grid
+    # cells are 1/4 wide from -1/8, so (0.375, 0.375) is a cell corner.
+    base = build_structured_mesh("right2d", 4)
+    v, e = base.vertices, base.elements
+    yield ("on a diagonal edge, at a cell corner", 2,
+           *_split(v, e, 11, [0, 1], [0.375, 0.375]), msg.format(25, 10))
+    yield ("on an axis edge, on a cell boundary", 2,
+           *_split(v, e, 10, [0, 1], [0.375, 0.25]), msg.format(25, 3))
+    geo_tol = mesh_module._HANGING_REL * math.sqrt(2.0)
+    normal = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+    for s in (-2.0, -0.5, 0.5, 2.0):
+        # s > 0 moves the vertex away from the element it hangs in
+        yield (f"diagonal edge {s:+} tol", 2,
+               *_split(v, e, 11, [0, 1], 0.375 + s * geo_tol * normal),
+               msg.format(25, 10) if s < 1 else None)
+        yield (f"axis edge {s:+} tol", 2,
+               *_split(v, e, 10, [0, 1], [0.375, 0.25 + s * geo_tol]),
+               msg.format(25, 3) if s < 1 else None)
+    # strictly inside element 20, used by a dangling element outside the square
+    yield ("strictly inside", 2, np.vstack([v, [[0.6, 0.55], [2.0, 0.0], [2.0, 1.0]]]),
+           np.vstack([e, [[25, 26, 27]]]), msg.format(25, 20))
+    # a vertex 10 tol beyond the apex of a sharp triangle is within tol of
+    # both long sides' lines, but outside the widened box
+    sharp = [[0.0, 0.0], [1.0, -0.005], [1.0, 0.005]]
+    yield ("beyond a sharp apex", 2, sharp + [[-1e-11 * math.sqrt(5.0), 0.0],
+                                              [-1.0, 0.5], [-1.0, -0.5]],
+           [[0, 1, 2], [3, 4, 5]], None)
+    # one large element far from many small ones: the cells widen until the
+    # large box covers few rows
+    small = build_structured_mesh("right2d", 8)
+    yield ("one large element", 2, np.vstack([0.01 * small.vertices, tri + [1.0, 0.0]]),
+           np.vstack([small.elements, [[81, 82, 83]]]), None)
+    # vertex 25 hangs in element 31, vertex 26 in element 10: the element wins
+    v2, e2 = _split(v, e, 30, [0, 2], [0.875, 0.875])
+    yield ("two elements", 2, *_split(v2, e2, 11, [0, 1], [0.375, 0.375]),
+           msg.format(26, 10))
+    # three vertices hang in element 10 = (6, 7, 12); the grid meets 27
+    # first, but the smallest one wins
+    v3, e3 = _split(v, e, 3, [1, 2], [0.375, 0.25])
+    v3, e3 = _split(v3, e3, 13, [0, 2], [0.5, 0.3125])
+    v3, e3 = _split(v3, e3, 11, [0, 1], [0.28125, 0.28125])
+    yield "one element, three vertices", 2, v3, e3, msg.format(25, 10)
+
+    # kuhn3d:1: all six tets share the main diagonal (0, 7); tet 0 is
+    # (0, 1, 3, 7) and its face (0, 3, 7) borders tet 2.  The grid cells
+    # are 1 wide from -1/2, so the cube centre is a cell corner.
+    base = build_structured_mesh("kuhn3d", 1)
+    v, e = base.vertices, base.elements
+    yield ("on an edge of six tets, at a cell corner", 3,
+           *_split(v, e, 0, [0, 3], [0.5, 0.5, 0.5]), msg.format(8, 1))
+    yield ("on a face", 3, *_split(v, e, 0, [0, 2, 3], [2 / 3, 2 / 3, 1 / 3]),
+           msg.format(8, 2))
+    yield ("strictly inside a tet", 3, TET + [[0.1, 0.1, 0.1], [1.0, 1.0, 1.0]],
+           [[0, 1, 2, 3], [1, 2, 3, 5], [4, 1, 2, 5]], msg.format(4, 0))
+
+    # graded meshes, where the small elements near the origin crowd one
+    # grid cell; the last element is split on the diagonal of its square
+    # (cube), from its first to its largest vertex, which only the elements
+    # of that square (cube) share
+    for gen, n, hang in (("right2d", 8, (81, 126)), ("kuhn3d", 3, (64, 156))):
+        mesh = build_structured_mesh(gen, n)
+        v, e = mesh.vertices ** 4, mesh.elements
+        yield f"graded {gen}:{n}", mesh.dim, v, e, None
+        local = [0, int(np.argmax(e[-1]))]
+        yield (f"graded {gen}:{n}, split", mesh.dim,
+               *_split(v, e, len(e) - 1, local, v[e[-1, local]].mean(axis=0)),
+               msg.format(*hang))
+
+
+@pytest.mark.parametrize("block", [None, 1, 8, 16])
+def test_grid_scan_matches_the_box_scan(block, monkeypatch):
+    # block 1 checks one element at a time; 8 and 16 hold two or four
+    # elements of right2d (four candidates each) and one or two of kuhn3d
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "_SCAN_BLOCK", block)
+    scan = Mesh._scan_hanging_nodes
+    for name, dim, verts, elems, expected in _hanging_cases():
+        with monkeypatch.context() as mp:
+            mp.setattr(Mesh, "_scan_hanging_nodes", lambda self: None)
+            mesh = Mesh(dim, np.asarray(verts, dtype=float), np.asarray(elems))
+        try:
+            scan(mesh)
+            got = None
+        except MeshConformityError as exc:
+            got = str(exc)
+        assert got == _box_scan_reference(mesh), name
+        assert got == expected, name
+
+
 def _loop_generator(gen, n):
     """The structured meshes built one cell at a time, as a reference."""
     def at(i, j):
@@ -181,6 +316,12 @@ def _loop_generator(gen, n):
         tris = [t for a, b, c, d in cells for t in ((a, b, c), (b, d, c))][1:-1]
         used = sorted({v for t in tris for v in t})
         return [verts[v] for v in used], [[used.index(v) for v in t] for t in tris]
+    if gen == "obtuse2d":
+        interior = [j * (n + 1) + i for j in range(1, n) for i in range(1, n)]
+        pts = np.array(grid)[interior]
+        nearest = interior[int(np.argmin(((pts - 0.5) ** 2).sum(axis=1)))]
+        grid[nearest] = [grid[nearest][0] + 0.3 * h, grid[nearest][1] + 0.1 * h]
+        return grid, [t for a, b, c, d in cells for t in ((a, b, d), (a, d, c))]
     verts = [[x, y, z] for z in xs for y in xs for x in xs]
     tets = []
     for k, j, i in itertools.product(range(n), repeat=3):
@@ -194,13 +335,41 @@ def _loop_generator(gen, n):
     return verts, tets
 
 
-@pytest.mark.parametrize("gen", ["right2d", "crisscross2d", "equilateral2d", "kuhn3d"])
+@pytest.mark.parametrize("gen", ["right2d", "crisscross2d", "equilateral2d", "obtuse2d",
+                                 "kuhn3d"])
 def test_generators_match_the_cell_loops(gen):
     for n in (2, 3, 5):
         verts, elems = _loop_generator(gen, n)
         vertices, elements = GENERATORS[gen][1](n)
         assert_array_equal(vertices, np.array(verts))
         assert_array_equal(elements, np.array(elems))
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_face_table_matches_unique_rows(gen):
+    rng = np.random.default_rng(3)
+    for n in ((1, 2, 3, 4) if gen == "kuhn3d" else (2, 3, 5, 8, 13)):
+        mesh = build_structured_mesh(gen, n)
+        # the same mesh with its elements and their vertices shuffled
+        shuffled = Mesh(mesh.dim, mesh.vertices,
+                        rng.permuted(rng.permutation(mesh.elements), axis=1))
+        for m in (mesh, shuffled):
+            k = m.dim + 1
+            keep = [[j for j in range(k) if j != i] for i in range(k)]
+            faces = np.sort(m.elements[:, keep], axis=2).reshape(-1, m.dim)
+            table, ids, counts = np.unique(faces, axis=0, return_inverse=True,
+                                           return_counts=True)
+            ids = ids.reshape(m.elements.shape)
+            assert_array_equal(m._face_ids, ids)
+            assert_array_equal(m._face_counts, counts)
+            boundary = np.unique(table[counts == 1])
+            assert_array_equal(m.boundary_nodes, boundary)
+            assert_array_equal(m.interior_nodes,
+                               np.setdiff1d(np.arange(m.num_vertices), boundary))
+            if m.dim == 2:
+                ref = copy.copy(m)
+                ref._face_ids, ref._face_counts = ids, counts
+                assert classify_mesh(m).max_opposite_angle_sum == _max_opposite_angle_sum(ref)
 
 
 def test_right2d_counts_and_structure():
