@@ -60,7 +60,7 @@ def parse_bc(text: str) -> BoundaryData:
     affine:c,b1,b2[;...]   one row per component: constant then gradient
     sin-product            product of shifted sines per coordinate
     abs-distance[:cx,cy..] distance to a center (default: bbox midpoint)
-    random:seed=S,lo=A,hi=B  uniform per boundary vertex
+    random[:seed=S,lo=A,hi=B]  uniform per boundary vertex (default 0, -1, 1)
     file:PATH              nodal value file covering the boundary vertices
     """
     kind, _, rest = text.strip().partition(":")
@@ -88,7 +88,7 @@ def parse_bc(text: str) -> BoundaryData:
         return BoundaryData.abs_distance(center=center)
     if kind == "random":
         kv = {}
-        for part in rest.split(","):
+        for part in filter(str.strip, rest.split(",")):
             key, _, val = part.partition("=")
             if not val:
                 raise ValueError(f"random boundary data expects key=value pairs, got {part!r}")
@@ -173,7 +173,7 @@ def cmd_solve(args) -> int:
     model = parse_energy(args.energy, coeff=coeff)
     bc = parse_bc(args.bc)
     source = parse_source(args.source, mesh) if args.source else None
-    lumped = LumpedTerm.from_mesh(mesh, args.lumped_q) if args.lumped_q else None
+    lumped = LumpedTerm.from_mesh(mesh, args.lumped_q) if args.lumped_q is not None else None
 
     field, report = minimize(model, mesh, bc, m=args.m, source=source,
                              lumped=lumped, tol=args.tol, max_iters=args.max_iters)
@@ -332,7 +332,7 @@ def parse_experiment_spec(text: str) -> dict:
         raise ValueError("spec lists no energies")
     if "dmp" in spec["theorems"] and any(m != 1 for m in spec["m"]):
         raise ValueError("the dmp theorem needs m = 1")
-    if "strong-chp" in spec["theorems"] and (spec["source"] or spec["lumped_q"]):
+    if "strong-chp" in spec["theorems"] and (spec["source"] or spec["lumped_q"] is not None):
         raise ValueError("strong-chp applies to the pure gradient energy "
                          "(drop source / lumped_q)")
     return spec
@@ -349,7 +349,7 @@ def _run_combo(spec, mesh, energy_text, m, seed):
     model = parse_energy(energy_text)
     bc = _combo_bc(spec["bc"], seed)
     source = parse_source(spec["source"], mesh) if spec["source"] else None
-    lumped = LumpedTerm.from_mesh(mesh, spec["lumped_q"]) if spec["lumped_q"] else None
+    lumped = LumpedTerm.from_mesh(mesh, spec["lumped_q"]) if spec["lumped_q"] is not None else None
     field, report = minimize(model, mesh, bc, m=m, source=source, lumped=lumped,
                              tol=spec["solver_tol"], max_iters=spec["max_iters"])
     return field, report, model, source, lumped

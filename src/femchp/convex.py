@@ -111,21 +111,21 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     hull of the generators ``act`` names (-1 marks a free slot, which gets 0).
 
     Coefficients sum to one but may be negative.  The pseudo-inverse
-    (rcond 1e-13) of the normal matrix keeps affinely dependent active sets
-    stable; one step of iterative refinement against the residual in R^m
-    wins back the accuracy the normal equations lose on thin simplices.
+    (rcond 1e-13) of the edge matrix itself, not of its normal matrix, keeps
+    affinely dependent active sets stable without squaring the conditioning
+    of nearly repeated generators; one step of iterative refinement against
+    the residual in R^m keeps exact solutions exact on thin simplices.
     """
     rows = np.arange(len(act))
     occ = act >= 0
     ref = occ.argmax(axis=1)
     P = G[act]
     p0 = P[rows, ref]
-    Q = np.where(occ[:, :, None], P - p0[:, None], 0.0)
-    Qt = Q.transpose(0, 2, 1)
-    M = np.linalg.pinv(Q @ Qt, rcond=1e-13)
+    Qt = np.where(occ[:, :, None], P - p0[:, None], 0.0).transpose(0, 2, 1)
+    M = np.linalg.pinv(Qt, rcond=1e-13)
     d = (X - p0)[:, :, None]
-    nu = M @ (Q @ d)
-    nu = (nu + M @ (Q @ (d - Qt @ nu)))[:, :, 0]
+    nu = M @ d
+    nu = (nu + M @ (d - Qt @ nu))[:, :, 0]
     nu[rows, ref] = 1.0 - nu.sum(axis=1)
     return nu
 

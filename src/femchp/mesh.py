@@ -88,8 +88,10 @@ class Mesh:
     Elements are reoriented to positive signed volume on construction.
     ``volumes`` (E,) holds the element volumes and ``gradients``
     (E, dim+1, dim) the constant P1 basis gradients: row i of an element
-    is the gradient of the hat function of its local vertex i, and the
-    rows sum to zero since the hats partition unity.
+    is the gradient of the hat function of its local vertex i.  Both come
+    from the element's edge matrix B, whose rows are x_i - x_0: |det B| is
+    n! times the volume, rows 1..n of the gradients are the columns of
+    inv(B), and row 0 is minus their sum, since the hats partition unity.
     Construction fails with MeshConformityError for degenerate elements,
     faces shared by more than two elements, or vertices that lie inside the
     closure of an element they are not a vertex of (hanging nodes).  Faces
@@ -153,24 +155,20 @@ class Mesh:
     def _orient_and_compute_geometry(self):
         n = self.dim
         coords = self.vertices[self.elements]          # (E, n+1, n)
-        edges = coords[:, 1:, :] - coords[:, :1, :]    # (E, n, n)
-        det = np.linalg.det(edges)
+        B = coords[:, 1:] - coords[:, :1]              # (E, n, n), row i-1 is x_i - x_0
+        det = np.linalg.det(B)
 
+        # swapping the last two vertices swaps the last two rows of B and
+        # negates its determinant
         flip = det < 0
-        if flip.any():
-            self.elements[flip, n - 1], self.elements[flip, n] = (
-                self.elements[flip, n].copy(),
-                self.elements[flip, n - 1].copy(),
-            )
-            coords = self.vertices[self.elements]
-            edges = coords[:, 1:, :] - coords[:, :1, :]
-            det = np.linalg.det(edges)
-
-        vols = det / math.factorial(n)
+        self.elements[flip, n - 1:] = self.elements[flip, n - 1:][:, ::-1]
+        B[flip, n - 2:] = B[flip, n - 2:][:, ::-1]
+        vols = np.abs(det) / math.factorial(n)
 
         # local diameters for the degeneracy test
-        diff = coords[:, :, None, :] - coords[:, None, :, :]
-        diams = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+        iu, ju = np.triu_indices(n + 1, k=1)
+        diff = coords[:, iu] - coords[:, ju]           # (E, n(n+1)/2, n)
+        diams = np.sqrt((diff ** 2).sum(axis=2).max(axis=1))
         bad = vols <= _DEGENERACY_REL * diams ** n
         if bad.any():
             e = int(np.argmax(bad))
@@ -178,17 +176,13 @@ class Mesh:
                 f"element {e} is degenerate (volume {vols[e]:.3e}, diameter {diams[e]:.3e})"
             )
 
-        # Nodal interpolation system per element: A @ c = I with rows
-        # A[i] = (1, x_i).  Column j of inv(A) holds the affine coefficients
-        # of hat function j, so its trailing n entries are the gradient.
-        E = len(self.elements)
-        A = np.empty((E, n + 1, n + 1))
-        A[:, :, 0] = 1.0
-        A[:, :, 1:] = coords
-        C = np.linalg.inv(A)                           # (E, n+1, n+1)
+        # x = x_0 + B^T lam maps the barycentrics lam_1..lam_n to points, so
+        # the gradient of hat i is column i-1 of inv(B)
+        grads = np.empty_like(coords)
+        grads[:, 1:] = np.transpose(np.linalg.inv(B), (0, 2, 1))
+        grads[:, 0] = -grads[:, 1:].sum(axis=1)
         self.volumes = vols
-        self.gradients = np.ascontiguousarray(np.transpose(C[:, 1:, :], (0, 2, 1)))
-        self._affine_consts = np.ascontiguousarray(C[:, 0, :])   # (E, n+1)
+        self.gradients = grads
 
     def _check_conformity(self):
         """Build the face table and reject faces of more than two elements.
@@ -246,9 +240,9 @@ class Mesh:
         box, widened by 1e-12 * diameter, covers, and each row maps to its
         vertices through two ``np.searchsorted`` calls.  A candidate inside
         the widened box that is not a vertex of the element counts as
-        hanging when every barycentric coordinate, evaluated from the affine
-        basis coefficients, exceeds -1e-12 * diameter scaled by the gradient
-        norm.  Elements are checked in element order, in blocks of about
+        hanging when every barycentric coordinate, evaluated from the basis
+        gradients as delta_i0 + g_i . (x - x_0), exceeds -1e-12 * diameter
+        scaled by the gradient norm.  Elements are checked in element order, in blocks of about
         ``_SCAN_BLOCK`` candidates; the first block with a hanging pair
         reports its smallest (element, vertex) pair, which is the first
         hanging pair in (element, vertex) order.
@@ -311,10 +305,11 @@ class Mesh:
             e_idx, v_idx = e_idx[foreign], v_idx[foreign]
             x = self.vertices[v_idx]
             inside = _all_columns((x >= lo[e_idx]) & (x <= hi[e_idx]))
-            e_idx, v_idx = e_idx[inside], v_idx[inside]
-            lam = self._affine_consts[e_idx] + np.einsum(
-                "pin,pn->pi", self.gradients[e_idx], self.vertices[v_idx]
-            )                                           # (P, n+1)
+            e_idx, v_idx, x = e_idx[inside], v_idx[inside], x[inside]
+            # barycentrics lam_i = delta_i0 + g_i . (x - x_0)
+            lam = np.einsum("pin,pn->pi", self.gradients[e_idx],
+                            x - self.vertices[self.elements[e_idx, 0]])   # (P, n+1)
+            lam[:, 0] += 1.0
             slack = geo_tol * grad_norms[e_idx]
             hanging = np.flatnonzero(_all_columns(lam >= -slack))
             if len(hanging):
@@ -456,15 +451,14 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
 def _max_opposite_angle_sum(mesh: Mesh) -> float:
     """Largest sum of the two angles opposite an interior edge (Delaunay check aid).
 
-    A 2D mesh is Delaunay when this never exceeds pi.
+    A 2D mesh is Delaunay when this never exceeds pi.  The angles come
+    from the gradient Gram matrices, not from the coordinates.
     """
-    coords = mesh.vertices[mesh.elements]                     # (E, 3, 2)
-    # the angle at local vertex k sits opposite face (edge) k
-    u = np.roll(coords, -1, axis=1) - coords
-    v = np.roll(coords, 1, axis=1) - coords
-    cosang = np.einsum("ekn,ekn->ek", u, v) / (
-        np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2))
-    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    # the angle at local vertex k sits opposite face (edge) k, between
+    # vertices i and j, and |T| g_i . g_j = -cot(angle) / 2
+    k = np.arange(3)
+    cot = -2.0 * mesh.volumes[:, None] * mesh.gradient_grams[:, (k + 1) % 3, (k + 2) % 3]
+    angles = np.arctan2(1.0, cot)                             # (E, 3)
     sums = np.bincount(mesh._face_ids.ravel(), weights=angles.ravel(),
                        minlength=len(mesh._face_counts))
     return float(sums[mesh._face_counts == 2].max(initial=0.0))

@@ -77,6 +77,10 @@ def test_solve_bad_bc_and_source(tmp_path):
                  "--bc", "affine:"]) == EXIT_INPUT
     assert main(["solve", "--generator", "right2d", "-n", "2",
                  "--bc", "sin-product", "--source", "weird:1"]) == EXIT_INPUT
+    # a lumped exponent of 0 is rejected like any other q < 2, not dropped
+    for q in ("0", "1"):
+        assert main(["solve", "--generator", "right2d", "-n", "2",
+                     "--bc", "sin-product", "--lumped-q", q]) == EXIT_INPUT
 
 
 def test_solve_steep_energy_reports_no_convergence():
@@ -222,7 +226,8 @@ def test_experiment_gates_lemma_pos_on_obtuse_mesh(tmp_path):
     assert rows and all(",hypothesis-not-met," in ln for ln in rows)
 
 
-def test_experiment_spec_errors(tmp_path):
+def test_experiment_spec_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     empty = tmp_path / "e.spec"
     empty.write_text("generators = right2d:2\nenergies =\nbc = sin-product\n")
     assert main(["experiment", str(empty)]) == EXIT_INPUT
@@ -236,6 +241,13 @@ def test_experiment_spec_errors(tmp_path):
     with pytest.raises(ValueError):
         parse_experiment_spec(SMALL_SPEC.replace("m = 1", "m = 2")
                               .replace("theorems = chp", "theorems = dmp"))
+    # lumped_q = 0 is a lumped term with a bad exponent, not no lumped term
+    with pytest.raises(ValueError):
+        parse_experiment_spec(SMALL_SPEC.replace("theorems = chp", "theorems = strong-chp")
+                              + "lumped_q = 0\n")
+    zero_q = tmp_path / "q.spec"
+    zero_q.write_text(SMALL_SPEC + "lumped_q = 0\n")
+    assert main(["experiment", str(zero_q)]) == EXIT_INPUT
 
 
 def test_parse_bc_forms():
@@ -243,6 +255,11 @@ def test_parse_bc_forms():
     assert parse_bc("sin-product").kind == "sin-product"
     assert parse_bc("abs-distance:0.25,0.25").kind == "abs-distance"
     assert parse_bc("random:seed=7,lo=0,hi=2").params["seed"] == 7
+    # bare random, and empty parts, take the defaults seed 0 and [-1, 1]
+    for text in ("random", "random:", "random:seed=1,", "random:,lo=-1"):
+        params = parse_bc(text).params
+        assert (params["lo"], params["hi"]) == (-1.0, 1.0)
+        assert params["seed"] == (1 if "seed" in text else 0)
     for bad in ("affine:", "affine:1", "sin-product:3", "random:speed=1",
                 "random:seed", "file:", "polynomial:2"):
         with pytest.raises(ValueError):

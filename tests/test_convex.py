@@ -232,6 +232,15 @@ def _census_case(name):
     if name == "right2d-1":
         mesh = build_structured_mesh("right2d", 1)
         return rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2)), mesh.interior_nodes
+    if name.startswith("near-repeated"):
+        # a third of the points repeated 3 tol apart, which the tol mask
+        # does not merge; the normal equations squared such a pair's edge
+        # below the pseudo-inverse's cutoff, and the census raised
+        seed = int(name[-4:])
+        rng = np.random.default_rng(seed)
+        m, n = 2 + seed % 2, 30 + seed % 40
+        pts = rng.uniform(-1.0, 1.0, (n, m))
+        return np.vstack([pts, pts[:n // 3] + 3.0 * _TOL * rng.standard_normal((n // 3, m))]), None
     m = int(name[-1])   # random-m<m>: a cloud plus points spread over its hull
     pts = rng.uniform(-1.0, 1.0, (25, m))
     return np.vstack([pts, 3.0 * rng.normal(size=(6, m))]), None
@@ -240,7 +249,8 @@ def _census_case(name):
 @pytest.mark.parametrize("name", [
     "constant-m1", "constant-m2", "constant-m3", "circle", "repeated-exactly",
     "repeated-within-tol", "flat-m3", "random-m1", "random-m2", "random-m3",
-    "empty-index", "right2d-1"])
+    "empty-index", "right2d-1", "near-repeated-1005", "near-repeated-1011",
+    "near-repeated-1017"])
 def test_census_matches_per_node_reference(name, monkeypatch):
     points, index = _census_case(name)
     if index is None:

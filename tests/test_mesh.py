@@ -68,6 +68,100 @@ def test_negative_orientation_is_fixed():
     assert Mesh(2, verts, elems).volumes[0] > 0
 
 
+def _augmented_gradients(coords):
+    """Gradients (E, n+1, n) of the hats of each element, from the inverse
+    of its interpolation matrix A with rows (1, x_i): column j of inv(A)
+    holds the affine coefficients of hat j, its constant first."""
+    E, k, n = coords.shape
+    A = np.empty((E, k, k))
+    A[:, :, 0] = 1.0
+    A[:, :, 1:] = coords
+    return np.transpose(np.linalg.inv(A)[:, 1:, :], (0, 2, 1))
+
+
+def _reference_geometry(dim, vertices, elements):
+    """Element geometry from the augmented interpolation matrix: elements of
+    negative signed volume swap their last two vertices and the determinant
+    is taken again, diameters come from every ordered vertex pair.  Returns
+    (elements, volumes, gradients), or the degenerate-element message."""
+    n = dim
+    vertices = np.asarray(vertices, dtype=float)
+    elements = np.array(elements)
+    coords = vertices[elements]
+    flip = np.linalg.det(coords[:, 1:] - coords[:, :1]) < 0
+    elements[flip, n - 1], elements[flip, n] = (elements[flip, n].copy(),
+                                                elements[flip, n - 1].copy())
+    coords = vertices[elements]
+    vols = np.linalg.det(coords[:, 1:] - coords[:, :1]) / math.factorial(n)
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    diams = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    bad = vols <= mesh_module._DEGENERACY_REL * diams ** n
+    if bad.any():
+        e = int(np.argmax(bad))
+        return f"element {e} is degenerate (volume {vols[e]:.3e}, diameter {diams[e]:.3e})"
+    return elements, vols, _augmented_gradients(coords)
+
+
+def _geometry_cases():
+    """(name, dim, vertices, elements): every generator, and jittered meshes
+    with half their elements handed over in negative orientation."""
+    rng = np.random.default_rng(11)
+    for gen, (dim, _) in sorted(GENERATORS.items()):
+        for n in ((1, 2, 5) if gen == "kuhn3d" else (2, 3, 8, 17)):
+            mesh = build_structured_mesh(gen, n)
+            yield f"{gen}:{n}", dim, mesh.vertices, mesh.elements
+    for gen, n, amp in (("right2d", 9, 0.15), ("crisscross2d", 5, 0.1), ("kuhn3d", 4, 0.05)):
+        mesh = build_structured_mesh(gen, n)
+        verts = mesh.vertices + amp / n * rng.uniform(-1, 1, mesh.vertices.shape)
+        elems = mesh.elements.copy()
+        half = rng.permutation(len(elems))[:len(elems) // 2]
+        elems[half, :2] = elems[half, 1::-1]
+        yield f"jittered {gen}:{n}, half flipped", mesh.dim, verts, elems
+
+
+def test_edge_matrix_geometry_matches_the_augmented_inverse():
+    for name, dim, verts, elems in _geometry_cases():
+        mesh = Mesh(dim, verts, elems)
+        ref_elems, ref_vols, ref_grads = _reference_geometry(dim, verts, elems)
+        assert_array_equal(mesh.elements, ref_elems, err_msg=name)
+        assert_allclose(mesh.volumes, ref_vols, rtol=1e-13, atol=0, err_msg=name)
+        scale = np.abs(ref_grads).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(mesh.gradients - ref_grads) <= 1e-13 * scale).all(), name
+        assert_allclose(mesh.gradients.sum(axis=1), 0.0, atol=1e-13 * scale.max())
+
+
+def test_degenerate_element_message():
+    # slivers at half and at twice the degeneracy threshold, in either
+    # orientation, after a valid element far away
+    rel = mesh_module._DEGENERACY_REL
+    tri, tet = np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]), np.array(TET) + 5.0
+    # area t/2 against diameter 1; volume t/6 against diameter sqrt(2)
+    for dim, far, flat, t_edge in (
+            (2, tri, lambda t: [[0.0, 0.0], [1.0, 0.0], [0.5, t]], 2.0 * rel),
+            (3, tet, lambda t: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                [0.3, 0.3, t]], 6.0 * rel * 2.0 ** 1.5)):
+        k = dim + 1
+        for factor in (0.5, 2.0):
+            verts = np.vstack([far, flat(factor * t_edge)])
+            for local in (np.arange(k), np.r_[1, 0, 2:k]):
+                elems = np.array([np.arange(k), k + local])
+                ref = _reference_geometry(dim, verts, elems)
+                if factor < 1:
+                    with pytest.raises(MeshConformityError) as exc:
+                        Mesh(dim, verts, elems)
+                    assert str(exc.value) == ref
+                    assert str(exc.value).startswith("element 1 is degenerate (volume ")
+                else:
+                    mesh = Mesh(dim, verts[k:], elems[1:] - k)
+                    assert_array_equal(mesh.elements, _reference_geometry(
+                        dim, verts[k:], elems[1:] - k)[0])
+                    assert_allclose(mesh.volumes, factor * t_edge / math.factorial(dim),
+                                    rtol=1e-12)
+    with pytest.raises(MeshConformityError) as exc:
+        Mesh(2, [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]], [[0, 2, 1]])
+    assert str(exc.value) == "element 0 is degenerate (volume 5.000e-15, diameter 1.000e+00)"
+
+
 def test_degenerate_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshConformityError):
@@ -173,9 +267,12 @@ def _box_scan_reference(mesh):
     e_idx, v_idx = np.nonzero(((x >= lo[:, None]) & (x <= hi[:, None])).all(axis=2))
     own = (mesh.elements[e_idx] == v_idx[:, None]).any(axis=1)
     e_idx, v_idx = e_idx[~own], v_idx[~own]
-    lam = mesh._affine_consts[e_idx] + np.einsum(
-        "pin,pn->pi", mesh.gradients[e_idx], mesh.vertices[v_idx])
-    slack = geo_tol * np.linalg.norm(mesh.gradients, axis=2)[e_idx]
+    # barycentrics from the interpolation system: sum lam_i (1, x_i) = (1, x)
+    A = np.concatenate([np.ones((len(e_idx), 1, mesh.dim + 1)),
+                        np.transpose(coords[e_idx], (0, 2, 1))], axis=1)
+    b = np.concatenate([np.ones((len(e_idx), 1)), mesh.vertices[v_idx]], axis=1)
+    lam = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    slack = geo_tol * np.linalg.norm(_augmented_gradients(coords), axis=2)[e_idx]
     hanging = np.flatnonzero((lam >= -slack).all(axis=1))
     if len(hanging) == 0:
         return None
@@ -464,19 +561,22 @@ def test_angle_report_details():
     assert rep.worst_dot > 0
 
     # brute force: per edge, the angles opposite it in each element
-    mesh = build_structured_mesh("obtuse2d", 4)
-    opposite = {}
-    for elem in mesh.elements.tolist():
-        for k in range(3):
-            i, j = sorted(elem[:k] + elem[k + 1:])
-            u = mesh.vertices[i] - mesh.vertices[elem[k]]
-            v = mesh.vertices[j] - mesh.vertices[elem[k]]
-            cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-            opposite.setdefault((i, j), []).append(np.arccos(cos))
-    ref = max(sum(a) for a in opposite.values() if len(a) == 2)
-    assert ref > np.pi   # the displaced vertex breaks the Delaunay property
-    assert_allclose(classify_mesh(mesh).max_opposite_angle_sum, ref,
-                    rtol=0.0, atol=1e-15)
+    for gen, n in (("obtuse2d", 4), ("right2d", 3), ("right2d", 7), ("crisscross2d", 3),
+                   ("crisscross2d", 6), ("equilateral2d", 3), ("equilateral2d", 7)):
+        mesh = build_structured_mesh(gen, n)
+        opposite = {}
+        for elem in mesh.elements.tolist():
+            for k in range(3):
+                i, j = sorted(elem[:k] + elem[k + 1:])
+                u = mesh.vertices[i] - mesh.vertices[elem[k]]
+                v = mesh.vertices[j] - mesh.vertices[elem[k]]
+                cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+                opposite.setdefault((i, j), []).append(np.arccos(cos))
+        ref = max(sum(a) for a in opposite.values() if len(a) == 2)
+        # the displaced vertex breaks the Delaunay property
+        assert (ref > np.pi + 1e-9) == (gen == "obtuse2d")
+        assert_allclose(classify_mesh(mesh).max_opposite_angle_sum, ref,
+                        rtol=0.0, atol=1e-15, err_msg=f"{gen}:{n}")
 
     # the opposite-angle (Delaunay) measure is 2D only
     rep = classify_mesh(build_structured_mesh("kuhn3d", 2))

@@ -139,6 +139,19 @@ def test_strong_chp_fail_on_extreme_bump():
     assert out.outcome == "fail"
 
 
+def test_strong_chp_census_on_near_repeated_values():
+    # a third of the values repeat others 3e-9 apart, farther than the
+    # census tolerance 1e-9; the census used to raise CertificateError here
+    mesh = build_structured_mesh("equilateral2d", 6)
+    rng = np.random.default_rng(4)
+    vals = rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2))
+    k = mesh.num_vertices // 3
+    vals[-k:] = vals[:k] + 3e-9 * rng.standard_normal((k, 2))
+    out = verify_strong_chp(mesh, NodalField(mesh, vals), model=p_dirichlet(2.0))
+    assert out.outcome == "fail"
+    assert out.details["extreme_interior_nodes"] == 6
+
+
 def test_strong_chp_gated_on_nonacute(right2d_n4):
     f = NodalField(right2d_n4, np.zeros(right2d_n4.num_vertices))
     out = verify_strong_chp(right2d_n4, f, model=p_dirichlet(2.0))
