@@ -218,10 +218,9 @@ class SourceTerm:
 
 def lumped_weights(mesh: Mesh) -> np.ndarray:
     """Vertex weights w_z = |supp(hat_z)| / (n+1); they sum to the domain volume."""
-    w = np.zeros(mesh.num_vertices)
-    np.add.at(w, mesh.elements.ravel(),
-              np.repeat(mesh.volumes, mesh.dim + 1) / (mesh.dim + 1))
-    return w
+    return np.bincount(mesh.elements.ravel(),
+                       weights=np.repeat(mesh.volumes, mesh.dim + 1) / (mesh.dim + 1),
+                       minlength=mesh.num_vertices)
 
 
 @dataclass(frozen=True)
@@ -316,20 +315,20 @@ def residual(model: EnergyModel, field: NodalField,
     av = _safe_a(model, t)
 
     # per-element nodal forces: vol * c * a * (G^T grad_hat_i)
-    P = np.einsum("enm,ein->eim", G, mesh.gradients)  # (E, n+1, m)
-    loc = (mesh.volumes * c * av)[:, None, None] * P
-
-    r_full = np.zeros((mesh.num_vertices, field.m))
-    np.add.at(r_full, mesh.elements.ravel(),
-              loc.reshape(-1, field.m))
+    forces = ((mesh.volumes * c * av)[:, None, None] * np.matmul(mesh.gradients, G)).ravel()
+    keys = (mesh.elements[:, :, None] * field.m + np.arange(field.m)).ravel()
 
     if source is not None:
         source.check(mesh)
         if field.m != 1:
             raise ValueError("source terms are only defined for scalar fields (m=1)")
         contrib = source.values * mesh.volumes / (mesh.dim + 1)
-        np.add.at(r_full[:, 0], mesh.elements.ravel(),
-                  np.repeat(-contrib, mesh.dim + 1))
+        keys = np.concatenate([keys, mesh.elements.ravel()])
+        forces = np.concatenate([forces, np.repeat(-contrib, mesh.dim + 1)])
+
+    # bincount adds in input order: element forces by element, then the source
+    r_full = np.bincount(keys, weights=forces,
+                         minlength=mesh.num_vertices * field.m).reshape(-1, field.m)
 
     if lumped is not None:
         if len(lumped.weights) != mesh.num_vertices:

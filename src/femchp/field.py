@@ -49,7 +49,7 @@ class NodalField:
     def element_gradients(self) -> np.ndarray:
         """Gradients on all elements at once, shape (E, n, m)."""
         vals = self.values[self.mesh.elements]          # (E, n+1, m)
-        return np.einsum("ein,eim->enm", self.mesh.gradients, vals)
+        return np.matmul(self.mesh.gradients.transpose(0, 2, 1), vals)
 
 
 class BoundaryData:

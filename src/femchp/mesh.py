@@ -333,7 +333,7 @@ class Mesh:
     def gradient_grams(self) -> np.ndarray:
         """Pairwise basis gradient dot products per element, shape (E, n+1, n+1)."""
         if self._grams is None:
-            g = np.einsum("ein,ekn->eik", self.gradients, self.gradients)
+            g = np.matmul(self.gradients, self.gradients.transpose(0, 2, 1))
             g.flags.writeable = False
             self._grams = g
         return self._grams
@@ -414,7 +414,8 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     An element is non-obtuse exactly when all pairwise dots of its basis
     gradients are <= 0, and acute when they are < 0 strictly; ties are broken
     inclusively with tolerance 1e-12 relative to the largest pairwise dot
-    magnitude within the element.
+    magnitude within the element.  The worst pair is the first one within
+    that tolerance of the largest dot, so rounding cannot pick among ties.
     """
     grams = mesh.gradient_grams
     n = mesh.dim
@@ -427,8 +428,9 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     non_obtuse = max_dot <= tol
     acute = max_dot < -tol
 
-    worst_e = int(np.argmax(max_dot))
-    worst_p = int(np.argmax(pair_dots[worst_e]))
+    near = max_dot.max() - tol
+    worst_e = int(np.argmax(max_dot >= near))
+    worst_p = int(np.argmax(pair_dots[worst_e] >= near[worst_e]))
     worst_pair = (int(iu[worst_p]), int(ju[worst_p]))
 
     touches = bool((~mesh.is_boundary[mesh.elements]).any(axis=1).all())
@@ -438,7 +440,7 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
         max_sum = _max_opposite_angle_sum(mesh)
 
     return AngleReport(
-        worst_dot=float(max_dot[worst_e]),
+        worst_dot=float(pair_dots[worst_e, worst_p]),
         worst_element=worst_e,
         worst_pair=worst_pair,
         is_non_obtuse=bool(non_obtuse.all()),

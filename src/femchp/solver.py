@@ -23,7 +23,8 @@ import scipy.sparse.linalg
 
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
-from .energy import EnergyModel, SourceTerm, LumpedTerm, energy_value, residual, _clamped_a
+from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
+                     _clamped_a, _gradient_norms)
 
 __all__ = [
     "SolveReport",
@@ -111,21 +112,19 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     m = field.m
     c = model.element_coeff(mesh.num_elements)
 
-    G = field.element_gradients()                        # (E, n, m)
-    t = np.sqrt(np.einsum("enm,enm->e", G, G))
-
+    G, t = _gradient_norms(field)                        # (E, n, m), (E,)
     te, a_eff = _clamped_a(model, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         b_raw = (model.F_tt(te) - a_eff) / te ** 2
     b_eff = np.where(te > 0.0, b_raw, 0.0)
 
     coef = mesh.volumes * c
-    S = mesh.gradient_grams                              # (E, n+1, n+1)
-    P = np.einsum("enm,ein->eim", G, mesh.gradients)     # (E, n+1, m)
-
-    eye_m = np.eye(m)
-    loc = (coef * a_eff)[:, None, None, None, None] * S[:, :, None, :, None] * eye_m[None, None, :, None, :]
-    loc += (coef * b_eff)[:, None, None, None, None] * P[:, :, :, None, None] * P[:, None, None, :, :]
+    Pf = np.matmul(mesh.gradients, G).reshape(len(G), -1)   # (E, (n+1) m)
+    loc = ((coef * b_eff)[:, None] * Pf)[:, :, None] * Pf[:, None, :]
+    loc = loc.reshape(len(G), mesh.dim + 1, m, mesh.dim + 1, m)
+    ca = (coef * a_eff)[:, None, None]
+    for j in range(m):
+        loc[:, :, j, :, j] += ca * mesh.gradient_grams
 
     nodal = None
     if lumped is not None:
@@ -137,7 +136,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
         f2 = np.zeros_like(vn)
         f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
-        nodal = (w * f1)[:, None, None] * eye_m + (w * f2)[:, None, None] * v[:, :, None] * v[:, None, :]
+        nodal = (w * f1)[:, None, None] * np.eye(m) + (w * f2)[:, None, None] * v[:, :, None] * v[:, None, :]
 
     return mesh.assemble(loc, nodal)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp.energy import (
     CATALOG,
@@ -151,6 +151,17 @@ def test_lumped_weights_and_energy(ref_triangle):
                     base + 1.0 / 24.0, atol=1e-15)
     with pytest.raises(ValueError):
         LumpedTerm.from_mesh(ref_triangle, 1.5)
+
+
+def test_lumped_weights_sum_in_element_order():
+    # the np.add.at sum the weights were first defined by, bit for bit
+    for gen, res in (("right2d", 5), ("crisscross2d", 4), ("equilateral2d", 5),
+                     ("obtuse2d", 4), ("kuhn3d", 3)):
+        mesh = build_structured_mesh(gen, res)
+        ref = np.zeros(mesh.num_vertices)
+        np.add.at(ref, mesh.elements.ravel(),
+                  np.repeat(mesh.volumes, mesh.dim + 1) / (mesh.dim + 1))
+        assert_array_equal(lumped_weights(mesh), ref)
 
 
 def test_residual_hat_is_stiffness_row(right2d_n2):

@@ -541,6 +541,25 @@ def test_classifications():
     assert classify_mesh(build_structured_mesh("kuhn3d", 2)).mesh_class == NON_OBTUSE
 
 
+@pytest.mark.parametrize("gen, res", [("kuhn3d", 4), ("crisscross2d", 6),
+                                      ("equilateral2d", 6)])
+def test_worst_pair_ignores_rounding_of_the_grams(gen, res):
+    # the largest pairwise dots tie exactly on these meshes, so an argmax
+    # would let the last digits of the Gram matrices pick the reported pair
+    base = build_structured_mesh(gen, res)
+    rep, g = classify_mesh(base), base.gradients
+    rng = np.random.default_rng(0)
+    einsum = np.einsum("ein,ekn->eik", g, g)
+    for grams in [einsum] + [einsum * (1.0 + 4e-16 * rng.standard_normal(einsum.shape))
+                             for _ in range(4)]:
+        mesh = build_structured_mesh(gen, res)
+        mesh._grams = grams
+        other = classify_mesh(mesh)
+        assert (other.worst_element, other.worst_pair) == (rep.worst_element, rep.worst_pair)
+        assert other.mesh_class == rep.mesh_class
+        assert other.worst_dot == pytest.approx(rep.worst_dot, rel=1e-12, abs=1e-12)
+
+
 def test_angle_report_details():
     rep = classify_mesh(build_structured_mesh("right2d", 2))
     assert rep.is_non_obtuse and not rep.is_acute

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from femchp.energy import (
     LumpedTerm,
     SourceTerm,
+    _clamped_a,
+    _safe_a,
     energy_value,
     mean_curvature,
     orlicz,
@@ -13,7 +15,7 @@ from femchp.energy import (
     residual,
 )
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
-from femchp.mesh import Mesh, build_structured_mesh
+from femchp.mesh import GENERATORS, Mesh, build_structured_mesh
 from femchp.solver import (
     LineSearchError,
     _backtrack,
@@ -57,6 +59,89 @@ def test_hessian_symmetry_and_fd(right2d_n2):
                       - residual(model, NodalField(right2d_n2, vm), lumped=lumped)
                       ) / (2 * h)
                 assert_allclose(H[:, col], fd.reshape(-1), rtol=2e-5, atol=2e-6)
+
+
+def _reference_kernels(model, field, source=None, lumped=None):
+    """Element gradients, energy, residual and dense interior Hessian in the
+    einsum / np.add.at form, assembled without ``Mesh.assemble``."""
+    mesh, m, n = field.mesh, field.m, field.mesh.dim
+    V = mesh.num_vertices
+    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
+    G = np.einsum("ein,eim->enm", mesh.gradients, field.values[mesh.elements])
+    t = np.sqrt(np.einsum("enm,enm->e", G, G))
+    P = np.einsum("enm,ein->eim", G, mesh.gradients)
+    energy = float(np.sum(coef * model.F(t)))
+    r = np.zeros((V, m))
+    np.add.at(r, mesh.elements.ravel(),
+              ((coef * _safe_a(model, t))[:, None, None] * P).reshape(-1, m))
+
+    te, a = _clamped_a(model, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(te > 0.0, (model.F_tt(te) - a) / te ** 2, 0.0)
+    S = np.einsum("ein,ekn->eik", mesh.gradients, mesh.gradients)
+    eye = np.eye(m)
+    loc = ((coef * a)[:, None, None, None, None] * S[:, :, None, :, None]
+           * eye[None, None, :, None, :]
+           + (coef * b)[:, None, None, None, None] * P[:, :, :, None, None]
+           * P[:, None, None, :, :]).reshape(len(G), (n + 1) * m, (n + 1) * m)
+    dof = (mesh.elements[:, :, None] * m + np.arange(m)).reshape(len(G), -1)
+    H = np.zeros((V * m, V * m))
+    np.add.at(H, (dof[:, :, None], dof[:, None, :]), loc)
+
+    if source is not None:
+        energy -= float(np.sum(source.values * mesh.volumes
+                               * field.values[mesh.elements, 0].mean(axis=1)))
+        np.add.at(r[:, 0], mesh.elements.ravel(),
+                  np.repeat(-source.values * mesh.volumes / (n + 1), n + 1))
+    if lumped is not None:
+        q, w, v = lumped.q, lumped.weights, field.values
+        vn = np.linalg.norm(v, axis=1)
+        energy += float(np.sum(w * vn ** q)) / q
+        pos = vn > 0.0
+        r += (w * np.where(pos, vn ** (q - 2.0), 0.0))[:, None] * v
+        for z in np.flatnonzero(pos):
+            blk = w[z] * (vn[z] ** (q - 2.0) * eye
+                          + (q - 2.0) * vn[z] ** (q - 4.0) * np.outer(v[z], v[z]))
+            H[z * m:(z + 1) * m, z * m:(z + 1) * m] += blk
+
+    idx = (mesh.interior_nodes[:, None] * m + np.arange(m)).ravel()
+    return G, energy, r[mesh.interior_nodes], H[np.ix_(idx, idx)]
+
+
+def _close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_kernels_match_the_einsum_reference(gen, m):
+    mesh = build_structured_mesh(gen, 3 if gen == "kuhn3d" else 4)
+    rng = np.random.default_rng(m)
+    bc = BoundaryData.random_uniform(m, -1.0, 1.0)
+    zero_interior = interpolate_boundary(mesh, bc, m)
+    generic = NodalField(mesh, rng.uniform(-1.0, 1.0, (mesh.num_vertices, m)))
+    coeff = rng.uniform(0.5, 2.0, mesh.num_elements)
+    cases = [
+        (p_dirichlet(1.5), zero_interior, None, None),      # the a(t) clamp
+        (p_dirichlet(3.0, coeff=coeff), zero_interior, None, None),
+        (p_dirichlet(3.0), generic, None, LumpedTerm.from_mesh(mesh, 3.0)),
+        (mean_curvature(), generic, None, None),
+    ]
+    if m == 1:
+        source = SourceTerm(rng.uniform(-1.0, 1.0, mesh.num_elements))
+        cases.append((p_dirichlet(1.5), generic, source, None))
+    # the zero-interior start leaves elements with an exactly zero gradient
+    assert (np.abs(zero_interior.element_gradients()).max(axis=(1, 2)) == 0.0).any()
+    for model, fld, source, lumped in cases:
+        G, E, r, H = _reference_kernels(model, fld, source, lumped)
+        _close(fld.element_gradients(), G)
+        _close(energy_value(model, fld, source=source, lumped=lumped), E)
+        _close(residual(model, fld, source=source, lumped=lumped), r)
+        Hn = assemble_hessian(model, fld, lumped=lumped).toarray()
+        _close(Hn, H)
+        _close(Hn, Hn.T)
 
 
 def _stored(dense):
