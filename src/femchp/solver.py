@@ -6,6 +6,13 @@ gradient direction when the Hessian, also with a small ridge, is not
 numerically positive definite.  Boundary rows of the iterate are never
 touched, so prescribed boundary values survive bit for bit.
 
+The iteration starts from the boundary interpolant (zero interior), except
+for profiles with a(0) = 0 (p-Dirichlet with p > 2): there the Hessian
+vanishes wherever the gradient does, so the zero interior would make every
+step singular until the zero region is gone.  Those start from the harmonic
+extension instead, the minimiser of the p = 2 energy with the same element
+coefficients and source, found by one linear solve.
+
 For profiles whose weight a(t) = F'(t)/t blows up as t -> 0 (p-Dirichlet
 with p < 2) the Hessian evaluation clamps t from below.  The energy and the
 residual are always evaluated unclamped, so the minimiser itself is not
@@ -24,7 +31,7 @@ import scipy.sparse.linalg
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
-                     _clamped_a, _gradient_norms)
+                     p_dirichlet, _clamped_a, _gradient_norms)
 
 __all__ = [
     "SolveReport",
@@ -72,6 +79,7 @@ class SolveReport:
     backtracks: int = 0
     min_step: float = float("nan")
     wall_time: float = 0.0
+    start: str = "interpolant"
     energy_history: list = dataclass_field(default_factory=list)
 
     def to_text(self) -> str:
@@ -87,6 +95,7 @@ class SolveReport:
             f"backtracks = {self.backtracks}",
             f"min_step = {self.min_step:.3e}",
             f"wall_time = {self.wall_time:.3f}s",
+            f"start = {self.start}",
         ]
         return "\n".join(lines)
 
@@ -120,7 +129,9 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
 
     coef = mesh.volumes * c
     Pf = np.matmul(mesh.gradients, G).reshape(len(G), -1)   # (E, (n+1) m)
-    loc = ((coef * b_eff)[:, None] * Pf)[:, :, None] * Pf[:, None, :]
+    # the scale multiplies the exactly commuting outer product, so each
+    # block, and with it H, is bitwise symmetric
+    loc = (coef * b_eff)[:, None, None] * (Pf[:, :, None] * Pf[:, None, :])
     loc = loc.reshape(len(G), mesh.dim + 1, m, mesh.dim + 1, m)
     ca = (coef * a_eff)[:, None, None]
     for j in range(m):
@@ -136,7 +147,8 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
         f2 = np.zeros_like(vn)
         f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
-        nodal = (w * f1)[:, None, None] * np.eye(m) + (w * f2)[:, None, None] * v[:, :, None] * v[:, None, :]
+        nodal = ((w * f1)[:, None, None] * np.eye(m)
+                 + (w * f2)[:, None, None] * (v[:, :, None] * v[:, None, :]))
 
     return mesh.assemble(loc, nodal)
 
@@ -193,6 +205,26 @@ def _direction(model, field, lumped, r_flat):
     return -r_flat / np.maximum(diag, scale), "gradient"
 
 
+def _harmonic_start(model, start, source):
+    """Interior values of the p = 2 minimiser with the model's coefficients.
+
+    One Newton step of the quadratic energy from the interpolant, solved
+    against its residual (source included; a lumped term would make the
+    step nonlinear and is left out).  That Hessian is the c_T-weighted
+    stiffness K times I_m, so one factorisation of the scalar K serves all
+    m components.  None when ``_factor`` refuses K, which on a conforming
+    mesh only rounding can cause.
+    """
+    mesh = start.mesh
+    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
+    K = mesh.assemble((coef[:, None, None] * mesh.gradient_grams)[:, :, None, :, None])
+    lu = _factor(K)
+    if lu is None:
+        return None
+    r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)
+    return start.values[mesh.interior_nodes] - lu.solve(r)
+
+
 def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
              source: SourceTerm | None = None,
              lumped: LumpedTerm | None = None,
@@ -201,23 +233,30 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     """Minimise the energy over interior values with fixed boundary values.
 
     Returns (field, report).  The initial iterate is the boundary
-    interpolant (zero interior).  Stops once the residual sup-norm is at
-    most tol and the last step changed the energy by less than 1e-15
-    relatively; the returned report never claims convergence with a
-    residual above tol.
+    interpolant (zero interior), or, where the profile has a(0) = 0, the
+    harmonic extension of the boundary values (``report.start`` says
+    which).  Stops once the residual sup-norm is at most tol and the last
+    step changed the energy by less than 1e-15 relatively; the returned
+    report never claims convergence with a residual above tol.
     """
     t0 = time.perf_counter()
     start = interpolate_boundary(mesh, boundary, m)
     vals = start.values.copy()
     interior = mesh.interior_nodes
     boundary_vals = vals[mesh.boundary_nodes].copy()
+    start_kind = "interpolant"
+    if len(interior) and _clamped_a(model, np.zeros(1))[1][0] == 0.0:
+        harmonic = _harmonic_start(model, start, source)
+        if harmonic is not None:
+            vals[interior] = harmonic
+            start_kind = "harmonic"
 
     E = _energy_of(model, mesh, vals, source, lumped)
     if not np.isfinite(E):
         raise ValueError("energy is not finite at the initial iterate")
     report = SolveReport(converged=False, status="max-iterations", iterations=0,
                          energy=E, residual_norm=np.inf, tol=tol,
-                         energy_history=[E])
+                         energy_history=[E], start=start_kind)
     rel_dec = None
     prev_rn = None
     stall = 0

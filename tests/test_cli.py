@@ -51,12 +51,14 @@ def test_mesh_info_missing_file(tmp_path):
     assert main(["mesh-info", str(tmp_path / "nope.mesh")]) == EXIT_INPUT
 
 
-def test_solve_affine_matches_interpolant(tmp_path):
+def test_solve_affine_matches_interpolant(tmp_path, capsys):
     out = tmp_path / "u.field"
     rc = main(["solve", "--generator", "equilateral2d", "-n", "4",
                "--energy", "p-laplace:p=3", "--bc", "affine:0.2,0.3,-0.1",
                "--out", str(out)])
     assert rc == EXIT_OK
+    # a(0) = 0 for p = 3, so the report names the harmonic start
+    assert "start = harmonic" in capsys.readouterr().out.splitlines()
     mesh = build_structured_mesh("equilateral2d", 4)
     values, _ = load_field(str(out), mesh)
     exact = 0.2 + mesh.vertices @ np.array([0.3, -0.1])

@@ -339,6 +339,7 @@ def test_solve_report_fields(right2d_n4):
     text = rep.to_text()
     assert "converged = True" in text
     assert "residual_norm" in text
+    assert "start = harmonic" in text.splitlines()
 
 
 def test_oracle_refuses_wrong_energy(right2d_n4):
@@ -349,3 +350,101 @@ def test_oracle_refuses_wrong_energy(right2d_n4):
     exact = np.array([0.0, 1.0])[None, :] + right2d_n4.vertices @ np.array(
         [[1.0, 0.0], [0.0, -1.0]]).T
     assert np.abs(fld.values - exact).max() <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [("right2d", 8), ("crisscross2d", 6),
+                                  ("equilateral2d", 8), ("kuhn3d", 4),
+                                  ("obtuse2d", 6)],
+                         ids=lambda spec: f"{spec[0]}:{spec[1]}")
+def test_hessian_is_bitwise_symmetric(spec):
+    # Mesh.assemble sums both triangles in element order, so H is exactly
+    # symmetric as long as every element block is
+    mesh = build_structured_mesh(*spec)
+    rng = np.random.default_rng(len(spec[0]))
+    for m in (1, 2, 3):
+        fld = NodalField(mesh, rng.standard_normal((mesh.num_vertices, m)))
+        for lumped in (None, LumpedTerm.from_mesh(mesh, 3.0)):
+            H = assemble_hessian(p_dirichlet(3.0), fld, lumped=lumped)
+            assert (H != H.T).nnz == 0, (spec, m, lumped is not None)
+
+
+def test_p3_zero_interior_newton_steps_stay_silent(capfd):
+    # minimize starts p > 2 from the harmonic extension, so the Newton step
+    # is driven from the zero interior by hand: the zero region shrinks by
+    # one ring per step, and handed to SuperLU unchecked the fifth
+    # zero-diagonal Hessian makes it print "On entry to DTRSV parameter
+    # number 6 had an illegal value"
+    model = p_dirichlet(3.0)
+    mesh = build_structured_mesh("right2d", 30)
+    bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
+    fld = interpolate_boundary(mesh, bc, 2)
+    interior = mesh.interior_nodes
+    for step in range(5):
+        H = assemble_hessian(model, fld)
+        assert (H.diagonal() == 0.0).any(), step
+        r = residual(model, fld).reshape(-1)
+        d, kind = _direction(model, fld, None, r)
+        assert kind == "newton", step
+        s, _, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 2),
+                             energy_value(model, fld), float(r @ d), None, None)
+        vals = fld.values.copy()
+        vals[interior] += s * d.reshape(-1, 2)
+        fld = fld.with_values(vals)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_p_above_two_starts_from_the_harmonic_extension(p, m):
+    mesh = build_structured_mesh("crisscross2d", 6)
+    bc = BoundaryData.random_uniform(m, -1.0, 1.0)
+    source = SourceTerm.constant(mesh, -2.0) if m == 1 else None
+    fld, rep = minimize(p_dirichlet(p), mesh, bc, m=m, source=source, max_iters=0)
+    assert rep.start == "harmonic" and rep.iterations == 0
+    oracle = solve_quadratic_oracle(mesh, bc, source=source, m=m)
+    assert np.abs(fld.values - oracle.values).max() <= 1e-10
+    # random element coefficients: the start is the weighted p = 2 minimiser
+    coeff = np.random.default_rng(m).uniform(0.1, 10.0, mesh.num_elements)
+    fld, rep = minimize(p_dirichlet(p, coeff=coeff), mesh, bc, m=m,
+                        source=source, max_iters=0)
+    assert rep.start == "harmonic"
+    r2 = residual(p_dirichlet(2.0, coeff=coeff), fld, source=source)
+    assert np.abs(r2).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model", [p_dirichlet(2.0), p_dirichlet(1.5),
+                                   mean_curvature(), orlicz("log-cosh"),
+                                   orlicz("power-log")],
+                         ids=lambda model: model.name)
+def test_a_positive_at_zero_starts_from_the_interpolant(model):
+    mesh = build_structured_mesh("crisscross2d", 6)
+    bc = BoundaryData.random_uniform(7, -1.0, 1.0)
+    fld, rep = minimize(model, mesh, bc, m=2, max_iters=0)
+    assert rep.start == "interpolant"
+    assert_array_equal(fld.values, interpolate_boundary(mesh, bc, 2).values)
+
+
+def test_refused_stiffness_keeps_the_interpolant(right2d_n4, monkeypatch):
+    import femchp.solver as solver
+    bc = BoundaryData.random_uniform(7, -1.0, 1.0)
+    monkeypatch.setattr(solver, "_factor", lambda H: None)
+    fld, rep = minimize(p_dirichlet(3.0), right2d_n4, bc, max_iters=0)
+    assert rep.start == "interpolant"
+    assert_array_equal(fld.values, interpolate_boundary(right2d_n4, bc, 1).values)
+
+
+def test_p3_constant_data_converges_at_once():
+    mesh = build_structured_mesh("right2d", 12)
+    bc = BoundaryData.affine([0.7, -0.4], [[0.0, 0.0], [0.0, 0.0]])
+    fld, rep = minimize(p_dirichlet(3.0), mesh, bc, m=2)
+    assert rep.converged and rep.iterations <= 1 and rep.start == "harmonic"
+    assert np.ptp(fld.values, axis=0).max() <= 1e-12
+
+
+def test_mesh_without_interior_nodes_solves(ref_triangle):
+    bc = BoundaryData.random_uniform(3, -1.0, 1.0)
+    for model in (p_dirichlet(3.0), p_dirichlet(1.5)):
+        fld, rep = minimize(model, ref_triangle, bc, m=2)
+        assert rep.converged and rep.iterations == 0
+        assert rep.start == "interpolant"
+        assert_array_equal(fld.values, interpolate_boundary(ref_triangle, bc, 2).values)
