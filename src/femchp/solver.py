@@ -1,10 +1,9 @@
 """Minimisation of convex gradient energies over interior vertex values.
 
-The solver runs damped Newton steps on the sparse interior Hessian with an
-Armijo backtracking line search, falling back to a diagonally preconditioned
-gradient direction when the Hessian, also with a small ridge, is not
-numerically positive definite.  Boundary rows of the iterate are never
-touched, so prescribed boundary values survive bit for bit.
+The solver runs inexact Newton steps, truncated conjugate gradients on the
+sparse interior Hessian (``_pcg``), with an Armijo backtracking line search.
+Boundary rows of the iterate are never touched, so prescribed boundary
+values survive bit for bit.
 
 The iteration starts from the boundary interpolant (zero interior), except
 for profiles with a(0) = 0 (p-Dirichlet with p > 2): there the Hessian
@@ -25,7 +24,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .mesh import Mesh
@@ -46,6 +44,8 @@ _SHRINK = 0.5
 _MIN_STEP = 1e-16
 _STAGNATION_REL = 1e-15
 _EPS = float(np.finfo(np.float64).eps)
+_ETA_MIN, _ETA_MAX = 1e-12, 0.5      # bounds of the Eisenstat-Walker forcing terms
+_GOLDEN = 0.5 * (1.0 + 5.0 ** 0.5)   # and their safeguard exponent
 
 
 class LineSearchError(RuntimeError):
@@ -77,13 +77,14 @@ class SolveReport:
     newton_steps: int = 0
     gradient_steps: int = 0
     backtracks: int = 0
+    cg_iterations: int = 0
     min_step: float = float("nan")
     wall_time: float = 0.0
     start: str = "interpolant"
     energy_history: list = dataclass_field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"converged = {self.converged}",
             f"status = {self.status}",
             f"iterations = {self.iterations}",
@@ -93,11 +94,11 @@ class SolveReport:
             f"newton_steps = {self.newton_steps}",
             f"gradient_steps = {self.gradient_steps}",
             f"backtracks = {self.backtracks}",
+            f"cg_iterations = {self.cg_iterations}",
             f"min_step = {self.min_step:.3e}",
             f"wall_time = {self.wall_time:.3f}s",
             f"start = {self.start}",
-        ]
-        return "\n".join(lines)
+        ])
 
 
 def _energy_of(model, mesh, values, source, lumped) -> float:
@@ -170,39 +171,40 @@ def _backtrack(model, mesh, base_values, interior, dmat, E0, slope,
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
 
 
-def _factor(H):
-    """Sparse LU of H, or None unless H is numerically positive definite.
-
-    SuperLU runs in symmetric mode (minimum degree ordering of H + H^T)
-    with diagonal pivots only; the factors are then L D L^T in disguise, so
-    H counts as positive definite exactly when the pivots stayed on the
-    diagonal and every pivot (diagonal of U) is positive.  A non-positive
-    diagonal is refused before SuperLU sees it.
-    """
-    if not (H.diagonal() > 0.0).all():
-        return None
-    try:
-        lu = scipy.sparse.linalg.splu(H, permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError:
-        return None
-    if (lu.perm_r != lu.perm_c).any() or not (lu.U.diagonal() > 0.0).all():
-        return None
-    return lu
-
-
-def _direction(model, field, lumped, r_flat):
-    """Newton direction if the Hessian factorises, else scaled gradient."""
-    H = assemble_hessian(model, field, lumped=lumped)
+def _pcg(H, g, eta):
+    """Steihaug's truncated CG for H d = -g, Jacobi-preconditioned, to
+    |g + H d| <= eta |g| or 10 iterations per unknown.  Non-positive curvature
+    ends it with the last iterate, or, on the first step, with the
+    preconditioned residual (kind "gradient").  Returns (d, kind, its, H d)."""
+    # CSR of H^T = H without stored zeros (p = 2 component couplings): faster products
+    A = scipy.sparse.csr_matrix((H.data, H.indices, H.indptr), shape=H.shape, copy=True)
+    A.eliminate_zeros()
     diag = H.diagonal()
-    scale = 1e-12 * max(1.0, float(diag.max(initial=0.0)))
-    lu = _factor(H)
-    if lu is None:
-        lu = _factor(H + scale * scipy.sparse.identity(H.shape[0], format="csc"))
-    if lu is not None:
-        return lu.solve(-r_flat), "newton"
-    return -r_flat / np.maximum(diag, scale), "gradient"
+    top = float(diag.max(initial=0.0)) or 1.0
+    w = 1.0 / np.where(diag > 1e-12 * top, diag, top)    # zero rows stay bounded
+    d, res, k = np.zeros_like(g), -g, 0
+    z = w * res
+    p, rz, stop = z.copy(), float(res @ z), (eta * np.linalg.norm(g)) ** 2
+    while res @ res > stop and k < 10 * len(g):
+        Hp = A @ p
+        curv = float(p @ Hp)
+        k += 1
+        if not curv > 0.0:
+            if k == 1:
+                return p, "gradient", k, Hp
+            break
+        alpha = rz / curv
+        d += alpha * p
+        res -= alpha * Hp
+        np.multiply(w, res, out=z)
+        rz, rz_old = float(res @ z), rz
+        p *= rz / rz_old
+        p += z
+    return d, "newton", k, -(g + res)
+
+
+def _direction(model, field, lumped, g, eta):
+    return _pcg(assemble_hessian(model, field, lumped=lumped), g, eta)
 
 
 def _harmonic_start(model, start, source):
@@ -211,16 +213,14 @@ def _harmonic_start(model, start, source):
     One Newton step of the quadratic energy from the interpolant, solved
     against its residual (source included; a lumped term would make the
     step nonlinear and is left out).  That Hessian is the c_T-weighted
-    stiffness K times I_m, so one factorisation of the scalar K serves all
-    m components.  None when ``_factor`` refuses K, which on a conforming
-    mesh only rounding can cause.
+    stiffness K times I_m, positive definite on a conforming mesh, so one
+    sparse LU of the scalar K serves all m components exactly.
     """
     mesh = start.mesh
     coef = mesh.volumes * model.element_coeff(mesh.num_elements)
     K = mesh.assemble((coef[:, None, None] * mesh.gradient_grams)[:, :, None, :, None])
-    lu = _factor(K)
-    if lu is None:
-        return None
+    lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)
     return start.values[mesh.interior_nodes] - lu.solve(r)
 
@@ -246,10 +246,8 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     boundary_vals = vals[mesh.boundary_nodes].copy()
     start_kind = "interpolant"
     if len(interior) and _clamped_a(model, np.zeros(1))[1][0] == 0.0:
-        harmonic = _harmonic_start(model, start, source)
-        if harmonic is not None:
-            vals[interior] = harmonic
-            start_kind = "harmonic"
+        vals[interior] = _harmonic_start(model, start, source)
+        start_kind = "harmonic"
 
     E = _energy_of(model, mesh, vals, source, lumped)
     if not np.isfinite(E):
@@ -260,6 +258,8 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     rel_dec = None
     prev_rn = None
     stall = 0
+    eta = _ETA_MAX
+    model_norm = None       # |g + s H d| of the last step's linear model
 
     for it in range(max_iters + 1):
         fld = NodalField(mesh, vals)
@@ -294,7 +294,13 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         prev_rn = rn
 
         r_flat = r.reshape(-1)
-        d_flat, kind = _direction(model, fld, lumped, r_flat)
+        g_norm = float(np.linalg.norm(r_flat))
+        if model_norm is not None:
+            # Eisenstat-Walker choice 1, safeguarded against a sudden drop
+            guard = eta ** _GOLDEN if eta ** _GOLDEN > 0.1 else 0.0
+            eta = min(max(abs(g_norm - model_norm) / prev_norm, guard, _ETA_MIN), _ETA_MAX)
+        d_flat, kind, its, Hd = _direction(model, fld, lumped, r_flat, eta)
+        report.cg_iterations += its
         slope = float(r_flat @ d_flat)
         dmat = d_flat.reshape(len(interior), m)
 
@@ -302,35 +308,28 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         # the energy itself, the Armijo comparison is decided by rounding
         # noise; in that regime accept the full Newton step when it strictly
         # reduces the residual sup-norm instead
-        armijo_resolvable = abs(_ARMIJO_C1 * slope) >= 8.0 * _EPS * (1.0 + abs(E))
-        if not armijo_resolvable and kind == "newton":
+        if abs(_ARMIJO_C1 * slope) < 8.0 * _EPS * (1.0 + abs(E)) and kind == "newton":
             trial = vals.copy()
             trial[interior] += dmat
-            r_t = residual(model, NodalField(mesh, trial),
-                           source=source, lumped=lumped)
+            r_t = residual(model, NodalField(mesh, trial), source=source, lumped=lumped)
             rn_t = float(np.abs(r_t).max()) if r_t.size else 0.0
-            E_t = _energy_of(model, mesh, trial, source, lumped)
-            if np.isfinite(rn_t) and np.isfinite(E_t) and rn_t < rn:
-                vals = trial
-                report.newton_steps += 1
-                rel_dec = _relative_decrease(E, E_t)
-                E = E_t
-                report.energy_history.append(E)
-                prev_rn = rn
-                continue
-            report.converged = rn <= tol
-            report.status = "converged" if report.converged else "stagnated"
-            break
-
-        try:
-            s, E_new, evals = _backtrack(model, mesh, vals, interior, dmat, E,
-                                         slope, source, lumped)
-        except LineSearchError as exc:
-            report.converged = rn <= tol
-            report.status = "stagnated" if report.converged else f"line-search-failure: {exc}"
-            break
+            E_new = _energy_of(model, mesh, trial, source, lumped)
+            if not (np.isfinite(rn_t) and np.isfinite(E_new) and rn_t < rn):
+                report.converged = rn <= tol
+                report.status = "converged" if report.converged else "stagnated"
+                break
+            s, evals = 1.0, 1
+        else:
+            try:
+                s, E_new, evals = _backtrack(model, mesh, vals, interior, dmat, E,
+                                             slope, source, lumped)
+            except LineSearchError as exc:
+                report.converged = rn <= tol
+                report.status = "stagnated" if report.converged else f"line-search-failure: {exc}"
+                break
 
         vals[interior] += s * dmat
+        prev_norm, model_norm = g_norm, float(np.linalg.norm(r_flat + s * Hd))
         if kind == "newton":
             report.newton_steps += 1
         else:

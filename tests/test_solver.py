@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp.energy import (
@@ -20,7 +23,7 @@ from femchp.solver import (
     LineSearchError,
     _backtrack,
     _direction,
-    _factor,
+    _pcg,
     assemble_hessian,
     minimize,
     solve_quadratic_oracle,
@@ -150,21 +153,31 @@ def _stored(dense):
     return sp.csc_matrix((dense.ravel(), (i.ravel(), j.ravel())), shape=dense.shape)
 
 
-def test_factor_accepts_only_positive_definite(capfd):
-    spd = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-    lu = _factor(_stored(spd))
-    assert lu is not None
-    assert_allclose(spd @ lu.solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0],
-                    rtol=1e-14)
+def test_pcg_solves_spd_and_exits_on_non_positive_curvature(capfd):
+    spd = _stored(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+    g = np.array([1.0, 2.0, 3.0])
+    d, kind, its, Hd = _pcg(spd, g, 1e-14)
+    exact = scipy.sparse.linalg.spsolve(spd, -g)
+    assert kind == "newton" and 1 <= its
+    assert np.abs(d - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert_allclose(Hd, spd @ d, rtol=1e-14)
+    # a first step along a direction of negative (indefinite) or zero
+    # (singular, with a zero diagonal row) curvature returns the
+    # preconditioned residual as a scaled gradient step
     indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert _factor(_stored(indefinite)) is None
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    assert _factor(_stored(singular)) is None
-    # the refusals are silent: nothing from SuperLU or BLAS reaches the terminal
+    for H, g in ((indefinite, np.array([1.0, -1.0, 0.0])),
+                 (singular, np.array([1.0, -1.0, 2.0]))):
+        d, kind, its, Hd = _pcg(_stored(H), g, 1e-14)
+        w = 1.0 / np.where(H.diagonal() > 0.0, H.diagonal(), H.diagonal().max())
+        assert kind == "gradient" and its == 1
+        assert_array_equal(d, -w * g)
+        assert_array_equal(Hd, H @ d)
+        assert float(g @ d) < 0.0
     assert capfd.readouterr() == ("", "")
 
 
-def test_p3_zero_interior_start_takes_the_ridge(right2d_n4, capfd):
+def test_p3_zero_interior_start_takes_a_newton_step(right2d_n4, capfd):
     # a(0) = 0 for p = 3, and the centre node's star has no boundary vertex,
     # so at the zero-interior start its Hessian row is exactly zero
     model = p_dirichlet(3.0)
@@ -173,15 +186,14 @@ def test_p3_zero_interior_start_takes_the_ridge(right2d_n4, capfd):
     H = assemble_hessian(model, start)
     centre = int(np.flatnonzero(right2d_n4.interior_nodes == 12)[0])
     assert H.diagonal()[centre] == 0.0
-    assert _factor(H) is None
     r = residual(model, start).reshape(-1)
-    d, kind = _direction(model, start, None, r)
+    d, kind, _, _ = _direction(model, start, None, r, 0.5)
     assert kind == "newton" and float(r @ d) < 0.0
     _, rep = minimize(model, right2d_n4, bc)
     assert rep.converged and rep.gradient_steps == 0
-    # here the zero region shrinks by one ring per step; handed to SuperLU
-    # unchecked, the fifth zero-diagonal Hessian makes it print "On entry
-    # to DTRSV parameter number 6 had an illegal value"
+    # here the zero region shrinks by one ring per step; a direct solver
+    # handed the fifth zero-diagonal Hessian unchecked prints "On entry to
+    # DTRSV parameter number 6 had an illegal value"
     mesh = build_structured_mesh("right2d", 30)
     bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
     _, rep = minimize(model, mesh, bc, m=2, max_iters=5)
@@ -340,6 +352,8 @@ def test_solve_report_fields(right2d_n4):
     assert "converged = True" in text
     assert "residual_norm" in text
     assert "start = harmonic" in text.splitlines()
+    assert rep.cg_iterations >= rep.newton_steps
+    assert f"cg_iterations = {rep.cg_iterations}" in text.splitlines()
 
 
 def test_oracle_refuses_wrong_energy(right2d_n4):
@@ -371,9 +385,9 @@ def test_hessian_is_bitwise_symmetric(spec):
 def test_p3_zero_interior_newton_steps_stay_silent(capfd):
     # minimize starts p > 2 from the harmonic extension, so the Newton step
     # is driven from the zero interior by hand: the zero region shrinks by
-    # one ring per step, and handed to SuperLU unchecked the fifth
-    # zero-diagonal Hessian makes it print "On entry to DTRSV parameter
-    # number 6 had an illegal value"
+    # one ring per step, and a direct solver handed the fifth zero-diagonal
+    # Hessian unchecked prints "On entry to DTRSV parameter number 6 had an
+    # illegal value"
     model = p_dirichlet(3.0)
     mesh = build_structured_mesh("right2d", 30)
     bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
@@ -383,7 +397,7 @@ def test_p3_zero_interior_newton_steps_stay_silent(capfd):
         H = assemble_hessian(model, fld)
         assert (H.diagonal() == 0.0).any(), step
         r = residual(model, fld).reshape(-1)
-        d, kind = _direction(model, fld, None, r)
+        d, kind, _, _ = _direction(model, fld, None, r, 0.5)
         assert kind == "newton", step
         s, _, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 2),
                              energy_value(model, fld), float(r @ d), None, None)
@@ -424,13 +438,35 @@ def test_a_positive_at_zero_starts_from_the_interpolant(model):
     assert_array_equal(fld.values, interpolate_boundary(mesh, bc, 2).values)
 
 
-def test_refused_stiffness_keeps_the_interpolant(right2d_n4, monkeypatch):
-    import femchp.solver as solver
-    bc = BoundaryData.random_uniform(7, -1.0, 1.0)
-    monkeypatch.setattr(solver, "_factor", lambda H: None)
-    fld, rep = minimize(p_dirichlet(3.0), right2d_n4, bc, max_iters=0)
-    assert rep.start == "interpolant"
-    assert_array_equal(fld.values, interpolate_boundary(right2d_n4, bc, 1).values)
+def test_zero_diagonal_rows_with_a_source_keep_the_steps_finite(capfd):
+    # from the zero interior the p = 3 Hessian has zero diagonal rows, and
+    # the source gives those rows a non-zero residual; a Jacobi weight of
+    # 1e12 / max(diag) there would swamp the direction until its slope
+    # overflows
+    model = p_dirichlet(3.0)
+    mesh = build_structured_mesh("right2d", 30)
+    source = SourceTerm.constant(mesh, -1.0)
+    bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
+    fld = interpolate_boundary(mesh, bc, 1)
+    interior = mesh.interior_nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for step in range(5):
+            r = residual(model, fld, source=source).reshape(-1)
+            if step == 0:
+                H = assemble_hessian(model, fld)
+                assert (np.abs(r[H.diagonal() == 0.0]) > 0.0).any()
+            d, _, _, _ = _direction(model, fld, None, r, 0.5)
+            slope = float(r @ d)
+            assert np.isfinite(d).all() and np.isfinite(slope) and slope < 0.0, step
+            E = energy_value(model, fld, source=source)
+            s, E_new, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 1),
+                                     E, slope, source, None)
+            assert E_new < E, step
+            vals = fld.values.copy()
+            vals[interior] += s * d.reshape(-1, 1)
+            fld = fld.with_values(vals)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_p3_constant_data_converges_at_once():
