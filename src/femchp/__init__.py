@@ -18,7 +18,7 @@ from .energy import (
 from .convex import (
     ConvexSet, finite_hull, hull_with_origin,
     project, worst_distance, boundary_hull, is_extreme,
-    check_variational_inequality, CertificateError,
+    CertificateError,
     certificate_stats, reset_certificate_stats,
 )
 from .solver import (

@@ -16,9 +16,8 @@ import numpy as np
 
 from .mesh import (Mesh, MeshFormatError, MeshConformityError, GENERATORS,
                    build_structured_mesh, load_mesh, save_mesh)
-from .field import (NodalField, BoundaryData, FieldFormatError, interpolate_boundary,
-                    load_field, save_field)
-from .energy import parse_energy, SourceTerm, LumpedTerm, energy_value
+from .field import NodalField, BoundaryData, FieldFormatError, load_field, save_field
+from .energy import parse_energy, SourceTerm, LumpedTerm
 from .solver import minimize
 from . import verify as verify_mod
 from . import convex

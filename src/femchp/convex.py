@@ -9,7 +9,9 @@ against the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
-with tol = 1e-10 * (1 + |x|^2).  A row that fails raises CertificateError.
+with tol = 1e-10 * (1 + |x|^2), and, for m >= 2, checks that Px is the
+convex combination of generators its active-set weights claim, so Px lies
+in the set.  A row that fails either check raises CertificateError.
 ``is_extreme`` runs the same block loop and certificate with a per-row
 generator mask.  The statistics stay process-wide: every certified row
 counts once and the worst slack seen is kept, both read through
@@ -32,7 +34,6 @@ __all__ = [
     "worst_distance",
     "boundary_hull",
     "is_extreme",
-    "check_variational_inequality",
     "CertificateError",
     "certificate_stats",
     "reset_certificate_stats",
@@ -130,7 +131,7 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     return nu
 
 
-def _project_hull(G: np.ndarray, X: np.ndarray, off=None) -> np.ndarray:
+def _project_hull(G: np.ndarray, X: np.ndarray, off=None):
     """Active-set nearest point iteration over the hull of the rows of G,
     run for all rows of X (k, m) together.
 
@@ -138,7 +139,9 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None) -> np.ndarray:
     when ``off`` is None) and must see at least one.  Each row keeps at
     most m + 2 active generators and their convex weights.  A row stops
     when its slots are full, or when the generator it added was dropped
-    again, which leaves its active set and weights as they were.
+    again, which leaves its active set and weights as they were.  Returns
+    (P, act, lam): the nearest points (k, m), the active generator indices
+    (k, m + 2; -1 marks a free slot) and their weights, 0 on free slots.
     """
     k, m = X.shape
     d2 = ((G - X[:, None]) ** 2).sum(axis=2)
@@ -171,7 +174,7 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None) -> np.ndarray:
         for _ in range(2 * len(G) + 50):
             mu = _affine_coefficients(G, a[todo], X[rows[todo]])
             ok = (mu >= -1e-12).all(axis=1)
-            v = np.clip(mu[ok], 0.0, None)
+            v = np.where(a[todo[ok]] >= 0, np.clip(mu[ok], 0.0, None), 0.0)
             w[todo[ok]] = v / v.sum(axis=1, keepdims=True)
             todo, mu = todo[~ok], mu[~ok]
             if not len(todo):
@@ -193,7 +196,7 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None) -> np.ndarray:
         act[rows], lam[rows] = a, w
         Y[rows] = np.einsum("rs,rsk->rk", w, G[a])
         rows = rows[~back]
-    return Y
+    return Y, act, lam
 
 
 def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
@@ -206,16 +209,17 @@ def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.nda
     return gaps.max(axis=1)
 
 
-def check_variational_inequality(K: ConvexSet, x, Px):
-    """Worst generator slack max_z (x - Px).(z - Px), per row.
-
-    Takes a point (m,) and returns a float, or a batch (k, m) and returns
-    shape (k,).  A row is certified when its slack is <= tol(x).
-    """
-    x = np.asarray(x, dtype=float)
-    P = np.atleast_2d(np.asarray(Px, dtype=float))
-    worst = _worst_gaps(K.generators, np.atleast_2d(x), P)
-    return worst if x.ndim == 2 else float(worst[0])
+def _members(G: np.ndarray, P: np.ndarray, act: np.ndarray, lam: np.ndarray,
+             off=None) -> np.ndarray:
+    """Per row, whether the weights ``lam`` on the generators ``act`` are
+    convex, sit only on generators the row sees and reproduce P."""
+    sees = act >= 0
+    if off is not None:
+        sees &= ~off[np.arange(len(act))[:, None], act]
+    Y = np.einsum("rs,rsk->rk", lam, G[act])
+    return ((lam >= 0.0).all(axis=1) & ((lam == 0.0) | sees).all(axis=1)
+            & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-12)
+            & (np.linalg.norm(Y - P, axis=1) <= 1e-12 * (1.0 + np.linalg.norm(P, axis=1))))
 
 
 def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
@@ -225,11 +229,14 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
     certifies it and counts it in the statistics, on blocks of at most
     ``_BLOCK`` row x generator entries.  With ``tol``, row r sees only the
     generators farther than tol from it; a row that sees none stays NaN
-    and is neither projected nor counted.
+    and is neither projected nor counted.  Rows with m = 1 are clipped
+    between the generators they see, so they are members by construction;
+    the others must pass ``_members`` on the weights of ``_project_hull``.
     """
     P = np.full_like(X, np.nan)
     cert = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
     slack = np.full(len(X), -np.inf)
+    member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
     for s in range(0, len(X), step):
         r, off = slice(s, s + step), None
@@ -242,9 +249,16 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
             P[r] = np.clip(X[r], np.nanmin(g, axis=-1, keepdims=True),
                            np.nanmax(g, axis=-1, keepdims=True))
         else:
-            P[r] = _project_hull(G, X[r], off)
+            P[r], act, lam = _project_hull(G, X[r], off)
+            member[r] = _members(G, P[r], act, lam, off)
         slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
         _STATS.record(slack[r])
+    if not member.all():
+        i = int(np.argmin(member))
+        raise CertificateError(
+            f"projection membership failed for row {i}: its weights do not make it "
+            f"a convex combination of the generators it sees"
+        )
     if (slack > 0.0).any():
         i = int(np.argmax(slack))
         raise CertificateError(

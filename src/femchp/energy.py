@@ -9,7 +9,7 @@ vertex weights w_z = |supp(hat_z)| / (n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -42,20 +42,25 @@ class EnergyModel:
     """Scalar energy profile F plus derivative data used by solvers.
 
     a(t) = F'(t)/t is the nonlinearity weight in the first variation; it is
-    nonnegative for monotone F.  ``coeff`` holds optional positive per-element
-    multipliers c_T.
+    nonnegative for monotone F.  Profiles need F'(0) = 0, so a(0) is the
+    limit F''(0), read from ``a0``; ``a`` itself is evaluated only at t > 0.
+    ``coeff`` holds optional positive per-element multipliers c_T.
     """
 
     name: str
     F: callable
-    F_t: callable
     F_tt: callable
     a: callable
     monotone: bool = True
     strictly_convex: bool = True
-    a_unbounded_at_zero: bool = False
     coeff: np.ndarray | None = None
     params: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def a0(self) -> float:
+        """a(0) = F''(0): 0 for p > 2, 1 for p = 2, +inf for p < 2."""
+        with np.errstate(divide="ignore"):
+            return float(self.F_tt(np.float64(0.0)))
 
     def with_coeff(self, coeff) -> "EnergyModel":
         coeff = np.asarray(coeff, dtype=float)
@@ -63,12 +68,7 @@ class EnergyModel:
             raise ValueError("coefficient table must be one dimensional")
         if not (coeff > 0).all():
             raise ValueError("element coefficients must be positive")
-        return EnergyModel(
-            name=self.name, F=self.F, F_t=self.F_t, F_tt=self.F_tt, a=self.a,
-            monotone=self.monotone, strictly_convex=self.strictly_convex,
-            a_unbounded_at_zero=self.a_unbounded_at_zero, coeff=coeff,
-            params=dict(self.params),
-        )
+        return replace(self, coeff=coeff, params=dict(self.params))
 
     def element_coeff(self, num_elements: int) -> np.ndarray:
         if self.coeff is None:
@@ -89,19 +89,13 @@ def p_dirichlet(p: float, coeff=None) -> EnergyModel:
     def F(t):
         return np.power(t, p) / p
 
-    def F_t(t):
-        return np.power(t, p - 1.0)
-
     def F_tt(t):
         return (p - 1.0) * np.power(t, p - 2.0)
 
     def a(t):
         return np.power(t, p - 2.0)
 
-    model = EnergyModel(
-        name=f"p-laplace:p={p:g}", F=F, F_t=F_t, F_tt=F_tt, a=a,
-        a_unbounded_at_zero=p < 2.0, params={"p": p},
-    )
+    model = EnergyModel(name=f"p-laplace:p={p:g}", F=F, F_tt=F_tt, a=a, params={"p": p})
     return model.with_coeff(coeff) if coeff is not None else model
 
 
@@ -111,43 +105,23 @@ def mean_curvature(coeff=None) -> EnergyModel:
     def F(t):
         return np.sqrt(1.0 + np.asarray(t, dtype=float) ** 2)
 
-    def F_t(t):
-        return t / np.sqrt(1.0 + t ** 2)
-
     def F_tt(t):
         return np.power(1.0 + t ** 2, -1.5)
 
     def a(t):
         return 1.0 / np.sqrt(1.0 + t ** 2)
 
-    model = EnergyModel(name="mean-curvature", F=F, F_t=F_t, F_tt=F_tt, a=a)
+    model = EnergyModel(name="mean-curvature", F=F, F_tt=F_tt, a=a)
     return model.with_coeff(coeff) if coeff is not None else model
 
 
-_ORLICZ = {}
-
-
-def _register_orlicz(name, F, F_t, F_tt, a):
-    _ORLICZ[name] = (F, F_t, F_tt, a)
-
-
-_register_orlicz(
-    "log-cosh",
-    _stable_log_cosh,
-    np.tanh,
-    lambda t: 1.0 - np.tanh(t) ** 2,
-    lambda t: np.where(np.asarray(t, dtype=float) == 0.0, 1.0,
-                       np.tanh(t) / np.where(np.asarray(t, dtype=float) == 0.0, 1.0, t)),
-)
-
-_register_orlicz(
-    "power-log",
-    lambda t: (1.0 + t) * np.log1p(t) - t,
-    np.log1p,
-    lambda t: 1.0 / (1.0 + t),
-    lambda t: np.where(np.asarray(t, dtype=float) == 0.0, 1.0,
-                       np.log1p(t) / np.where(np.asarray(t, dtype=float) == 0.0, 1.0, t)),
-)
+# name: (F, F'', a)
+_ORLICZ = {
+    "log-cosh": (_stable_log_cosh, lambda t: 1.0 - np.tanh(t) ** 2,
+                 lambda t: np.tanh(t) / t),
+    "power-log": (lambda t: (1.0 + t) * np.log1p(t) - t, lambda t: 1.0 / (1.0 + t),
+                  lambda t: np.log1p(t) / t),
+}
 
 
 def orlicz(psi: str, coeff=None) -> EnergyModel:
@@ -158,9 +132,8 @@ def orlicz(psi: str, coeff=None) -> EnergyModel:
     """
     if psi not in _ORLICZ:
         raise ValueError(f"unknown orlicz profile {psi!r}; choices: {', '.join(sorted(_ORLICZ))}")
-    F, F_t, F_tt, a = _ORLICZ[psi]
-    model = EnergyModel(name=f"orlicz:{psi}", F=F, F_t=F_t, F_tt=F_tt, a=a,
-                        params={"psi": psi})
+    F, F_tt, a = _ORLICZ[psi]
+    model = EnergyModel(name=f"orlicz:{psi}", F=F, F_tt=F_tt, a=a, params={"psi": psi})
     return model.with_coeff(coeff) if coeff is not None else model
 
 
@@ -274,7 +247,8 @@ def _safe_a(model: EnergyModel, t: np.ndarray) -> np.ndarray:
     """a(t) with zero-gradient elements masked to 0.
 
     Where t = 0 the gradient factor multiplying a(t) vanishes, so the value
-    is immaterial; masking avoids inf * 0 for profiles with unbounded a.
+    is immaterial; a is evaluated only at t > 0, and the residual needs it
+    unclamped there.
     """
     pos = t > 0.0
     out = np.zeros_like(t)
@@ -283,22 +257,28 @@ def _safe_a(model: EnergyModel, t: np.ndarray) -> np.ndarray:
     return out
 
 
-# relative floor on t where a(t) is unbounded at 0 (p < 2), for the Newton
-# model and the strong-CHP neighbour weights alike
+# relative floor on t where a0 is infinite (p < 2), for the Newton model
+# and the strong-CHP neighbour weights alike
 _A_CLAMP_REL = 1e-8
 
 
-def _clamped_a(model: EnergyModel, t: np.ndarray):
-    """(t_eff, a(t_eff)): a(t) with one clamp policy for models built on it.
+def _newton_weights(model: EnergyModel, t: np.ndarray):
+    """(a, b): the Newton model's weights a(t) and b(t) = (F''(t) - a(t)) / t^2.
 
-    A profile whose a(t) blows up at 0 is evaluated at t clamped from below
-    to 1e-8 * (1 + max t); any other takes a(0) on zero-gradient elements
-    and t_eff = t.  The energy and the residual stay unclamped.
+    The one a(t) policy for models built on a: where a0 is infinite, t is
+    clamped from below to 1e-8 * (1 + max t); otherwise zero-gradient
+    elements take a = a0 and b = 0.  The energy and the residual stay
+    unclamped.
     """
-    if model.a_unbounded_at_zero:
-        te = np.maximum(t, _A_CLAMP_REL * (1.0 + float(t.max(initial=0.0))))
-        return te, model.a(te)
-    return t, np.where(t > 0.0, _safe_a(model, t), float(model.a(0.0)))
+    a0 = model.a0
+    if np.isinf(a0):
+        t = np.maximum(t, _A_CLAMP_REL * (1.0 + float(t.max(initial=0.0))))
+    pos = t > 0.0
+    a = np.full_like(t, a0)
+    a[pos] = model.a(t[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(pos, (model.F_tt(t) - a) / t ** 2, 0.0)
+    return a, b
 
 
 def residual(model: EnergyModel, field: NodalField,

@@ -6,16 +6,17 @@ Boundary rows of the iterate are never touched, so prescribed boundary
 values survive bit for bit.
 
 The iteration starts from the boundary interpolant (zero interior), except
-for profiles with a(0) = 0 (p-Dirichlet with p > 2): there the Hessian
-vanishes wherever the gradient does, so the zero interior would make every
-step singular until the zero region is gone.  Those start from the harmonic
-extension instead, the minimiser of the p = 2 energy with the same element
-coefficients and source, found by one linear solve.
+where the profile has a0 = a(0) = F''(0) = 0 (p-Dirichlet with p > 2):
+there the Hessian vanishes wherever the gradient does, so the zero interior
+would make every step singular until the zero region is gone.  Those start
+from the harmonic extension instead, the minimiser of the p = 2 energy with
+the same element coefficients and source, found by one linear solve.
 
-For profiles whose weight a(t) = F'(t)/t blows up as t -> 0 (p-Dirichlet
-with p < 2) the Hessian evaluation clamps t from below.  The energy and the
-residual are always evaluated unclamped, so the minimiser itself is not
-altered; the clamp only tempers the Newton model in flat regions.
+The Hessian takes its weights a and b from ``energy._newton_weights``, which
+clamps t from below where a0 is infinite (p-Dirichlet with p < 2).  The
+energy and the residual are always evaluated unclamped, so the minimiser
+itself is not altered; the clamp only tempers the Newton model in flat
+regions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.sparse.linalg
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
-                     p_dirichlet, _clamped_a, _gradient_norms)
+                     p_dirichlet, _gradient_norms, _newton_weights)
 
 __all__ = [
     "SolveReport",
@@ -123,10 +124,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     c = model.element_coeff(mesh.num_elements)
 
     G, t = _gradient_norms(field)                        # (E, n, m), (E,)
-    te, a_eff = _clamped_a(model, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_raw = (model.F_tt(te) - a_eff) / te ** 2
-    b_eff = np.where(te > 0.0, b_raw, 0.0)
+    a_eff, b_eff = _newton_weights(model, t)
 
     coef = mesh.volumes * c
     Pf = np.matmul(mesh.gradients, G).reshape(len(G), -1)   # (E, (n+1) m)
@@ -233,7 +231,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     """Minimise the energy over interior values with fixed boundary values.
 
     Returns (field, report).  The initial iterate is the boundary
-    interpolant (zero interior), or, where the profile has a(0) = 0, the
+    interpolant (zero interior), or, where ``model.a0`` is 0, the
     harmonic extension of the boundary values (``report.start`` says
     which).  Stops once the residual sup-norm is at most tol and the last
     step changed the energy by less than 1e-15 relatively; the returned
@@ -245,7 +243,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     interior = mesh.interior_nodes
     boundary_vals = vals[mesh.boundary_nodes].copy()
     start_kind = "interpolant"
-    if len(interior) and _clamped_a(model, np.zeros(1))[1][0] == 0.0:
+    if len(interior) and model.a0 == 0.0:
         vals[interior] = _harmonic_start(model, start, source)
         start_kind = "harmonic"
 

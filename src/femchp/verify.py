@@ -15,7 +15,8 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import NodalField
-from .energy import EnergyModel, SourceTerm, LumpedTerm, p_dirichlet, _clamped_a
+from .energy import (EnergyModel, SourceTerm, LumpedTerm, p_dirichlet,
+                     _gradient_norms, _newton_weights)
 from . import convex
 
 __all__ = [
@@ -212,11 +213,10 @@ class BetaWeights:
 def _a_stiffness(mesh: Mesh, field: NodalField, model: EnergyModel):
     """V x V matrix A[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k.
 
-    a(t) is clamped as in the Hessian, and A comes from the same cached
-    scatter.  A is symmetric, so column z of its CSC arrays is row z.
+    a(t) comes from the Hessian's ``_newton_weights``, and A from the same
+    cached scatter.  A is symmetric, so column z of its CSC arrays is row z.
     """
-    G = field.element_gradients()
-    _, a = _clamped_a(model, np.sqrt(np.einsum("enm,enm->e", G, G)))
+    a, _ = _newton_weights(model, _gradient_norms(field)[1])
     w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
     S = mesh.gradient_grams * w[:, None, None]
     return mesh.assemble(S[:, :, None, :, None], interior=False)

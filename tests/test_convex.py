@@ -6,9 +6,9 @@ from femchp import convex
 from femchp.convex import (
     CertificateError,
     _project_hull,
+    _worst_gaps,
     boundary_hull,
     certificate_stats,
-    check_variational_inequality,
     finite_hull,
     hull_with_origin,
     is_extreme,
@@ -106,7 +106,7 @@ def test_interval_clip_matches_active_set():
         gens = rng.normal(size=(int(rng.integers(1, 6)), 1)) * 3.0
         K = finite_hull(gens)
         X = rng.normal(size=(20, 1)) * 5.0
-        ref = _project_hull(K.generators, X)
+        ref = _project_hull(K.generators, X)[0]
         assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-14)
 
 
@@ -138,8 +138,8 @@ def test_lockstep_batch_matches_rows_alone(name):
         centroid + 0.3 * rng.normal(size=(12, m)),  # a mix near the hull
     ])
     X = X[rng.permutation(len(X))]
-    batch = _project_hull(G, X)
-    alone = np.array([_project_hull(G, x[None])[0] for x in X])
+    batch = _project_hull(G, X)[0]
+    alone = np.array([_project_hull(G, x[None])[0][0] for x in X])
     assert_allclose(batch, alone, rtol=0.0, atol=1e-13)
     reset_certificate_stats()
     assert_allclose(project(finite_hull(G), X), batch, rtol=0.0, atol=1e-13)
@@ -158,8 +158,11 @@ def test_blocks_match_one_block(monkeypatch):
     # a row failing in a later block is reported by its row in the batch
     inside = np.tile([0.5, 0.5], (12, 1))
     inside[7] = [5.0, 5.0]
-    monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X, off: np.where(X > 4.0, G[0], X))
+    # its weights are true: (0.5, 0.5) = 0.5 g0 + 0.25 g1 + 0.25 g2, and g0
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+        np.where(X > 4.0, G[0], X), np.tile([0, 1, 2, -1], (len(X), 1)),
+        np.where((X > 4.0).all(axis=1)[:, None], [1.0, 0.0, 0.0, 0.0],
+                 [0.5, 0.25, 0.25, 0.0])))
     with pytest.raises(CertificateError, match="row 7:"):
         project(K, inside)
     assert certificate_stats().projections == 2 * len(X) + 12
@@ -326,29 +329,67 @@ def test_thin_simplices_keep_their_accuracy():
 
 
 def test_variational_inequality_measure():
-    K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    x = np.array([2.0, 2.0])
-    good = check_variational_inequality(K, x, np.array([1.0, 1.0]))
+    G = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    x = np.array([[2.0, 2.0]])
+    good = _worst_gaps(G, x, np.array([[1.0, 1.0]]))[0]
     assert good <= 1e-12
     # an interior point pretending to be the projection violates the VI
-    bad = check_variational_inequality(K, x, np.array([0.5, 0.5]))
+    bad = _worst_gaps(G, x, np.array([[0.5, 0.5]]))[0]
     assert bad > 0.1
     # a batch gives one slack per row
-    both = check_variational_inequality(K, np.array([x, x]), np.array([[1.0, 1.0], [0.5, 0.5]]))
+    both = _worst_gaps(G, np.vstack([x, x]), np.array([[1.0, 1.0], [0.5, 0.5]]))
     assert_allclose(both, [good, bad], atol=1e-15)
     # the interval [-1, 3]: a point left of its claimed projection is caught
     # by the generator -1, (1 - 3) * (-1 - 3) = 8; a point inside has slack 0
-    H = finite_hull(np.array([[-1.0], [3.0]]))
-    assert check_variational_inequality(H, [1.0], [3.0]) == 8.0
-    assert check_variational_inequality(H, [1.0], [1.0]) == 0.0
+    H = np.array([[-1.0], [3.0]])
+    assert _worst_gaps(H, np.array([[1.0]]), np.array([[3.0]]))[0] == 8.0
+    assert _worst_gaps(H, np.array([[1.0]]), np.array([[1.0]]))[0] == 0.0
 
 
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X, off: G[np.zeros(len(X), dtype=int)])
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+        G[np.zeros(len(X), dtype=int)], np.tile([0, -1, -1, -1], (len(X), 1)),
+        np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))))
     with pytest.raises(CertificateError):
         project(K, np.array([[0.0, 0.0], [2.0, 2.0]]))
+
+
+def test_projection_left_unmoved_raises(monkeypatch):
+    # the variational inequality alone holds trivially at Px = x; the
+    # weights of the real projection no longer reproduce it
+    K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
+    real = convex._project_hull
+    monkeypatch.setattr(convex, "_project_hull",
+                        lambda G, X, off: (X,) + real(G, X, off)[1:])
+    assert_allclose(project(K, [0.5, 0.5]), [0.5, 0.5], atol=0.0)
+    with pytest.raises(CertificateError, match="membership failed for row 1:"):
+        project(K, np.array([[0.5, 0.5], [3.0, 3.0]]))
+
+
+@pytest.mark.parametrize("act, lam", [
+    ([0, 1, 2, 3], [-0.5, 1.0, 0.5, 0.0]),     # a negative weight
+    ([1, 3, -1, -1], [0.5, 0.5, 1e-16, 0.0]),  # weight on a free slot
+    ([1, 3, 0, -1], [0.5, 0.5, 1e-11, 0.0]),   # weights summing to 1 + 1e-11
+])
+def test_bad_weights_raise(monkeypatch, act, lam):
+    # (2, 1) is the true projection of (3, 1) onto the square and each
+    # weight set reproduces it within 1e-15, yet none is a convex combination
+    K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+        np.array([[2.0, 1.0]]), np.array([act]), np.array([lam])))
+    with pytest.raises(CertificateError, match="membership failed for row 0:"):
+        project(K, np.array([[3.0, 1.0]]))
+
+
+def test_weight_on_an_unseen_generator_raises(monkeypatch):
+    # the census row (1, 1) does not see its own value among the generators;
+    # Px = x with all weight on that value reproduces x but is not a member
+    points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+        X.copy(), np.array([[3, -1, -1, -1]]), np.array([[1.0, 0.0, 0.0, 0.0]])))
+    with pytest.raises(CertificateError, match="membership failed for row 0:"):
+        is_extreme(points, 3, 1e-9)
 
 
 def test_certificate_stats_accumulate():

@@ -54,13 +54,12 @@ def test_profile_values():
     pl = orlicz("power-log")
     assert pl.F(np.array([0.0]))[0] == 0.0
     assert_allclose(pl.F(np.array([1.0]))[0], 2.0 * np.log(2.0) - 1.0, atol=1e-15)
-    assert_allclose(pl.F_t(np.array([3.0]))[0], np.log(4.0), atol=1e-15)
+    assert_allclose(3.0 * pl.a(np.array([3.0]))[0], np.log(4.0), atol=1e-15)
 
 
 def test_profile_flags():
-    assert p_dirichlet(1.5).a_unbounded_at_zero
-    assert not p_dirichlet(2.0).a_unbounded_at_zero
-    assert not p_dirichlet(3.0).a_unbounded_at_zero
+    # a(0) = F''(0): the floats the Newton weights and the start rule use
+    assert [m.a0 for m in ALL_MODELS] == [np.inf, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     for model in ALL_MODELS:
         assert model.monotone
         assert model.strictly_convex

@@ -1,0 +1,45 @@
+"""Every name a package module imports is used there or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import femchp
+
+PACKAGE = Path(femchp.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's imports that it neither uses nor lists
+    in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used | exported)
+
+
+def test_unused_import_detector():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\nfrom x import (a, b as c, d)\n"
+              "__all__ = ['d']\nnp.zeros(a)\n")
+    assert unused_imports(source) == ["c", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

@@ -7,9 +7,9 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp.energy import (
+    EnergyModel,
     LumpedTerm,
     SourceTerm,
-    _clamped_a,
     _safe_a,
     energy_value,
     mean_curvature,
@@ -28,6 +28,7 @@ from femchp.solver import (
     minimize,
     solve_quadratic_oracle,
 )
+from femchp.verify import _a_stiffness, verify_chp
 
 ALL_MODELS = [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
               p_dirichlet(10.0), mean_curvature(),
@@ -78,8 +79,10 @@ def _reference_kernels(model, field, source=None, lumped=None):
     np.add.at(r, mesh.elements.ravel(),
               ((coef * _safe_a(model, t))[:, None, None] * P).reshape(-1, m))
 
-    te, a = _clamped_a(model, t)
+    # a(t) policy derived here from a0, apart from energy._newton_weights
+    te = np.maximum(t, 1e-8 * (1.0 + t.max())) if np.isinf(model.a0) else t
     with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(te > 0.0, model.a(te), model.a0)
         b = np.where(te > 0.0, (model.F_tt(te) - a) / te ** 2, 0.0)
     S = np.einsum("ein,ekn->eik", mesh.gradients, mesh.gradients)
     eye = np.eye(m)
@@ -484,3 +487,59 @@ def test_mesh_without_interior_nodes_solves(ref_triangle):
         assert rep.converged and rep.iterations == 0
         assert rep.start == "interpolant"
         assert_array_equal(fld.values, interpolate_boundary(ref_triangle, bc, 2).values)
+
+
+def _scalar_stiffness(mesh):
+    """Dense V x V P1 stiffness, summed element by element."""
+    K = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    np.add.at(K, (mesh.elements[:, :, None], mesh.elements[:, None, :]),
+              mesh.volumes[:, None, None] * mesh.gradient_grams)
+    return K
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.name)
+def test_constant_field_takes_the_zero_gradient_weights(model):
+    # on these meshes the P1 gradient of a constant field is exactly zero, so
+    # every element takes the zero-gradient branch: a = a0, or a(1e-8) where
+    # a0 is infinite, and b = 0
+    a_eff = model.a0 if np.isfinite(model.a0) else model.a(np.array([1e-8]))[0]
+    for gen, n in (("right2d", 4), ("crisscross2d", 4), ("kuhn3d", 2)):
+        mesh = build_structured_mesh(gen, n)
+        K = _scalar_stiffness(mesh)
+        Ki = K[np.ix_(mesh.interior_nodes, mesh.interior_nodes)]
+        for m in (1, 2, 3):
+            fld = NodalField(mesh, np.tile([0.3, -2.7, 1e3 / 7][:m], (mesh.num_vertices, 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                r = residual(model, fld)
+                H = assemble_hessian(model, fld).toarray()
+                A = _a_stiffness(mesh, fld, model).toarray()
+            assert not r.any()
+            atol = 1e-14 * a_eff * np.abs(K).max()
+            assert_allclose(H, a_eff * np.kron(Ki, np.eye(m)), rtol=0.0, atol=atol)
+            assert_allclose(A, a_eff * K, rtol=0.0, atol=atol)
+
+
+def test_hand_built_models_need_no_flags():
+    # F = t^4/4 + t^2/2: F'' = 3 t^2 + 1 and a = t^2 + 1, so a0 = 1
+    quartic = EnergyModel(name="quartic", F=lambda t: t ** 4 / 4.0 + t ** 2 / 2.0,
+                          F_tt=lambda t: 3.0 * t ** 2 + 1.0, a=lambda t: t ** 2 + 1.0)
+    assert quartic.a0 == 1.0
+    mesh = build_structured_mesh("crisscross2d", 6)
+    bc = BoundaryData.random_uniform(5, -1.0, 1.0)
+    fld, rep = minimize(quartic, mesh, bc, m=2)
+    assert rep.converged and rep.start == "interpolant"
+    assert verify_chp(mesh, fld).outcome == "pass"
+
+    # F = t^1.5 / 1.5: a0 = +inf, so the Hessian clamps t at the zero-interior
+    # start, as the catalogue p = 1.5 does
+    p15 = EnergyModel(name="p15", F=lambda t: t ** 1.5 / 1.5,
+                      F_tt=lambda t: 0.5 * t ** -0.5, a=lambda t: t ** -0.5)
+    assert p15.a0 == np.inf
+    start = interpolate_boundary(mesh, bc, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        H = assemble_hessian(p15, start)
+    assert np.isfinite(H.data).all() and (H.diagonal() > 0.0).all()
+    ref = assemble_hessian(p_dirichlet(1.5), start)
+    assert_allclose(H.toarray(), ref.toarray(), rtol=1e-14, atol=0.0)
