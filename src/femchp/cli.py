@@ -224,27 +224,29 @@ def cmd_verify(args) -> int:
 
     print(report.to_text())
     if args.csv:
-        row = _verify_csv_row(mesh, report)
-        _append_csv(args.csv, [row])
+        _write_csv(args.csv, [_csv_row(mesh, report)], "a")
         print(f"appended row -> {args.csv}")
     return _OUTCOME_EXIT[report.outcome]
 
 
-def _verify_csv_row(mesh: Mesh, report) -> str:
-    fields = ["", "", "", "", "", str(mesh.num_vertices), str(mesh.num_elements),
-              report.mesh_class, "", "", "", "",
-              report.theorem, report.outcome, _fmt(report.violation), _fmt(report.tol)]
-    return ",".join(fields)
+def _csv_row(mesh: Mesh, report, combo=("",) * 5, solve=None) -> str:
+    """One v1 CSV row.  ``combo`` is (generator, resolution, energy, m, seed)
+    and ``solve`` the SolveReport; ``verify`` has neither and leaves their
+    columns empty."""
+    solved = ("",) * 4 if solve is None else (
+        str(solve.converged), str(solve.iterations),
+        _fmt(solve.residual_norm), _fmt(solve.energy))
+    return ",".join([*map(str, combo), str(mesh.num_vertices), str(mesh.num_elements),
+                     report.mesh_class, *solved,
+                     report.theorem, report.outcome, _fmt(report.violation), _fmt(report.tol)])
 
 
-def _append_csv(path, rows) -> None:
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write(CSV_HEADER_COMMENT + "\n")
-            fh.write(CSV_COLUMNS + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _write_csv(path, rows, mode) -> None:
+    """Write ``rows`` with open mode ``mode``; the header goes only into an empty file."""
+    with open(path, mode) as fh:
+        if fh.tell() == 0:
+            fh.write(CSV_HEADER_COMMENT + "\n" + CSV_COLUMNS + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 # -- experiment driver -------------------------------------------------------
@@ -344,14 +346,28 @@ def _combo_bc(bc_text: str, seed: int) -> BoundaryData:
     return bc
 
 
-def _run_combo(spec, mesh, energy_text, m, seed):
+def _run_combo(spec, mesh, combo):
+    """Solve one combination and check each theorem of the spec on its solution.
+
+    Returns the combination's CSV rows, whether a checked claim failed and
+    whether the solve converged.
+    """
+    energy_text, m, seed = combo[2:]
     model = parse_energy(energy_text)
-    bc = _combo_bc(spec["bc"], seed)
     source = parse_source(spec["source"], mesh) if spec["source"] else None
     lumped = LumpedTerm.from_mesh(mesh, spec["lumped_q"]) if spec["lumped_q"] is not None else None
-    field, report = minimize(model, mesh, bc, m=m, source=source, lumped=lumped,
-                             tol=spec["solver_tol"], max_iters=spec["max_iters"])
-    return field, report, model, source, lumped
+    field, solve = minimize(model, mesh, _combo_bc(spec["bc"], seed), m=m, source=source,
+                            lumped=lumped, tol=spec["solver_tol"], max_iters=spec["max_iters"])
+
+    def extra_input(what):
+        if what == "K":
+            return convex.boundary_hull(field)
+        return {"source": source, "model": model}[what]
+
+    reports = [_check_theorem(theorem, mesh, field, spec["verify_tol"], extra_input)
+               for theorem in spec["theorems"]]
+    return ([_csv_row(mesh, rep, combo, solve) for rep in reports],
+            any(rep.outcome == verify_mod.FAIL for rep in reports), solve.converged)
 
 
 def cmd_experiment(args) -> int:
@@ -384,51 +400,22 @@ def cmd_experiment(args) -> int:
 
     threads = max(1, int(os.environ.get("FEMCHP_THREADS", "1")))
 
-    def solve_one(combo):
-        name, res, energy, m, seed = combo
-        return _run_combo(spec, meshes[(name, res)], energy, m, seed)
+    def run(combo):
+        return _run_combo(spec, meshes[combo[:2]], combo)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, combos))
+            done = list(pool.map(run, combos))
     else:
-        solved = [solve_one(c) for c in combos]
+        done = [run(c) for c in combos]
 
-    rows = []
-    any_fail = False
-    any_noconv = False
-    for combo, (field, report, model, source, lumped) in zip(combos, solved):
-        name, res, energy_text, m, seed = combo
-        mesh = meshes[(name, res)]
-        any_noconv = any_noconv or not report.converged
-
-        def extra_input(what):
-            if what == "K":
-                return convex.boundary_hull(field)
-            return {"source": source, "model": model}[what]
-
-        for theorem in spec["theorems"]:
-            rep = _check_theorem(theorem, mesh, field, spec["verify_tol"], extra_input)
-            any_fail = any_fail or rep.outcome == verify_mod.FAIL
-            rows.append(",".join([
-                name, str(res), energy_text, str(m), str(seed),
-                str(mesh.num_vertices), str(mesh.num_elements), rep.mesh_class,
-                str(report.converged), str(report.iterations),
-                _fmt(report.residual_norm), _fmt(report.energy),
-                rep.theorem, rep.outcome, _fmt(rep.violation), _fmt(rep.tol),
-            ]))
-
-    out = spec["out"]
-    with open(out, "w") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        fh.write(CSV_COLUMNS + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    print(f"wrote {len(rows)} rows -> {out}")
-    if any_fail:
+    rows = [row for combo_rows, _, _ in done for row in combo_rows]
+    _write_csv(spec["out"], rows, "w")
+    print(f"wrote {len(rows)} rows -> {spec['out']}")
+    if any(failed for _, failed, _ in done):
         print("at least one verified claim FAILED", file=sys.stderr)
         return EXIT_CLAIM_FAILED
-    if any_noconv:
+    if not all(converged for _, _, converged in done):
         print("at least one solve did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -20,6 +20,7 @@ counts once and the worst slack seen is kept, both read through
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,15 @@ class CertificateStats:
 
     def record(self, slacks: np.ndarray):
         """Count one certified projection per entry of ``slacks``."""
-        self.projections += len(slacks)
-        if len(slacks):
-            self.worst_slack = max(self.worst_slack, float(slacks.max()))
+        with _STATS_LOCK:
+            self.projections += len(slacks)
+            if len(slacks):
+                self.worst_slack = max(self.worst_slack, float(slacks.max()))
 
 
 _STATS = CertificateStats()
+# ``experiment`` checks theorems in worker threads, which all record here
+_STATS_LOCK = threading.Lock()
 
 
 def certificate_stats() -> CertificateStats:

@@ -129,6 +129,10 @@ class BoundaryData:
             if center is None:
                 center = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
             center = np.asarray(center, dtype=float)
+            if center.shape != (mesh.dim,):
+                raise ValueError(
+                    f"abs-distance center has {center.size} coordinates, mesh has dimension {mesh.dim}"
+                )
             d = np.linalg.norm(pts - center[None, :], axis=1)
             return np.repeat(d[:, None], m, axis=1)
 

@@ -267,24 +267,18 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         report.residual_norm = rn
         report.energy = E
 
-        if rn <= tol and (rel_dec is None or rel_dec < _STAGNATION_REL):
+        flat = rel_dec is not None and rel_dec < _STAGNATION_REL
+        if rn <= tol and (rel_dec is None or flat):
             report.converged = True
             report.status = "converged"
             break
-        if rel_dec is not None and rel_dec < _STAGNATION_REL:
-            # the energy no longer changes at floating point resolution; keep
-            # stepping only while the residual still improves clearly, else
-            # further iterations cannot make progress
-            if prev_rn is not None and rn < 0.5 * prev_rn:
-                stall = 0
-            else:
-                stall += 1
-            if stall >= 2:
-                report.converged = False
-                report.status = "stagnated"
-                break
-        else:
-            stall = 0
+        # once the energy no longer changes at floating point resolution, keep
+        # stepping only while the residual still improves clearly, else
+        # further iterations cannot make progress
+        stall = stall + 1 if flat and not rn < 0.5 * prev_rn else 0
+        if stall >= 2:
+            report.status = "stagnated"
+            break
         if it == max_iters:
             report.converged = rn <= tol
             report.status = "max-iterations"

@@ -68,10 +68,6 @@ class VerifyReport:
             return HYPOTHESIS_NOT_MET
         return PASS if self.conclusion_holds else FAIL
 
-    @property
-    def passed(self) -> bool:
-        return self.outcome == PASS
-
     def to_text(self) -> str:
         lines = [
             f"theorem = {self.theorem}",
@@ -92,37 +88,41 @@ def _check_pair(mesh: Mesh, field: NodalField):
         raise ValueError("field is attached to a different mesh")
 
 
-def _worst_interior(mesh: Mesh, field: NodalField, K):
-    """Largest distance from an interior value to K, and its node (or None)."""
+def _interior_report(theorem: str, mesh: Mesh, field: NodalField, K, tol: float,
+                     hypotheses: dict, details: dict) -> VerifyReport:
+    """Report on the claim that every interior value lies within tol of K.
+
+    The claim needs a non-obtuse mesh on top of ``hypotheses``.  Violation
+    is the largest Euclidean distance from an interior nodal value to K,
+    each found by a certified projection, and the worst index is that
+    value's node (None without interior nodes).
+    """
+    angle = mesh.angle_report()
     worst, row = convex.worst_distance(K, field.values[mesh.interior_nodes])
-    return worst, None if row is None else int(mesh.interior_nodes[row])
+    return VerifyReport(
+        theorem=theorem,
+        mesh_class=angle.mesh_class,
+        conclusion_holds=worst <= tol,
+        violation=worst,
+        tol=tol,
+        worst_index=None if row is None else int(mesh.interior_nodes[row]),
+        hypotheses={"mesh-non-obtuse": angle.is_non_obtuse, **hypotheses},
+        details=details,
+    )
 
 
 def verify_chp(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> VerifyReport:
     """Interior values lie in the convex hull of the boundary values.
 
-    Violation is the largest Euclidean distance from an interior nodal value
-    to the hull.  Requires a non-obtuse mesh; on an obtuse mesh the result
-    is flagged hypothesis-not-met rather than pass/fail.
+    On an obtuse mesh the result is flagged hypothesis-not-met rather than
+    pass/fail.
     """
     _check_pair(mesh, field)
-    angle = mesh.angle_report()
     hull = convex.boundary_hull(field)
-    worst, worst_node = _worst_interior(mesh, field, hull)
-
-    return VerifyReport(
-        theorem=CHP,
-        mesh_class=angle.mesh_class,
-        conclusion_holds=worst <= tol,
-        violation=worst,
-        tol=tol,
-        worst_index=worst_node,
-        hypotheses={"mesh-non-obtuse": angle.is_non_obtuse},
-        details={
-            "interior_nodes": len(mesh.interior_nodes),
-            "hull_generators": len(hull.generators),
-        },
-    )
+    return _interior_report(CHP, mesh, field, hull, tol, {}, {
+        "interior_nodes": len(mesh.interior_nodes),
+        "hull_generators": len(hull.generators),
+    })
 
 
 def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
@@ -131,63 +131,30 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
 
     Scalar fields only.  The target set is the interval from the smallest
     nodal value to the boundary maximum: no value lies below it, so the
-    distances are those to the half-line (-inf, boundary max], and each
-    interior value is checked through a certified projection.
+    distances are those to the half-line (-inf, boundary max].
     """
     _check_pair(mesh, field)
     if field.m != 1:
         raise ValueError("the maximum principle check needs a scalar field (m=1)")
-    angle = mesh.angle_report()
-
     bmax = float(field.values[mesh.boundary_nodes, 0].max())
     vmin = float(field.values[:, 0].min())
-    worst, worst_node = _worst_interior(mesh, field, convex.finite_hull([[vmin], [bmax]]))
-
-    hyps = {
-        "mesh-non-obtuse": angle.is_non_obtuse,
-        "source-nonpositive": source.nonpositive if source is not None else True,
-    }
-    return VerifyReport(
-        theorem=DMP,
-        mesh_class=angle.mesh_class,
-        conclusion_holds=worst <= tol,
-        violation=worst,
-        tol=tol,
-        worst_index=worst_node,
-        hypotheses=hyps,
-        details={"boundary_max": bmax},
-    )
+    return _interior_report(
+        DMP, mesh, field, convex.finite_hull([[vmin], [bmax]]), tol,
+        {"source-nonpositive": source.nonpositive if source is not None else True},
+        {"boundary_max": bmax})
 
 
-def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8,
-                          track_plain_hull: bool = False) -> VerifyReport:
+def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> VerifyReport:
     """Interior values lie in the hull of boundary values and the origin.
 
     This is the hull property matching energies with a lumped zero-order
-    term, which pulls values toward the origin.  With track_plain_hull the
-    report also records how far interior values escape the plain boundary
-    hull (evidence that adding the origin is genuinely needed).
+    term, which pulls values toward the origin.  How far interior values
+    escape the plain boundary hull is ``verify_chp``'s violation.
     """
     _check_pair(mesh, field)
-    angle = mesh.angle_report()
     hull = convex.boundary_hull(field, include_origin=True)
-    worst, worst_node = _worst_interior(mesh, field, hull)
-
-    details = {"hull_generators": len(hull.generators)}
-    if track_plain_hull:
-        details["plain_hull_escape"], _ = _worst_interior(
-            mesh, field, convex.boundary_hull(field))
-
-    return VerifyReport(
-        theorem=HULL_WITH_ZERO,
-        mesh_class=angle.mesh_class,
-        conclusion_holds=worst <= tol,
-        violation=worst,
-        tol=tol,
-        worst_index=worst_node,
-        hypotheses={"mesh-non-obtuse": angle.is_non_obtuse},
-        details=details,
-    )
+    return _interior_report(HULL_WITH_ZERO, mesh, field, hull, tol, {},
+                            {"hull_generators": len(hull.generators)})
 
 
 @dataclass(frozen=True)

@@ -179,10 +179,9 @@ def test_criterion_5_lumped_hull_with_origin(capsys):
                 bc = BoundaryData.random_uniform(seed, 2.0, 3.0)
                 field, rep = minimize(parse_energy("p-laplace:p=2"),
                                       mesh, bc, m=m, lumped=lum)
-                out = verify_hull_with_zero(mesh, field, tol=1e-6,
-                                            track_plain_hull=True)
+                out = verify_hull_with_zero(mesh, field, tol=1e-6)
                 rows.append((out.outcome, out.violation, rep.converged))
-                escapes += out.details["plain_hull_escape"] > 1e-9
+                escapes += verify_chp(mesh, field).violation > 1e-9
     ok = all(r[0] == "pass" and r[2] for r in rows) and escapes > 0
     worst = max(r[1] for r in rows)
     _emit(capsys, 5, ok,

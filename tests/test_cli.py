@@ -85,6 +85,13 @@ def test_solve_bad_bc_and_source(tmp_path):
                      "--bc", "sin-product", "--lumped-q", q]) == EXIT_INPUT
 
 
+def test_solve_rejects_abs_distance_center_of_wrong_length(capsys):
+    for center in ("0.5", "0.5,0.5,0.5"):
+        assert main(["solve", "--generator", "right2d", "-n", "2",
+                     "--bc", f"abs-distance:{center}"]) == EXIT_INPUT
+        assert "mesh has dimension 2" in capsys.readouterr().err
+
+
 def test_solve_steep_energy_reports_no_convergence():
     # the default tolerance sits below the floating point residual floor of
     # this energy on random data, so the solver stops without converging
@@ -210,6 +217,70 @@ def test_experiment_small_run_is_deterministic(tmp_path, monkeypatch):
     assert lines[0] == CSV_HEADER_COMMENT
     assert len(lines) == 4   # header, columns, one row per seed
     assert all(",pass," in ln for ln in lines[2:])
+
+
+THREADED_SPECS = {
+    "chp-lemma-strong": (
+        "generators = equilateral2d:4, right2d:4\n"
+        "energies = p-laplace:p=2, p-laplace:p=3\n"
+        "bc = random:lo=-1,hi=1\n"
+        "m = 1, 2\n"
+        "seeds = 1, 2\n"
+        "theorems = chp, lemma-pos, strong-chp\n", 48),
+    "dmp": (
+        "generators = right2d:4\n"
+        "energies = p-laplace:p=2\n"
+        "bc = random:lo=-1,hi=1\n"
+        "m = 1\n"
+        "seeds = 1, 2\n"
+        "theorems = dmp\n"
+        "source = const:-1\n", 2),
+    "hull0": (
+        "generators = right2d:4\n"
+        "energies = p-laplace:p=2\n"
+        "bc = random:lo=2,hi=3\n"
+        "m = 1, 2\n"
+        "seeds = 1, 2\n"
+        "theorems = hull0\n"
+        "lumped_q = 2\n", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADED_SPECS))
+def test_experiment_checks_every_theorem_in_the_pool(tmp_path, monkeypatch, name):
+    # each combination is solved and checked in a worker thread; the rows,
+    # strong-chp's lazily built scatter included, match the serial run's bytes
+    text, n_rows = THREADED_SPECS[name]
+    spec = tmp_path / "s.spec"
+    spec.write_text(text)
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    monkeypatch.delenv("FEMCHP_THREADS", raising=False)
+    assert main(["experiment", str(spec), "--out", str(serial)]) == EXIT_OK
+    monkeypatch.setenv("FEMCHP_THREADS", "4")
+    assert main(["experiment", str(spec), "--out", str(threaded)]) == EXIT_OK
+    assert serial.read_bytes() == threaded.read_bytes()
+    assert len(serial.read_text().splitlines()) == 2 + n_rows
+
+
+def test_verify_row_matches_experiment_row(tmp_path, solved_pair):
+    mesh_path, field_path = solved_pair
+    verify_csv, experiment_csv = tmp_path / "verify.csv", tmp_path / "experiment.csv"
+    assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
+                 "--field", str(field_path), "--csv", str(verify_csv)]) == EXIT_OK
+    spec = tmp_path / "s.spec"
+    spec.write_text("generators = right2d:4\n"
+                    "energies = p-laplace:p=2\n"
+                    "bc = random:lo=-1,hi=1\n"
+                    "m = 2\n"
+                    "seeds = 2\n"
+                    "theorems = chp\n")
+    assert main(["experiment", str(spec), "--out", str(experiment_csv)]) == EXIT_OK
+    (v_row,) = [ln.split(",") for ln in verify_csv.read_text().splitlines()[2:]]
+    (e_row,) = [ln.split(",") for ln in experiment_csv.read_text().splitlines()[2:]]
+    filled = (5, 6, 7, 12, 13, 14, 15)   # vertices .. mesh_class, theorem .. tol
+    assert len(v_row) == len(e_row) == 16
+    assert [v_row[i] for i in filled] == [e_row[i] for i in filled]
+    assert all(v_row[i] == "" for i in range(16) if i not in filled)
 
 
 def test_experiment_gates_lemma_pos_on_obtuse_mesh(tmp_path):

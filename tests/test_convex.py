@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -408,6 +411,31 @@ def test_certificate_stats_accumulate():
     assert stats.worst_slack <= 0.0
     reset_certificate_stats()
     assert certificate_stats().projections == 0
+
+
+def test_certificate_stats_lose_no_update_across_threads():
+    # experiment's worker threads all record into the process-wide stats;
+    # each thread records rising slacks, so an update lost between reading
+    # and writing worst_slack would leave it below the largest one recorded
+    workers, calls = 8, 3000
+
+    def record_rising(stats, k):
+        for i in range(calls):
+            stats.record(np.array([float(i * workers + k), -1.0]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            stats = reset_certificate_stats()
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for fut in [pool.submit(record_rising, stats, k) for k in range(workers)]:
+                    fut.result(timeout=60)
+            assert stats.projections == 2 * workers * calls
+            assert stats.worst_slack == float(calls * workers - 1)
+    finally:
+        sys.setswitchinterval(old)
+        reset_certificate_stats()
 
 
 def test_project_field_and_boundary_hull(right2d_n2):

@@ -79,6 +79,14 @@ def test_boundary_abs_distance(right2d_n2):
     assert_allclose(vals[:, 0], np.linalg.norm(pts, axis=1), atol=1e-14)
 
 
+@pytest.mark.parametrize("center", [[0.5], [0.5, 0.5, 0.5]])
+def test_boundary_abs_distance_center_length(right2d_n2, center):
+    # a wrong-length center is rejected, neither broadcast nor a numpy error
+    bc = BoundaryData.abs_distance(center)
+    with pytest.raises(ValueError, match=f"{len(center)} coordinates.*dimension 2"):
+        bc.boundary_values(right2d_n2, 1)
+
+
 def test_boundary_random_deterministic(right2d_n2):
     a = BoundaryData.random_uniform(7, -1.0, 1.0).boundary_values(right2d_n2, 3)
     b = BoundaryData.random_uniform(7, -1.0, 1.0).boundary_values(right2d_n2, 3)
