@@ -26,7 +26,7 @@ from .solver import (
     solve_quadratic_oracle, assemble_hessian,
 )
 from .verify import (
-    VerifyReport, BetaWeights,
+    VerifyReport,
     verify_chp, verify_dmp, verify_hull_with_zero, verify_strong_chp,
     verify_lemma_pos, beta_weights, search_lemma_violation, THEOREMS,
 )

@@ -403,11 +403,8 @@ def cmd_experiment(args) -> int:
     def run(combo):
         return _run_combo(spec, meshes[combo[:2]], combo)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, combos))
-    else:
-        done = [run(c) for c in combos]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        done = list(pool.map(run, combos))
 
     rows = [row for combo_rows, _, _ in done for row in combo_rows]
     _write_csv(spec["out"], rows, "w")

@@ -201,10 +201,6 @@ def _pcg(H, g, eta):
     return d, "newton", k, -(g + res)
 
 
-def _direction(model, field, lumped, g, eta):
-    return _pcg(assemble_hessian(model, field, lumped=lumped), g, eta)
-
-
 def _harmonic_start(model, start, source):
     """Interior values of the p = 2 minimiser with the model's coefficients.
 
@@ -234,8 +230,9 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     interpolant (zero interior), or, where ``model.a0`` is 0, the
     harmonic extension of the boundary values (``report.start`` says
     which).  Stops once the residual sup-norm is at most tol and the last
-    step changed the energy by less than 1e-15 relatively; the returned
-    report never claims convergence with a residual above tol.
+    step changed the energy by less than 1e-15 relatively.  Whatever ends
+    the iteration, ``report.converged`` holds, and the status is
+    "converged", exactly when the final residual sup-norm is at most tol.
     """
     t0 = time.perf_counter()
     start = interpolate_boundary(mesh, boundary, m)
@@ -259,9 +256,9 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     eta = _ETA_MAX
     model_norm = None       # |g + s H d| of the last step's linear model
 
+    fld = NodalField(mesh, vals)
+    r = residual(model, fld, source=source, lumped=lumped)
     for it in range(max_iters + 1):
-        fld = NodalField(mesh, vals)
-        r = residual(model, fld, source=source, lumped=lumped)
         rn = float(np.abs(r).max()) if r.size else 0.0
         report.iterations = it
         report.residual_norm = rn
@@ -269,8 +266,6 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
 
         flat = rel_dec is not None and rel_dec < _STAGNATION_REL
         if rn <= tol and (rel_dec is None or flat):
-            report.converged = True
-            report.status = "converged"
             break
         # once the energy no longer changes at floating point resolution, keep
         # stepping only while the residual still improves clearly, else
@@ -280,8 +275,6 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
             report.status = "stagnated"
             break
         if it == max_iters:
-            report.converged = rn <= tol
-            report.status = "max-iterations"
             break
         prev_rn = rn
 
@@ -291,7 +284,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
             # Eisenstat-Walker choice 1, safeguarded against a sudden drop
             guard = eta ** _GOLDEN if eta ** _GOLDEN > 0.1 else 0.0
             eta = min(max(abs(g_norm - model_norm) / prev_norm, guard, _ETA_MIN), _ETA_MAX)
-        d_flat, kind, its, Hd = _direction(model, fld, lumped, r_flat, eta)
+        d_flat, kind, its, Hd = _pcg(assemble_hessian(model, fld, lumped=lumped), r_flat, eta)
         report.cg_iterations += its
         slope = float(r_flat @ d_flat)
         dmat = d_flat.reshape(len(interior), m)
@@ -299,7 +292,8 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         # once the predicted energy drop falls below the float resolution of
         # the energy itself, the Armijo comparison is decided by rounding
         # noise; in that regime accept the full Newton step when it strictly
-        # reduces the residual sup-norm instead
+        # reduces the residual sup-norm instead; its residual is the next
+        # iterate's
         if abs(_ARMIJO_C1 * slope) < 8.0 * _EPS * (1.0 + abs(E)) and kind == "newton":
             trial = vals.copy()
             trial[interior] += dmat
@@ -307,8 +301,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
             rn_t = float(np.abs(r_t).max()) if r_t.size else 0.0
             E_new = _energy_of(model, mesh, trial, source, lumped)
             if not (np.isfinite(rn_t) and np.isfinite(E_new) and rn_t < rn):
-                report.converged = rn <= tol
-                report.status = "converged" if report.converged else "stagnated"
+                report.status = "stagnated"
                 break
             s, evals = 1.0, 1
         else:
@@ -316,12 +309,14 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
                 s, E_new, evals = _backtrack(model, mesh, vals, interior, dmat, E,
                                              slope, source, lumped)
             except LineSearchError as exc:
-                report.converged = rn <= tol
-                report.status = "stagnated" if report.converged else f"line-search-failure: {exc}"
+                report.status = f"line-search-failure: {exc}"
                 break
+            r_t = None
 
         vals[interior] += s * dmat
         prev_norm, model_norm = g_norm, float(np.linalg.norm(r_flat + s * Hd))
+        fld = NodalField(mesh, vals)
+        r = residual(model, fld, source=source, lumped=lumped) if r_t is None else r_t
         if kind == "newton":
             report.newton_steps += 1
         else:
@@ -333,6 +328,9 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         E = E_new
         report.energy_history.append(E)
 
+    report.converged = rn <= tol
+    if report.converged:
+        report.status = "converged"
     report.wall_time = time.perf_counter() - t0
     vals[mesh.boundary_nodes] = boundary_vals
     return NodalField(mesh, vals), report

@@ -21,7 +21,6 @@ from . import convex
 
 __all__ = [
     "VerifyReport",
-    "BetaWeights",
     "verify_chp",
     "verify_dmp",
     "verify_hull_with_zero",
@@ -157,55 +156,24 @@ def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> V
                             {"hull_generators": len(hull.generators)})
 
 
-@dataclass(frozen=True)
-class BetaWeights:
-    """Neighbor weights of one interior node induced by the minimiser.
+def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel | None = None):
+    """Neighbor-weight matrix B of the minimiser's Euler-Lagrange equation, V x V.
 
-    beta_y = sum over shared elements of |T| c_T a(|grad U|) (-g_y . g_z);
-    summing over the neighbors reproduces beta_0 (the g_z diagonal term)
-    exactly because the basis gradients of each element sum to zero, for any
-    per-element weight whatsoever.
+    B[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k, with a(t)
+    from the Hessian's ``_newton_weights`` and B from the same cached
+    scatter.  At node z, beta_0 = B[z, z] and beta_y = -B[z, y] for each
+    neighbor y sharing an element with z; summing the beta_y reproduces
+    beta_0 exactly because the basis gradients of each element sum to zero,
+    for any per-element weight whatsoever.  B is symmetric CSC, so column z
+    of its arrays is row z.  The model defaults to p = 2.
     """
-
-    node: int
-    neighbors: np.ndarray
-    betas: np.ndarray
-    beta0: float
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.betas / self.beta0 if self.beta0 != 0.0 else np.full_like(self.betas, np.nan)
-
-
-def _a_stiffness(mesh: Mesh, field: NodalField, model: EnergyModel):
-    """V x V matrix A[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k.
-
-    a(t) comes from the Hessian's ``_newton_weights``, and A from the same
-    cached scatter.  A is symmetric, so column z of its CSC arrays is row z.
-    """
+    _check_pair(mesh, field)
+    if model is None:
+        model = p_dirichlet(2.0)
     a, _ = _newton_weights(model, _gradient_norms(field)[1])
     w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
     S = mesh.gradient_grams * w[:, None, None]
     return mesh.assemble(S[:, :, None, :, None], interior=False)
-
-
-def _row_betas(A, node: int) -> BetaWeights:
-    """Neighbor weights of ``node`` from row (= column) ``node`` of the a-stiffness."""
-    lo, hi = A.indptr[node], A.indptr[node + 1]
-    cols, vals = A.indices[lo:hi], A.data[lo:hi]
-    off = cols != node
-    return BetaWeights(node=int(node), neighbors=cols[off].astype(np.int64),
-                       betas=-vals[off], beta0=float(vals[~off].sum()))
-
-
-def beta_weights(mesh: Mesh, field: NodalField, node: int,
-                 model: EnergyModel | None = None) -> BetaWeights:
-    """Compute the neighbor weights of an interior node for the given model."""
-    if model is None:
-        model = p_dirichlet(2.0)
-    if node not in set(mesh.interior_nodes.tolist()):
-        raise ValueError(f"node {node} is not an interior node")
-    return _row_betas(_a_stiffness(mesh, field, model), node)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
@@ -220,9 +188,9 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     extreme in the hull of all nodal values (tolerance ``tol``); if any
     exist, the field must be constant up to ``_CONSTANCY_TOL`` and the
     neighbor-weight convex combination at each such node must check out.
-    The neighbor weights are read from the rows of the sparse matrix
-    A = sum_T w_T grad phi_i . grad phi_k: beta_0 = A[z, z] and
-    beta_y = -A[z, y], so beta_0 - sum_y beta_y is the row sum of A.
+    The neighbor weights are read from the rows of the matrix B that
+    ``beta_weights`` builds: beta_0 = B[z, z] and beta_y = -B[z, y], so
+    beta_0 - sum_y beta_y is the row sum of B.
     """
     _check_pair(mesh, field)
     if source is not None or lumped is not None:
@@ -239,16 +207,18 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     interior = mesh.interior_nodes
     extreme = interior[convex.is_extreme(values, interior, tol)]
 
-    A = _a_stiffness(mesh, field, model)
-    row_sums = np.asarray(A.sum(axis=1)).ravel()[interior]
-    beta0 = A.diagonal()[interior]
+    B = beta_weights(mesh, field, model)
+    row_sums = np.asarray(B.sum(axis=1)).ravel()[interior]
+    beta0 = B.diagonal()[interior]
     ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(beta0), 1e-300))
                         .max(initial=0.0))
     lam_ok = True
     for z in extreme:
-        bw = _row_betas(A, z)
-        if bw.beta0 > 0.0:
-            lam = bw.lambdas
+        col = slice(B.indptr[z], B.indptr[z + 1])
+        off, data = B.indices[col] != z, B.data[col]
+        b0 = float(data[~off].sum())
+        if b0 > 0.0:
+            lam = -data[off] / b0
             lam_ok = lam_ok and bool(lam.min() >= -1e-10) and abs(lam.sum() - 1.0) <= 1e-10
 
     if len(extreme):

@@ -19,16 +19,16 @@ from femchp.energy import (
 )
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
 from femchp.mesh import GENERATORS, Mesh, build_structured_mesh
+import femchp.solver as solver_module
 from femchp.solver import (
     LineSearchError,
     _backtrack,
-    _direction,
     _pcg,
     assemble_hessian,
     minimize,
     solve_quadratic_oracle,
 )
-from femchp.verify import _a_stiffness, verify_chp
+from femchp.verify import beta_weights, verify_chp
 
 ALL_MODELS = [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
               p_dirichlet(10.0), mean_curvature(),
@@ -190,7 +190,7 @@ def test_p3_zero_interior_start_takes_a_newton_step(right2d_n4, capfd):
     centre = int(np.flatnonzero(right2d_n4.interior_nodes == 12)[0])
     assert H.diagonal()[centre] == 0.0
     r = residual(model, start).reshape(-1)
-    d, kind, _, _ = _direction(model, start, None, r, 0.5)
+    d, kind, _, _ = _pcg(H, r, 0.5)
     assert kind == "newton" and float(r @ d) < 0.0
     _, rep = minimize(model, right2d_n4, bc)
     assert rep.converged and rep.gradient_steps == 0
@@ -326,6 +326,36 @@ def test_max_iters_cap(right2d_n4):
     assert rep.iterations == 1
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("model", [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
+                                   p_dirichlet(10.0), mean_curvature()],
+                         ids=lambda model: model.name)
+def test_each_iterate_takes_one_residual(monkeypatch, model, m):
+    seen = []
+    real = solver_module.residual
+
+    def recording(model, field, **kwargs):
+        seen.append(field.values.tobytes())
+        return real(model, field, **kwargs)
+
+    monkeypatch.setattr(solver_module, "residual", recording)
+    mesh = build_structured_mesh("right2d", 8)
+    minimize(model, mesh, BoundaryData.random_uniform(1, -1.0, 1.0), m=m)
+    assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("model", [p_dirichlet(2.0), p_dirichlet(3.0), mean_curvature()],
+                         ids=lambda model: model.name)
+def test_converged_is_the_converged_status_at_every_cap(model):
+    mesh = build_structured_mesh("right2d", 8)
+    bc = BoundaryData.random_uniform(1, -1.0, 1.0)
+    _, full = minimize(model, mesh, bc)
+    for cap in range(full.iterations + 1):
+        _, rep = minimize(model, mesh, bc, max_iters=cap)
+        assert rep.converged == (rep.status == "converged") == (rep.residual_norm <= rep.tol), cap
+    assert full.converged
+
+
 def test_line_search_rejects_ascent(right2d_n4):
     bc = BoundaryData.random_uniform(6, -1.0, 1.0)
     f = interpolate_boundary(right2d_n4, bc, 1)
@@ -400,7 +430,7 @@ def test_p3_zero_interior_newton_steps_stay_silent(capfd):
         H = assemble_hessian(model, fld)
         assert (H.diagonal() == 0.0).any(), step
         r = residual(model, fld).reshape(-1)
-        d, kind, _, _ = _direction(model, fld, None, r, 0.5)
+        d, kind, _, _ = _pcg(H, r, 0.5)
         assert kind == "newton", step
         s, _, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 2),
                              energy_value(model, fld), float(r @ d), None, None)
@@ -459,7 +489,7 @@ def test_zero_diagonal_rows_with_a_source_keep_the_steps_finite(capfd):
             if step == 0:
                 H = assemble_hessian(model, fld)
                 assert (np.abs(r[H.diagonal() == 0.0]) > 0.0).any()
-            d, _, _, _ = _direction(model, fld, None, r, 0.5)
+            d, _, _, _ = _pcg(assemble_hessian(model, fld), r, 0.5)
             slope = float(r @ d)
             assert np.isfinite(d).all() and np.isfinite(slope) and slope < 0.0, step
             E = energy_value(model, fld, source=source)
@@ -513,7 +543,7 @@ def test_constant_field_takes_the_zero_gradient_weights(model):
                 warnings.simplefilter("error", RuntimeWarning)
                 r = residual(model, fld)
                 H = assemble_hessian(model, fld).toarray()
-                A = _a_stiffness(mesh, fld, model).toarray()
+                A = beta_weights(mesh, fld, model).toarray()
             assert not r.any()
             atol = 1e-14 * a_eff * np.abs(K).max()
             assert_allclose(H, a_eff * np.kron(Ki, np.eye(m)), rtol=0.0, atol=atol)

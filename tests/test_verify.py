@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import convex
+from femchp import verify as verify_module
 from femchp.energy import LumpedTerm, SourceTerm, mean_curvature, p_dirichlet
 from femchp.field import BoundaryData, NodalField
 from femchp.mesh import build_structured_mesh
@@ -177,16 +178,35 @@ def test_beta_weights_identity_and_sign():
         for model in (p_dirichlet(2.0), p_dirichlet(3.0), p_dirichlet(1.5),
                       mean_curvature()):
             vals = rng.standard_normal((mesh.num_vertices, 2))
-            f = NodalField(mesh, vals)
-            for node in mesh.interior_nodes[:3]:
-                bw = beta_weights(mesh, f, int(node), model=model)
-                # the neighbors are the vertices sharing an element with node
-                star = np.unique(mesh.elements[(mesh.elements == node).any(axis=1)])
-                assert_array_equal(bw.neighbors, star[star != node])
+            B = beta_weights(mesh, NodalField(mesh, vals), model=model)
+            assert B.shape == (mesh.num_vertices,) * 2
+            assert (B != B.T).nnz == 0
+            for z in range(mesh.num_vertices):
+                # row z couples z with the vertices sharing an element with it
+                star = np.unique(mesh.elements[(mesh.elements == z).any(axis=1)])
+                assert_array_equal(B[:, [z]].tocsc().indices, star)
+                row = B[[z]].toarray().ravel()
+                beta0, betas = row[z], -row[star[star != z]]
                 # partition of unity makes the identity exact
-                assert abs(bw.beta0 - bw.betas.sum()) <= 1e-12 * max(1.0, abs(bw.beta0))
+                assert abs(beta0 - betas.sum()) <= 1e-12 * max(1.0, abs(beta0))
                 if gen == "equilateral2d":
-                    assert (bw.betas >= 0.0).all()
+                    assert (betas >= 0.0).all()
+
+
+def test_strong_chp_assembles_the_beta_matrix_once(monkeypatch):
+    calls = []
+    real = verify_module.beta_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "beta_weights", counting)
+    mesh = build_structured_mesh("equilateral2d", 4)
+    const = NodalField(mesh, np.full(mesh.num_vertices, 0.7))
+    out = verify_strong_chp(mesh, const, model=p_dirichlet(3.0))
+    assert out.details["extreme_interior_nodes"] == len(mesh.interior_nodes)
+    assert len(calls) == 1
 
 
 def test_lemma_pos_passes_on_non_obtuse(right2d_n4):
