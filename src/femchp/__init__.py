@@ -28,7 +28,7 @@ from .solver import (
 from .verify import (
     VerifyReport,
     verify_chp, verify_dmp, verify_hull_with_zero, verify_strong_chp,
-    verify_lemma_pos, beta_weights, search_lemma_violation, THEOREMS,
+    verify_lemma_pos, beta_weights, search_lemma_violation,
 )
 
 __version__ = "0.1.0"

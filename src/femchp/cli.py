@@ -42,6 +42,9 @@ _THEOREMS = {
     "strong-chp": (verify_mod.verify_strong_chp, "model"),
     "lemma-pos": (verify_mod.verify_lemma_pos, "K"),
 }
+# verify option -> the extra input it supplies
+_OPTION_INPUT = {"--source": "source", "--energy": "model",
+                 "--interval": "K", "--set-file": "K"}
 
 
 def _fmt(x) -> str:
@@ -201,6 +204,9 @@ def _check_theorem(theorem: str, mesh: Mesh, field: NodalField, tol, extra_input
 
 
 def cmd_verify(args) -> int:
+    for opt, what in _OPTION_INPUT.items():
+        if what != _THEOREMS[args.theorem][1] and getattr(args, opt[2:].replace("-", "_")):
+            raise ValueError(f"--theorem {args.theorem} does not read {opt}")
     mesh = load_mesh(args.mesh)
     values, _ = load_field(args.field, mesh)
     field = NodalField(mesh, values)
@@ -329,8 +335,6 @@ def parse_experiment_spec(text: str) -> dict:
     for required in ("generators", "energies", "bc"):
         if required not in spec or not spec[required]:
             raise ValueError(f"spec is missing required key {required!r}")
-    if not spec["energies"]:
-        raise ValueError("spec lists no energies")
     if "dmp" in spec["theorems"] and any(m != 1 for m in spec["m"]):
         raise ValueError("the dmp theorem needs m = 1")
     if "strong-chp" in spec["theorems"] and (spec["source"] or spec["lumped_q"] is not None):

@@ -38,10 +38,9 @@ __all__ = [
     "CertificateError",
     "certificate_stats",
     "reset_certificate_stats",
-    "CERT_REL_TOL",
 ]
 
-CERT_REL_TOL = 1e-10
+_CERT_REL_TOL = 1e-10
 # the block loop of ``project`` and ``is_extreme`` works on blocks of rows
 # whose (rows x generators) arrays hold at most this many entries, or on
 # single rows
@@ -238,7 +237,7 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
     the others must pass ``_members`` on the weights of ``_project_hull``.
     """
     P = np.full_like(X, np.nan)
-    cert = CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
+    cert = _CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
     slack = np.full(len(X), -np.inf)
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
@@ -307,20 +306,17 @@ def worst_distance(K: ConvexSet, x) -> tuple:
     return float(d[i]), i
 
 
-def boundary_hull(field: NodalField, include_origin: bool = False) -> ConvexSet:
+def boundary_hull(field: NodalField) -> ConvexSet:
     """Convex hull of the field's boundary vertex values."""
-    bvals = field.values[field.mesh.boundary_nodes]
-    if include_origin:
-        return hull_with_origin(bvals)
-    return finite_hull(bvals)
+    return finite_hull(field.values[field.mesh.boundary_nodes])
 
 
-def is_extreme(points, index, tol: float):
-    """Whether points[index] is an extreme point of the hull of all points.
+def is_extreme(points, index, tol: float) -> np.ndarray:
+    """Per entry of the index array, whether points[index] is an extreme
+    point of the hull of all points.
 
     True exactly when the point stays at distance > tol from the hull of the
-    other points (points within tol of it are ignored as duplicates).  An
-    int ``index`` gives a bool, an array of indices a bool array.  All
+    other points (points within tol of it are ignored as duplicates).  All
     indices share one pass through ``project``'s block loop: each point is
     projected onto the hull of the generators of ``finite_hull(points)``
     farther than tol from it, and a point with none is extreme.
@@ -330,7 +326,6 @@ def is_extreme(points, index, tol: float):
     bad = (index < 0) | (index >= len(points))
     if bad.any():
         raise IndexError(f"index {index[bad].flat[0]} out of range [0, {len(points)})")
-    X = points[index.reshape(-1)]
+    X = points[index]
     P = _certified(finite_hull(points).generators, X, tol)
-    extreme = ~(np.linalg.norm(X - P, axis=1) <= tol)
-    return bool(extreme[0]) if index.ndim == 0 else extreme
+    return ~(np.linalg.norm(X - P, axis=1) <= tol)

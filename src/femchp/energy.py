@@ -9,7 +9,7 @@ vertex weights w_z = |supp(hat_z)| / (n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class EnergyModel:
     monotone: bool = True
     strictly_convex: bool = True
     coeff: np.ndarray | None = None
-    params: dict = dataclass_field(default_factory=dict)
 
     @property
     def a0(self) -> float:
@@ -68,7 +67,7 @@ class EnergyModel:
             raise ValueError("coefficient table must be one dimensional")
         if not (coeff > 0).all():
             raise ValueError("element coefficients must be positive")
-        return replace(self, coeff=coeff, params=dict(self.params))
+        return replace(self, coeff=coeff)
 
     def element_coeff(self, num_elements: int) -> np.ndarray:
         if self.coeff is None:
@@ -95,7 +94,7 @@ def p_dirichlet(p: float, coeff=None) -> EnergyModel:
     def a(t):
         return np.power(t, p - 2.0)
 
-    model = EnergyModel(name=f"p-laplace:p={p:g}", F=F, F_tt=F_tt, a=a, params={"p": p})
+    model = EnergyModel(name=f"p-laplace:p={p:g}", F=F, F_tt=F_tt, a=a)
     return model.with_coeff(coeff) if coeff is not None else model
 
 
@@ -133,7 +132,7 @@ def orlicz(psi: str, coeff=None) -> EnergyModel:
     if psi not in _ORLICZ:
         raise ValueError(f"unknown orlicz profile {psi!r}; choices: {', '.join(sorted(_ORLICZ))}")
     F, F_tt, a = _ORLICZ[psi]
-    model = EnergyModel(name=f"orlicz:{psi}", F=F, F_tt=F_tt, a=a, params={"psi": psi})
+    model = EnergyModel(name=f"orlicz:{psi}", F=F, F_tt=F_tt, a=a)
     return model.with_coeff(coeff) if coeff is not None else model
 
 

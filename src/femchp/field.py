@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _read_rows
 
 __all__ = [
     "NodalField",
@@ -173,14 +173,9 @@ def interpolate_boundary(mesh: Mesh, data: BoundaryData, m: int) -> NodalField:
 # -- nodal value files -------------------------------------------------------
 
 
-def save_field(field_or_values, path) -> None:
+def save_field(field: NodalField, path) -> None:
     """Write nodal values: header 'field m V' then one row per vertex."""
-    if isinstance(field_or_values, NodalField):
-        values = field_or_values.values
-    else:
-        values = np.asarray(field_or_values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
+    values = field.values
     with open(path, "w") as fh:
         fh.write(f"field {values.shape[1]} {values.shape[0]}\n")
         for row in values:
@@ -204,15 +199,7 @@ def load_field(path, mesh: Mesh | None = None):
         raise FieldFormatError(f"line 1: invalid sizes m={m}, V={nv}")
     if len(lines) - 1 != nv:
         raise FieldFormatError(f"expected {nv} value lines, found {len(lines) - 1}")
-    values = np.empty((nv, m))
-    for r in range(nv):
-        fields = lines[1 + r].split()
-        if len(fields) != m:
-            raise FieldFormatError(f"line {r + 2}: expected {m} values, got {len(fields)}")
-        try:
-            values[r] = [float(f) for f in fields]
-        except ValueError:
-            raise FieldFormatError(f"line {r + 2}: bad float in {lines[1 + r]!r}") from None
+    values = _read_rows(lines, 1, nv, m, float, "values", FieldFormatError)
     if mesh is not None and nv != mesh.num_vertices:
         raise FieldFormatError(
             f"field file has {nv} vertices, mesh has {mesh.num_vertices}"

@@ -600,6 +600,23 @@ def _parse_counted(lines, li, keyword):
     return count
 
 
+def _read_rows(lines, li, count, width, cast, what, error):
+    """Lines li .. li + count - 1 as a (count, width) array of ``cast``
+    (float or int) entries; ``what`` names a row's entries in messages,
+    which report 1-based line numbers and raise ``error``."""
+    rows = np.empty((count, width), dtype=np.int64 if cast is int else float)
+    for r in range(count):
+        fields = lines[li + r].split()
+        if len(fields) != width:
+            raise error(f"line {li + r + 1}: expected {width} {what}, got {len(fields)}")
+        try:
+            rows[r] = [cast(f) for f in fields]
+        except ValueError:
+            kind = "integer" if cast is int else "float"
+            raise error(f"line {li + r + 1}: bad {kind} in {lines[li + r]!r}") from None
+    return rows
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh from the plain text format; validates on construction."""
     with open(path) as fh:
@@ -622,34 +639,14 @@ def load_mesh(path) -> Mesh:
     li += 1
     if li + nv > len(lines):
         raise MeshFormatError(f"expected {nv} vertex lines, file ends early")
-    vertices = np.empty((nv, dim))
-    for r in range(nv):
-        fields = lines[li + r].split()
-        if len(fields) != dim:
-            raise MeshFormatError(
-                f"line {li + r + 1}: expected {dim} coordinates, got {len(fields)}"
-            )
-        try:
-            vertices[r] = [float(f) for f in fields]
-        except ValueError:
-            raise MeshFormatError(f"line {li + r + 1}: bad float in {lines[li + r]!r}") from None
+    vertices = _read_rows(lines, li, nv, dim, float, "coordinates", MeshFormatError)
     li += nv
 
     ne = _parse_counted(lines, li, "simplices")
     li += 1
     if li + ne > len(lines):
         raise MeshFormatError(f"expected {ne} simplex lines, file ends early")
-    elements = np.empty((ne, dim + 1), dtype=np.int64)
-    for r in range(ne):
-        fields = lines[li + r].split()
-        if len(fields) != dim + 1:
-            raise MeshFormatError(
-                f"line {li + r + 1}: expected {dim + 1} vertex indices, got {len(fields)}"
-            )
-        try:
-            elements[r] = [int(f) for f in fields]
-        except ValueError:
-            raise MeshFormatError(f"line {li + r + 1}: bad integer in {lines[li + r]!r}") from None
+    elements = _read_rows(lines, li, ne, dim + 1, int, "vertex indices", MeshFormatError)
     li += ne
     if li != len(lines):
         raise MeshFormatError(f"line {li + 1}: trailing content after simplex block")

@@ -238,7 +238,6 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     start = interpolate_boundary(mesh, boundary, m)
     vals = start.values.copy()
     interior = mesh.interior_nodes
-    boundary_vals = vals[mesh.boundary_nodes].copy()
     start_kind = "interpolant"
     if len(interior) and model.a0 == 0.0:
         vals[interior] = _harmonic_start(model, start, source)
@@ -332,7 +331,6 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     if report.converged:
         report.status = "converged"
     report.wall_time = time.perf_counter() - t0
-    vals[mesh.boundary_nodes] = boundary_vals
     return NodalField(mesh, vals), report
 
 

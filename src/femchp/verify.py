@@ -28,7 +28,6 @@ __all__ = [
     "verify_lemma_pos",
     "beta_weights",
     "search_lemma_violation",
-    "THEOREMS",
 ]
 
 CHP = "CHP"
@@ -36,7 +35,6 @@ DMP = "DMP"
 HULL_WITH_ZERO = "HULL_WITH_ZERO"
 STRONG_CHP = "STRONG_CHP"
 LEMMA_POS = "LEMMA_POS"
-THEOREMS = (CHP, DMP, HULL_WITH_ZERO, STRONG_CHP, LEMMA_POS)
 
 PASS = "pass"
 FAIL = "fail"
@@ -151,12 +149,12 @@ def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> V
     escape the plain boundary hull is ``verify_chp``'s violation.
     """
     _check_pair(mesh, field)
-    hull = convex.boundary_hull(field, include_origin=True)
+    hull = convex.hull_with_origin(field.values[mesh.boundary_nodes])
     return _interior_report(HULL_WITH_ZERO, mesh, field, hull, tol, {},
                             {"hull_generators": len(hull.generators)})
 
 
-def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel | None = None):
+def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
     """Neighbor-weight matrix B of the minimiser's Euler-Lagrange equation, V x V.
 
     B[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k, with a(t)
@@ -165,11 +163,9 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel | None = None
     neighbor y sharing an element with z; summing the beta_y reproduces
     beta_0 exactly because the basis gradients of each element sum to zero,
     for any per-element weight whatsoever.  B is symmetric CSC, so column z
-    of its arrays is row z.  The model defaults to p = 2.
+    of its arrays is row z.
     """
     _check_pair(mesh, field)
-    if model is None:
-        model = p_dirichlet(2.0)
     a, _ = _newton_weights(model, _gradient_norms(field)[1])
     w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
     S = mesh.gradient_grams * w[:, None, None]

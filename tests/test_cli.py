@@ -186,6 +186,33 @@ def test_verify_lemma_pos_interval(tmp_path):
                  "--field", str(field_path)]) == EXIT_INPUT
 
 
+@pytest.fixture(scope="module")
+def scalar_p3_pair(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("eq8")
+    mesh_path, field_path = tmp / "eq8.mesh", tmp / "u.field"
+    main(["mesh-gen", "--generator", "equilateral2d", "-n", "8", "--out", str(mesh_path)])
+    assert main(["solve", "--mesh", str(mesh_path), "--energy", "p-laplace:p=3",
+                 "--bc", "random:seed=1,lo=-1,hi=1", "--out", str(field_path)]) == EXIT_OK
+    return mesh_path, field_path
+
+
+@pytest.mark.parametrize("theorem, read, unread", [
+    ("strong-chp", ["--energy", "p-laplace:p=3"], ["--source", "const:-1"]),
+    ("chp", [], ["--interval", "0", "1"]),
+    ("chp", [], ["--source", "const:-1"]),
+    ("dmp", [], ["--energy", "mean-curvature"]),
+])
+def test_verify_rejects_an_option_the_theorem_does_not_read(scalar_p3_pair, capsys,
+                                                           theorem, read, unread):
+    mesh_path, field_path = scalar_p3_pair
+    argv = ["verify", "--theorem", theorem, "--mesh", str(mesh_path),
+            "--field", str(field_path), *read]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + unread) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --theorem {theorem} does not read {unread[0]}\n"
+
+
 def test_experiment_emit_default(tmp_path, capsys):
     spec = tmp_path / "suite.spec"
     assert main(["experiment", "--emit-default", str(spec)]) == EXIT_OK

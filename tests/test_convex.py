@@ -195,10 +195,8 @@ def test_near_duplicate_generators_are_kept():
 def test_is_extreme():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                        [0.5, 0.5], [0.5, 0.0]])
-    for i in range(4):
-        assert is_extreme(square, i, tol=1e-9)
-    assert not is_extreme(square, 4, tol=1e-9)   # centroid
-    assert not is_extreme(square, 5, tol=1e-9)   # edge midpoint
+    # corners, then the centroid and an edge midpoint
+    assert is_extreme(square, np.arange(6), tol=1e-9).tolist() == [True] * 4 + [False] * 2
 
 
 def _is_extreme_alone(points, index, tol):
@@ -277,10 +275,10 @@ def test_census_matches_per_node_reference(name, monkeypatch):
     monkeypatch.setattr(convex, "_BLOCK", 1)
     assert is_extreme(points, index, _TOL).tolist() == expect
     for i, e in zip(index[:4], expect):
-        assert is_extreme(points, int(i), _TOL) is e
+        assert is_extreme(points, np.array([i]), _TOL).tolist() == [e]
     for bad in (len(points), -1):
         with pytest.raises(IndexError, match="out of range"):
-            is_extreme(points, bad, _TOL)
+            is_extreme(points, np.array([bad]), _TOL)
         with pytest.raises(IndexError, match="out of range"):
             is_extreme(points, np.append(index, bad), _TOL)
 
@@ -328,7 +326,7 @@ def test_thin_simplices_keep_their_accuracy():
     # the normal equations alone leave this node 6.1e-10 from its own
     # projection's certificate, and CertificateError follows
     points = np.random.default_rng(1).uniform(-1.0, 1.0, (4223, 2))
-    assert is_extreme(points, 509, 1e-9) is False
+    assert is_extreme(points, np.array([509]), 1e-9).tolist() == [False]
 
 
 def test_variational_inequality_measure():
@@ -392,7 +390,7 @@ def test_weight_on_an_unseen_generator_raises(monkeypatch):
     monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
         X.copy(), np.array([[3, -1, -1, -1]]), np.array([[1.0, 0.0, 0.0, 0.0]])))
     with pytest.raises(CertificateError, match="membership failed for row 0:"):
-        is_extreme(points, 3, 1e-9)
+        is_extreme(points, np.array([3]), 1e-9)
 
 
 def test_certificate_stats_accumulate():
@@ -449,7 +447,7 @@ def test_project_field_and_boundary_hull(right2d_n2):
     assert_allclose(proj.values[4, 0], 2.0, atol=1e-12)
     assert_allclose(proj.values[right2d_n2.boundary_nodes],
                     vals[right2d_n2.boundary_nodes], atol=1e-12)
-    K0 = boundary_hull(f, include_origin=True)
+    K0 = hull_with_origin(vals[right2d_n2.boundary_nodes])
     assert_allclose(project(K0, [[0.0], [-1.0]]), [[0.0], [0.0]], atol=0.0)
 
 

@@ -70,10 +70,10 @@ def test_profile_flags():
 
 
 def test_parse_energy():
-    assert parse_energy("p-laplace:p=2.5").params["p"] == 2.5
+    assert parse_energy("p-laplace:p=2.5").name == "p-laplace:p=2.5"
     assert parse_energy("mean-curvature").name == "mean-curvature"
-    assert parse_energy("orlicz:log-cosh").params["psi"] == "log-cosh"
-    assert parse_energy("orlicz:power-log").params["psi"] == "power-log"
+    assert parse_energy("orlicz:log-cosh").name == "orlicz:log-cosh"
+    assert parse_energy("orlicz:power-log").name == "orlicz:power-log"
     assert set(CATALOG) == {"p-laplace", "mean-curvature", "orlicz"}
     for bad in ("p-laplace", "p-laplace:p=0.5", "orlicz", "splines"):
         with pytest.raises(ValueError):

@@ -128,3 +128,25 @@ def test_load_field_diagnostics(tmp_path, right2d_n2):
     p.write_text("field 1 3\n0\n1\n2\n")
     with pytest.raises((FieldFormatError, ValueError)):
         load_field(p, right2d_n2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty field file"),
+    ("not a field\n", "line 1: expected 'field <m> <V>', got 'not a field'"),
+    ("field 2\n", "line 1: expected 'field <m> <V>', got 'field 2'"),
+    ("field x 3\n", "line 1: bad counts in 'field x 3'"),
+    ("field 0 3\n", "line 1: invalid sizes m=0, V=3"),
+    ("field 1 -1\n", "line 1: invalid sizes m=1, V=-1"),
+    ("field 2 3\n0 0\n1 1\n", "expected 3 value lines, found 2"),
+    ("field 2 2\n0 0\n1 1\n2 2\n", "expected 2 value lines, found 3"),
+    ("field 2 3\n0 0\n1\n2 2\n", "line 3: expected 2 values, got 1"),
+    ("field 2 3\n0 0\n1 1 1\n2 2\n", "line 3: expected 2 values, got 3"),
+    ("field 2 3\n0 y\n1 1\n2 2\n", "line 2: bad float in '0 y'"),
+    ("field 1 3\n0\n1\n2\n", "field file has 3 vertices, mesh has 9"),
+])
+def test_load_field_messages(tmp_path, right2d_n2, text, message):
+    p = tmp_path / "f.txt"
+    p.write_text(text)
+    with pytest.raises(FieldFormatError) as exc:
+        load_field(p, right2d_n2)
+    assert str(exc.value) == message

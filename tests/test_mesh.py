@@ -656,3 +656,41 @@ def test_gradient_grams_match_gradients(equilateral_n4):
     direct = np.einsum("ein,ejn->eij", equilateral_n4.gradients,
                        equilateral_n4.gradients)
     assert_allclose(grams, direct, atol=1e-14)
+
+
+_GOOD_MESH = ["dim 2", "vertices 3", "0 0", "1 0", "0 1", "simplices 1", "0 1 2"]
+
+
+def _edit(lines, i, row):
+    """Lines with line i replaced by ``row``."""
+    out = list(lines)
+    out[i] = row
+    return out
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([], "empty mesh file"),
+    (_edit(_GOOD_MESH, 0, "dimension 2"), "line 1: expected 'dim <n>', got 'dimension 2'"),
+    (_edit(_GOOD_MESH, 0, "dim two"), "line 1: bad dimension 'two'"),
+    (_edit(_GOOD_MESH, 0, "dim 7"), "line 1: dimension must be 2 or 3, got 7"),
+    (_GOOD_MESH[:1], "unexpected end of file, expected 'vertices <count>'"),
+    (_edit(_GOOD_MESH, 1, "points 3"), "line 2: expected 'vertices <count>', got 'points 3'"),
+    (_edit(_GOOD_MESH, 1, "vertices 3.0"), "line 2: bad count '3.0'"),
+    (_edit(_GOOD_MESH, 1, "vertices -1"), "line 2: negative count -1"),
+    (_edit(_GOOD_MESH, 5, "simplices -2"), "line 6: negative count -2"),
+    (_edit(_GOOD_MESH, 3, "1"), "line 4: expected 2 coordinates, got 1"),
+    (_edit(_GOOD_MESH, 3, "1 0 0"), "line 4: expected 2 coordinates, got 3"),
+    (_edit(_GOOD_MESH, 6, "0 1"), "line 7: expected 3 vertex indices, got 2"),
+    (_edit(_GOOD_MESH, 2, "0 x"), "line 3: bad float in '0 x'"),
+    (_edit(_GOOD_MESH, 6, "0 1 2.5"), "line 7: bad integer in '0 1 2.5'"),
+    (_GOOD_MESH[:4], "expected 3 vertex lines, file ends early"),
+    (_GOOD_MESH[:5], "unexpected end of file, expected 'simplices <count>'"),
+    (_edit(_GOOD_MESH, 5, "simplices 2"), "expected 2 simplex lines, file ends early"),
+    (_GOOD_MESH + ["3 4 5"], "line 8: trailing content after simplex block"),
+])
+def test_load_mesh_messages(tmp_path, lines, message):
+    p = tmp_path / "bad.txt"
+    p.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(p)
+    assert str(exc.value) == message

@@ -12,7 +12,6 @@ from femchp.field import BoundaryData, NodalField
 from femchp.mesh import build_structured_mesh
 from femchp.solver import minimize
 from femchp.verify import (
-    THEOREMS,
     beta_weights,
     search_lemma_violation,
     verify_chp,
@@ -30,10 +29,6 @@ def solved(gen, N, model, m=1, seed=0, **kw):
     bc = BoundaryData.random_uniform(seed, -1.0, 1.0)
     fld, rep = minimize(model, mesh, bc, m=m, **kw)
     return mesh, fld, rep
-
-
-def test_theorem_names():
-    assert THEOREMS == ("CHP", "DMP", "HULL_WITH_ZERO", "STRONG_CHP", "LEMMA_POS")
 
 
 def test_chp_pass_on_minimiser():
