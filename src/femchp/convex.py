@@ -3,9 +3,13 @@
 A target set is the convex hull of finitely many generators (optionally
 including the origin).  Every set with m = 1 is an interval and is
 projected by clipping; for m >= 2 an active-set nearest-point iteration
-over affine subproblems advances all rows of a batch together.
-``project`` takes a point or a batch of rows and certifies every row
-against the variational inequality
+over affine subproblems advances all rows of a batch together.  For
+m = 2 ``project`` first reduces the generators to the vertices of their
+polygon and locates each row in that polygon's fan triangulation: a row
+inside starts the iteration from its triangle and ends it at once, the
+others run it on the vertices alone.  ``project`` takes a point or a
+batch of rows and certifies every row, against all the generators,
+by the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
@@ -13,9 +17,9 @@ with tol = 1e-10 * (1 + |x|^2), and, for m >= 2, checks that Px is the
 convex combination of generators its active-set weights claim, so Px lies
 in the set.  A row that fails either check raises CertificateError.
 ``is_extreme`` runs the same block loop and certificate with a per-row
-generator mask.  The statistics stay process-wide: every certified row
-counts once and the worst slack seen is kept, both read through
-``certificate_stats``.
+generator mask, on all the generators.  The statistics stay
+process-wide: every certified row counts once and the worst slack seen
+is kept, both read through ``certificate_stats``.
 """
 
 from __future__ import annotations
@@ -134,29 +138,43 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     return nu
 
 
-def _project_hull(G: np.ndarray, X: np.ndarray, off=None):
+def _project_hull(G: np.ndarray, X: np.ndarray, off=None, start=None):
     """Active-set nearest point iteration over the hull of the rows of G,
     run for all rows of X (k, m) together.
 
     Row r sees only the generators where ``off[r]`` is False (all of them
-    when ``off`` is None) and must see at least one.  Each row keeps at
-    most m + 2 active generators and their convex weights.  A row stops
-    when its slots are full, or when the generator it added was dropped
-    again, which leaves its active set and weights as they were.  Returns
-    (P, act, lam): the nearest points (k, m), the active generator indices
-    (k, m + 2; -1 marks a free slot) and their weights, 0 on free slots.
+    when ``off`` is None) and must see at least one.  ``start`` (act0,
+    lam0), both (k, s), warm-starts a row from the generators act0[r] with
+    the convex weights lam0[r] if that point already passes the gap test
+    that ends a row; every other row starts from its nearest generator.
+    Each row keeps at most m + 2 active generators and their convex
+    weights.  A row stops when its slots are full, or when the generator it
+    added was dropped again, which leaves its active set and weights as
+    they were.  Returns (P, act, lam): the nearest points (k, m), the active
+    generator indices (k, m + 2; -1 marks a free slot) and their weights, 0
+    on free slots.
     """
     k, m = X.shape
-    d2 = ((G - X[:, None]) ** 2).sum(axis=2)
-    if off is not None:
-        d2[off] = np.inf
-    act = np.full((k, m + 2), -1)
-    act[:, 0] = d2.argmin(axis=1)
-    del d2
-    lam = (act >= 0).astype(float)
-    Y = G[act[:, 0]]
     tol = 1e-14 * (1.0 + np.einsum("ij,ij->i", X, X))
-    rows = np.arange(k)
+    act = np.full((k, m + 2), -1)
+    lam = np.zeros((k, m + 2))
+    warm = np.zeros(k, dtype=bool)
+    if start is not None:
+        s = start[0].shape[1]
+        act[:, :s], lam[:, :s] = start
+        Y = np.einsum("rs,rsk->rk", lam, G[act])
+        # a warm start stands only where it already passes the loop's gap
+        # test: its active weights need not minimise over their affine hull
+        warm = (act[:, 0] >= 0) & (_worst_gaps(G, X, Y, off) <= tol)
+    rows = np.flatnonzero(~warm)
+    d2 = ((G - X[rows, None]) ** 2).sum(axis=2)
+    if off is not None:
+        d2[off[rows]] = np.inf
+    act[rows], lam[rows] = -1, 0.0
+    act[rows, 0] = d2.argmin(axis=1)
+    lam[rows, 0] = 1.0
+    del d2
+    Y = np.einsum("rs,rsk->rk", lam, G[act])
     for _ in range(20 * len(G) + 200):
         D = X[rows] - Y[rows]
         gap = D @ G.T
@@ -202,6 +220,62 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None):
     return Y, act, lam
 
 
+def _polygon(G: np.ndarray):
+    """Vertices of the convex polygon spanned by the rows of G (k, 2), by
+    Andrew's monotone chain on Python floats.
+
+    Points on an edge and repeated points are dropped.  Returns (v, ring):
+    the vertex indices in ascending input order, and the positions in v
+    that list the vertices counter-clockwise.
+    """
+    pts = G.tolist()
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    ring = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            (cx, cy) = pts[i]
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = pts[chain[-2]], pts[chain[-1]]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
+                    break
+                chain.pop()
+            chain.append(i)
+        ring += chain[:-1]
+    v = np.sort(ring)
+    return v, np.searchsorted(v, ring)
+
+
+def _locate(W: np.ndarray, X: np.ndarray):
+    """Per row of X (k, 2), the triangle of the fan from W[0] over the
+    convex polygon W (n >= 3 vertices, counter-clockwise) that holds it.
+
+    The wedge comes from the signs of the cross products with the fan's
+    rays, the barycentric weights from 2x2 cross products, clipped at 0
+    and renormalised.  Returns (tri, w), both (k, 3): the vertex positions
+    (0, t, t + 1) in W and their weights, or -1 and zero weights for a row
+    outside the polygon.  Rounding can misplace a row near a ray or in a
+    triangle of zero computed area, so the weights are only a start that
+    ``_project_hull`` tests.
+    """
+    E = W[1:] - W[0]
+    R = X - W[0]
+    c = E[:, 0] * R[:, None, 1] - E[:, 1] * R[:, None, 0]
+    t = np.clip((c >= 0.0).sum(axis=1), 1, len(W) - 2)
+    rows = np.arange(len(X))
+    A, B = W[t], W[t + 1]
+    num = np.stack([(B[:, 0] - A[:, 0]) * (X[:, 1] - A[:, 1])
+                    - (B[:, 1] - A[:, 1]) * (X[:, 0] - A[:, 0]),
+                    -c[rows, t], c[rows, t - 1]], axis=1)
+    found = (c[:, 0] >= 0.0) & (c[:, -1] <= 0.0) & (num[:, 0] >= 0.0)
+    num = np.clip(num, 0.0, None)
+    total = num.sum(axis=1)
+    found &= total > 0.0
+    w = np.divide(num, total[:, None], out=np.zeros_like(num), where=found[:, None])
+    tri = np.where(found[:, None], np.stack([np.zeros_like(t), t, t + 1], axis=1), -1)
+    return tri, w
+
+
 def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
     """Per row, the max of (x - Px).(z - Px) over the generators z it sees."""
     D = X - P
@@ -235,12 +309,18 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
     and is neither projected nor counted.  Rows with m = 1 are clipped
     between the generators they see, so they are members by construction;
     the others must pass ``_members`` on the weights of ``_project_hull``.
+    Without ``tol``, m = 2 generators that span a polygon (3 or more
+    vertices) are reduced once to its vertices, and ``_project_hull`` runs
+    on those, warm-started from ``_locate``'s triangle and weights; the
+    weights are mapped back to G's rows for ``_members``, and the
+    variational inequality is still checked against every row of G.
     """
     P = np.full_like(X, np.nan)
     cert = _CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
     slack = np.full(len(X), -np.inf)
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
+    v, ring = _polygon(G) if tol is None and G.shape[1] == 2 else ((), None)
     for s in range(0, len(X), step):
         r, off = slice(s, s + step), None
         if tol is not None:
@@ -251,9 +331,14 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
             g = G[:, 0] if off is None else np.where(off, np.nan, G[:, 0])
             P[r] = np.clip(X[r], np.nanmin(g, axis=-1, keepdims=True),
                            np.nanmax(g, axis=-1, keepdims=True))
-        else:
-            P[r], act, lam = _project_hull(G, X[r], off)
+        elif len(v) < 3:
+            P[r], act, lam = _project_hull(G, X[r], off, None)
             member[r] = _members(G, P[r], act, lam, off)
+        else:
+            tri, w = _locate(G[v[ring]], X[r])
+            P[r], act, lam = _project_hull(G[v], X[r], None,
+                                           (np.where(tri >= 0, ring[tri], -1), w))
+            member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
         slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
         _STATS.record(slack[r])
     if not member.all():

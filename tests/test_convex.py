@@ -162,7 +162,7 @@ def test_blocks_match_one_block(monkeypatch):
     inside = np.tile([0.5, 0.5], (12, 1))
     inside[7] = [5.0, 5.0]
     # its weights are true: (0.5, 0.5) = 0.5 g0 + 0.25 g1 + 0.25 g2, and g0
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
         np.where(X > 4.0, G[0], X), np.tile([0, 1, 2, -1], (len(X), 1)),
         np.where((X > 4.0).all(axis=1)[:, None], [1.0, 0.0, 0.0, 0.0],
                  [0.5, 0.25, 0.25, 0.0])))
@@ -190,6 +190,124 @@ def test_near_duplicate_generators_are_kept():
         assert_allclose(P[-1], np.eye(H.m)[0], rtol=0.0, atol=1e-15)
     assert certificate_stats().projections == 82
     assert certificate_stats().worst_slack <= 0.0
+
+
+def test_polygon_keeps_the_corners():
+    # the unit square's corners, listed counter-clockwise among its edge
+    # midpoints and some interior points
+    pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.25, 0.75],
+                    [1.0, 0.5], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5],
+                    [0.9, 0.1]])
+    v, ring = convex._polygon(pts)
+    assert v.tolist() == [1, 3, 6, 8]
+    assert v[ring].tolist() == [1, 3, 6, 8]
+    # both fan triangles from (0, 0) turn counter-clockwise
+    E = pts[v[ring]][1:] - pts[1]
+    assert (E[:-1, 0] * E[1:, 1] - E[:-1, 1] * E[1:, 0]).tolist() == [1.0, 1.0]
+
+
+# every fan triangle over this polygon has positive area but one, whose
+# area rounds to 0.0
+_ZERO_AREA_FAN = [[-0.17071131235775555, 0.0775679785126866],
+                  [-0.17763023730512695, 0.08071180661778528],
+                  [-0.5259402680158444, 0.23897727013493875],
+                  [-0.6122836269743994, 0.2782100527778053],
+                  [-0.2735405393146664, 0.12319323581853611]]
+
+
+def _polygon_case(name):
+    rng = np.random.default_rng(len(name))
+    if name.startswith("random"):
+        return rng.uniform(-1.0, 1.0, (int(name[7:]), 2))
+    if name == "circle":
+        t = np.linspace(0.0, 2.0 * np.pi, 65)[:-1]
+        return 2.0 * np.column_stack([np.cos(t), np.sin(t)])
+    if name == "collinear":
+        return np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0], [-1.0, -2.0], [2.0, 4.0]])
+    if name == "one-point":
+        return np.array([[0.3, -0.2]])
+    if name == "two-points":
+        return np.array([[0.0, 0.0], [1.0, 1.0]])
+    if name == "duplicates":
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]
+        return np.array(square + square[::2] + square[:1])
+    if name == "near-duplicates":
+        one_ulp = np.nextafter(1.0, 2.0)
+        return np.array([[1.0, 0.0], [one_ulp, 0.0], [1.0, 1e-15], [0.0, 1.0],
+                         [1.0, 0.0], [0.0, 0.0]])
+    return np.array(_ZERO_AREA_FAN)
+
+
+@pytest.mark.parametrize("name", [
+    "random-3", "random-12", "random-80", "circle", "collinear", "one-point",
+    "two-points", "duplicates", "near-duplicates", "zero-area-fan"])
+@pytest.mark.parametrize("dedup", [True, False], ids=["hull", "raw"])
+def test_polygon_path_matches_the_plain_active_set(name, dedup):
+    # finite_hull drops exact repeats; a ConvexSet built directly keeps them
+    G = _polygon_case(name)
+    K = finite_hull(G) if dedup else convex.ConvexSet(m=2, generators=G)
+    rng = np.random.default_rng(3)
+    i, j = np.triu_indices(len(G), 1)
+    X = np.vstack([
+        G,                                          # at every generator
+        0.5 * (G[i] + G[j]),                        # on edges and chords
+        G.mean(axis=0) + 0.4 * rng.normal(size=(40, 2)),
+        G.mean(axis=0) + 1e3 * rng.normal(size=(5, 2)),   # far outside
+    ])
+    reset_certificate_stats()
+    P = project(K, X)
+    assert_allclose(P, _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-13)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
+
+
+def test_rows_inside_the_polygon_need_no_affine_solve(monkeypatch):
+    rng = np.random.default_rng(12)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (200, 2)))
+    # convex combinations of three generators at weights >= 0.1
+    w = rng.dirichlet(np.ones(3), 500) * 0.7 + 0.1
+    X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, 3))])
+    calls = []
+    real = convex._affine_coefficients
+    monkeypatch.setattr(convex, "_affine_coefficients",
+                        lambda G, act, X: calls.append(len(act)) or real(G, act, X))
+    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
+    assert calls == []
+    project(K, X + [3.0, 0.0])
+    assert calls
+
+
+@pytest.mark.parametrize("mutation", [
+    "next-triangle", "all-on-one-vertex", "weights-reversed", "weights-sum-1.5"])
+def test_a_wrong_location_is_mended(mutation, monkeypatch):
+    # a located row starts from its triangle and weights only if they pass
+    # the gap test, so a wrong claim of _locate costs a cold start, never a
+    # wrong point (weights that pass it but are not convex fail _members)
+    rng = np.random.default_rng(21)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (40, 2)))
+    X = np.vstack([rng.uniform(-0.6, 0.6, (30, 2)), 3.0 * rng.normal(size=(10, 2))])
+    ref = _project_hull(K.generators, X)[0]
+    real = convex._locate
+    calls = []
+
+    def wrong(W, X):
+        tri, w = real(W, X)
+        calls.append(int((tri[:, 0] >= 0).sum()))
+        if mutation == "next-triangle":
+            t = tri[:, 1] % (len(W) - 2) + 1
+            tri = np.where(tri >= 0, np.stack([0 * t, t, t + 1], axis=1), -1)
+        elif mutation == "all-on-one-vertex":
+            tri = np.tile([0, 1, 2], (len(X), 1))
+            w = np.tile([1.0, 0.0, 0.0], (len(X), 1))
+        elif mutation == "weights-reversed":
+            w = w[:, ::-1]
+        else:
+            w = 1.5 * w
+        return tri, w
+
+    monkeypatch.setattr(convex, "_locate", wrong)
+    assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
+    assert calls and calls[0] > 0
 
 
 def test_is_extreme():
@@ -349,7 +467,7 @@ def test_variational_inequality_measure():
 
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
         G[np.zeros(len(X), dtype=int)], np.tile([0, -1, -1, -1], (len(X), 1)),
         np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))))
     with pytest.raises(CertificateError):
@@ -362,7 +480,7 @@ def test_projection_left_unmoved_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     real = convex._project_hull
     monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X, off: (X,) + real(G, X, off)[1:])
+                        lambda G, X, off, start: (X,) + real(G, X, off, start)[1:])
     assert_allclose(project(K, [0.5, 0.5]), [0.5, 0.5], atol=0.0)
     with pytest.raises(CertificateError, match="membership failed for row 1:"):
         project(K, np.array([[0.5, 0.5], [3.0, 3.0]]))
@@ -377,7 +495,7 @@ def test_bad_weights_raise(monkeypatch, act, lam):
     # (2, 1) is the true projection of (3, 1) onto the square and each
     # weight set reproduces it within 1e-15, yet none is a convex combination
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
         np.array([[2.0, 1.0]]), np.array([act]), np.array([lam])))
     with pytest.raises(CertificateError, match="membership failed for row 0:"):
         project(K, np.array([[3.0, 1.0]]))
@@ -387,7 +505,7 @@ def test_weight_on_an_unseen_generator_raises(monkeypatch):
     # the census row (1, 1) does not see its own value among the generators;
     # Px = x with all weight on that value reproduces x but is not a member
     points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
         X.copy(), np.array([[3, -1, -1, -1]]), np.array([[1.0, 0.0, 0.0, 0.0]])))
     with pytest.raises(CertificateError, match="membership failed for row 0:"):
         is_extreme(points, np.array([3]), 1e-9)

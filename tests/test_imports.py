@@ -1,6 +1,9 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+the verifiers leave out the heavy scipy modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,26 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_verifiers_do_not_import_scipy_spatial():
+    # importing scipy.spatial (Qhull) pulls in scipy.special and adds about
+    # 6 MB of resident memory; the m = 2 hull reduction is numpy only
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from femchp.convex import finite_hull",
+        "from femchp.field import NodalField",
+        "from femchp.mesh import build_structured_mesh",
+        "from femchp.verify import verify_chp, verify_hull_with_zero, verify_lemma_pos",
+        "mesh = build_structured_mesh('right2d', 8)",
+        "rng = np.random.default_rng(0)",
+        "field = NodalField(mesh, rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2)))",
+        "verify_chp(mesh, field)",
+        "verify_hull_with_zero(mesh, field)",
+        "verify_lemma_pos(mesh, field, finite_hull(rng.normal(size=(24, 2))))",
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=PACKAGE.parent, timeout=120)
+    assert run.returncode == 0, run.stderr
