@@ -4,12 +4,15 @@ A target set is the convex hull of finitely many generators (optionally
 including the origin).  Every set with m = 1 is an interval and is
 projected by clipping; for m >= 2 an active-set nearest-point iteration
 over affine subproblems advances all rows of a batch together.  For
-m = 2 ``project`` first reduces the generators to the vertices of their
-polygon and locates each row in that polygon's fan triangulation: a row
-inside starts the iteration from its triangle and ends it at once, the
-others run it on the vertices alone.  ``project`` takes a point or a
-batch of rows and certifies every row, against all the generators,
-by the variational inequality
+m = 2 and m = 3 ``project`` first reduces the generators to the vertices
+of their polygon (Andrew's monotone chain) or polyhedron (Quickhull),
+checks that reduced hull against every generator, and locates each row
+in its fan triangulation from one vertex: a row inside starts the
+iteration from its triangle or tetrahedron and ends it at once, the
+others run it on the vertices alone.  Flat, collinear and one-point sets,
+and rows the reduced hull fails, run it on all the generators.
+``project`` takes a point or a batch of rows and certifies every row,
+against all the generators, by the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
@@ -49,6 +52,10 @@ _CERT_REL_TOL = 1e-10
 # whose (rows x generators) arrays hold at most this many entries, or on
 # single rows
 _BLOCK = 1 << 17
+# a reduced hull must hold every generator within this many times
+# (1 + max|G|) of each facet's half-space, far below the certificate's
+# tolerance; the same margin decides which points it drops
+_HULL_REL_TOL = 1e-12
 
 
 class CertificateError(AssertionError):
@@ -166,6 +173,8 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None, start=None):
         # a warm start stands only where it already passes the loop's gap
         # test: its active weights need not minimise over their affine hull
         warm = (act[:, 0] >= 0) & (_worst_gaps(G, X, Y, off) <= tol)
+        if warm.all():
+            return Y, act, lam
     rows = np.flatnonzero(~warm)
     d2 = ((G - X[rows, None]) ** 2).sum(axis=2)
     if off is not None:
@@ -276,6 +285,221 @@ def _locate(W: np.ndarray, X: np.ndarray):
     return tri, w
 
 
+def _polyhedron(G: np.ndarray):
+    """Vertices and facets of the convex polyhedron spanned by the rows of
+    G (k, 3), by Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) on
+    Python floats, or None when the rows span no solid.
+
+    The first tetrahedron joins the lowest x, the point farthest from it,
+    the one farthest from their line and the one farthest from their plane;
+    one numpy pass drops the points inside it and gives each other point
+    to the facet it lies farthest beyond.  Then the farthest point beyond
+    a facet is inserted at a time: the facets it sees by more than eps =
+    1e-12 * (1 + max|G|) go, a fan from it over their horizon replaces
+    them, and their outside points move to the first new facet they lie
+    beyond, or go.  A point within eps of the hull when it is reached is
+    dropped, and so is a repeated point; one inserted before the points
+    that leave it on a flat face stays a vertex.  A set whose first
+    tetrahedron has a height within eps spans no solid.  Returns (v, F):
+    the vertex indices in ascending input order, and per facet the
+    positions in v of its corners, counter-clockwise seen from outside.
+    """
+    k = len(G)
+    eps = _HULL_REL_TOL * (1.0 + float(np.abs(G).max()))
+    i0 = int(G[:, 0].argmin())
+    R = G - G[i0]
+    d = np.einsum("ij,ij->i", R, R)
+    i1 = int(d.argmax())
+    if not d[i1] > eps * eps:
+        return None
+    ex, ey, ez = R[i1].tolist()
+    c = R @ np.array([[0.0, -ez, ey], [ez, 0.0, -ex], [-ey, ex, 0.0]])   # R x R[i1]
+    d2 = np.einsum("ij,ij->i", c, c)
+    i2 = int(d2.argmax())
+    if not d2[i2] > eps * eps * d[i1]:
+        return None
+    h = R @ c[i2]
+    i3 = int(np.abs(h).argmax())
+    if not abs(h[i3]) > eps * np.sqrt(d2[i2]):
+        return None
+    if h[i3] < 0.0:
+        i1, i2 = i2, i1
+    pts = G.tolist()
+    corners, planes, edge = [], [], {}
+
+    def add(a, b, c):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts[a], pts[b], pts[c]
+        ux, uy, uz, vx, vy, vz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        s = (nx * nx + ny * ny + nz * nz) ** -0.5
+        nx, ny, nz = nx * s, ny * s, nz * s
+        f = len(corners)
+        corners.append((a, b, c))
+        # the offset carries eps: a point lies beyond the facet when n.x > offset
+        planes.append((nx, ny, nz, nx * ax + ny * ay + nz * az + eps))
+        edge[a * k + b] = edge[b * k + c] = edge[c * k + a] = f
+        return f
+
+    for a, b, c in ((i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)):
+        add(a, b, c)
+    N = np.array(planes)
+    D = G @ N[:, :3].T - N[:, 3]
+    far = D.argmax(axis=1)
+    beyond = D[np.arange(k), far] > 0.0
+    outside = [[], [], [], []]
+    for i, f in zip(np.flatnonzero(beyond).tolist(), far[beyond].tolist()):
+        outside[f].append(i)
+    # per facet: 0 while alive, -1 once gone, the step that last found it hidden
+    mark = [0] * 4
+    stack = [f for f in range(4) if outside[f]]
+    step = 0
+    while stack:
+        f = stack.pop()
+        if mark[f] < 0:
+            continue
+        step += 1
+        nx, ny, nz, _ = planes[f]
+        top = -np.inf
+        for i in outside[f]:
+            x, y, z = pts[i]
+            q = nx * x + ny * y + nz * z
+            if q > top:
+                top, p = q, i
+        px, py, pz = pts[p]
+        mark[f] = -1
+        visible, horizon = [f], []
+        for g in visible:
+            a, b, c = corners[g]
+            for s, t in ((a, b), (b, c), (c, a)):
+                n = edge[t * k + s]
+                m = mark[n]
+                if m < 0:
+                    continue
+                if m != step:
+                    hx, hy, hz, ho = planes[n]
+                    if hx * px + hy * py + hz * pz > ho:
+                        mark[n] = -1
+                        visible.append(n)
+                        continue
+                    mark[n] = step
+                horizon.append((s, t))
+        new = [add(s, t, p) for s, t in horizon]
+        mark += [0] * len(new)
+        fresh = [(planes[n], []) for n in new]
+        outside += [o for _, o in fresh]
+        for g in visible:
+            for i in outside[g]:
+                if i == p:
+                    continue
+                qx, qy, qz = pts[i]
+                for (hx, hy, hz, ho), o in fresh:
+                    if hx * qx + hy * qy + hz * qz > ho:
+                        o.append(i)
+                        break
+        stack += [n for n, (_, o) in zip(new, fresh) if o]
+    v, F = np.unique([c for c, m in zip(corners, mark) if m >= 0], return_inverse=True)
+    return v, F.reshape(-1, 3)
+
+
+def _locate3(W: np.ndarray, F: np.ndarray, X: np.ndarray):
+    """Per row of X (k, 3), the tetrahedron of the fan from W[0] over the
+    convex polyhedron W (facets F, as ``_polyhedron`` gives them) that
+    holds it.
+
+    The fan joins W[0] to every facet that does not touch it; tetrahedra of
+    zero computed volume (a facet coplanar with W[0]) are skipped.  The
+    cone from W[0] comes from the signs of triple products, the weights
+    from the same triple products and the one against the far facet,
+    clipped at 0 and renormalised, so no matrix is inverted.  Returns
+    (tet, w), both (k, 4): the vertex positions (0, a, b, c) in W and
+    their weights, or -1 and zero weights for a row outside the
+    polyhedron.  Rounding can misplace a row near a face of the fan, so
+    the weights are only a start that ``_project_hull`` tests.
+    """
+    fan = F[(F != 0).all(axis=1)]
+    P = W[fan] - W[0]
+    U, V = P[:, [1, 2, 0]], P[:, [2, 0, 1]]
+    # per fan tetrahedron b x c, c x a and a x b, with (a, b, c) its facet
+    N = U[..., [1, 2, 0]] * V[..., [2, 0, 1]] - U[..., [2, 0, 1]] * V[..., [1, 2, 0]]
+    vol = np.einsum("ij,ij->i", P[:, 0], N[:, 0])
+    solid = vol > 0.0
+    fan, vol, N = fan[solid], vol[solid], N[solid]
+    # minus their sum is (a - b) x (c - a), the far facet's inward normal,
+    # so the weights of a row at r from W[0] are (vol + r.N0, r.N1, r.N2, r.N3)
+    N = np.concatenate([-N.sum(axis=1, keepdims=True), N], axis=1)
+    c = ((X - W[0]) @ N.transpose(1, 0, 2).reshape(-1, 3).T).reshape(len(X), 4, -1)
+    cone = (c[:, 1] >= 0.0) & (c[:, 2] >= 0.0) & (c[:, 3] >= 0.0)
+    t = cone.argmax(axis=1)
+    rows = np.arange(len(X))
+    num = c[rows, :, t]
+    num[:, 0] += vol[t]
+    found = cone[rows, t] & (num[:, 0] >= 0.0)
+    tet = np.column_stack([np.zeros_like(t), fan[t]])
+    # one step of iterative refinement against the residual in R^3 keeps
+    # the weights accurate in thin tetrahedra
+    d = X - np.einsum("rs,rsk->rk", num / vol[t, None], W[tet])
+    num += np.einsum("rk,rsk->rs", d, N[t])
+    num = np.clip(num, 0.0, None)
+    total = num.sum(axis=1)
+    found &= total > 0.0
+    w = np.divide(num, total[:, None], out=np.zeros_like(num), where=found[:, None])
+    tet = np.where(found[:, None], tet, -1)
+    return tet, w
+
+
+def _reduced_hull(G: np.ndarray):
+    """The vertices of the hull of the rows of G (k, m) and its facets, for
+    m = 2 generators that span a polygon and m = 3 ones that span a solid;
+    None for any other set, and for a hull that fails its check.
+
+    The facets are oriented outward: for m = 2 the counter-clockwise edges
+    (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of
+    ``_polyhedron``.  The check asks that every facet has a normal, that
+    every generator lies within eps = 1e-12 * (1 + max|G|) of every
+    facet's half-space, and, for m = 3, that every directed edge meets its
+    reverse exactly once, so the facets close up.  Returns (v, F), F as
+    positions in v.
+    """
+    m = G.shape[1]
+    if m == 2:
+        v, ring = _polygon(G)
+        if len(v) < 3:
+            return None
+        F = np.column_stack([ring, np.roll(ring, -1)])
+        A = G[v[ring]]
+        N = (np.roll(A, -1, axis=0) - A)[:, ::-1] * [1.0, -1.0]
+        closed = True
+    elif m == 3:
+        hull = _polyhedron(G)
+        if hull is None:
+            return None
+        v, F = hull
+        A, B, C = (G[v[F[:, j]]] for j in range(3))
+        U, V = B - A, C - A
+        N = U[:, [1, 2, 0]] * V[:, [2, 0, 1]] - U[:, [2, 0, 1]] * V[:, [1, 2, 0]]
+        ahead = F[:, [1, 2, 0]]
+        edges = np.sort((F * len(v) + ahead).ravel())
+        closed = ((edges[1:] > edges[:-1]).all()
+                  and np.array_equal(edges, np.sort((ahead * len(v) + F).ravel())))
+    else:
+        return None
+    size = np.sqrt(np.einsum("ij,ij->i", N, N))
+    eps = _HULL_REL_TOL * (1.0 + np.abs(G).max())
+    holds = (G @ N.T - np.einsum("ij,ij->i", N, A) <= eps * size).all()
+    return (v, F) if closed and (size > 0.0).all() and holds else None
+
+
+def _fan_start(W: np.ndarray, F: np.ndarray, X: np.ndarray):
+    """Warm start of ``_project_hull`` on the hull vertices W (facets F of
+    ``_reduced_hull``): per row of X its simplex in the fan triangulation
+    of the hull, as positions in W, and its barycentric weights."""
+    if W.shape[1] == 2:
+        ring = F[:, 0]
+        tri, w = _locate(W[ring], X)
+        return np.where(tri >= 0, ring[tri], -1), w
+    return _locate3(W, F, X)
+
+
 def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
     """Per row, the max of (x - Px).(z - Px) over the generators z it sees."""
     D = X - P
@@ -309,18 +533,21 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
     and is neither projected nor counted.  Rows with m = 1 are clipped
     between the generators they see, so they are members by construction;
     the others must pass ``_members`` on the weights of ``_project_hull``.
-    Without ``tol``, m = 2 generators that span a polygon (3 or more
-    vertices) are reduced once to its vertices, and ``_project_hull`` runs
-    on those, warm-started from ``_locate``'s triangle and weights; the
-    weights are mapped back to G's rows for ``_members``, and the
-    variational inequality is still checked against every row of G.
+    Without ``tol``, m = 2 generators that span a polygon and m = 3 ones
+    that span a solid are reduced once to the vertices of their hull
+    (``_reduced_hull``, which also checks it), and ``_project_hull`` runs
+    on those, warm-started from the simplex and weights ``_fan_start``
+    locates; the weights are mapped back to G's rows for ``_members``, and
+    the variational inequality is still checked against every row of G.
+    Any other set, a hull that fails its check, and a row whose membership
+    or certificate fails on the reduced hull run on all of G.
     """
     P = np.full_like(X, np.nan)
     cert = _CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
     slack = np.full(len(X), -np.inf)
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
-    v, ring = _polygon(G) if tol is None and G.shape[1] == 2 else ((), None)
+    hull = _reduced_hull(G) if tol is None else None
     for s in range(0, len(X), step):
         r, off = slice(s, s + step), None
         if tol is not None:
@@ -331,15 +558,24 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
             g = G[:, 0] if off is None else np.where(off, np.nan, G[:, 0])
             P[r] = np.clip(X[r], np.nanmin(g, axis=-1, keepdims=True),
                            np.nanmax(g, axis=-1, keepdims=True))
-        elif len(v) < 3:
+        elif hull is None:
             P[r], act, lam = _project_hull(G, X[r], off, None)
             member[r] = _members(G, P[r], act, lam, off)
         else:
-            tri, w = _locate(G[v[ring]], X[r])
-            P[r], act, lam = _project_hull(G[v], X[r], None,
-                                           (np.where(tri >= 0, ring[tri], -1), w))
+            v, F = hull
+            P[r], act, lam = _project_hull(G[v], X[r], None, _fan_start(G[v], F, X[r]))
             member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
         slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
+        if hull is not None:
+            # the hull check bounds each generator's distance to the facet
+            # planes, not to the hull: past the rim of a near-flat solid a
+            # generator can lie within eps of every plane and still outside,
+            # so a row the reduced hull fails starts again on all of G
+            redo = s + np.flatnonzero(~member[r] | (slack[r] > 0.0))
+            if len(redo):
+                P[redo], act, lam = _project_hull(G, X[redo], None, None)
+                member[redo] = _members(G, P[redo], act, lam)
+                slack[redo] = _worst_gaps(G, X[redo], P[redo]) - cert[redo]
         _STATS.record(slack[r])
     if not member.all():
         i = int(np.argmin(member))

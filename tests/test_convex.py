@@ -21,6 +21,7 @@ from femchp.convex import (
 )
 from femchp.field import NodalField
 from femchp.mesh import build_structured_mesh
+from femchp.verify import verify_hull_with_zero
 
 
 def test_project_onto_segment():
@@ -308,6 +309,223 @@ def test_a_wrong_location_is_mended(mutation, monkeypatch):
     monkeypatch.setattr(convex, "_locate", wrong)
     assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
     assert calls and calls[0] > 0
+
+
+def test_polyhedron_keeps_the_corners():
+    # the unit cube's corners among its face and edge midpoints: its faces
+    # are split into coplanar facets, and the fan from vertex 0 meets the
+    # faces through it in tetrahedra of zero volume
+    G = np.array(_polyhedron_case("cube"))
+    v, F = convex._polyhedron(G)
+    corners = [[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)]
+    assert all(c in G[v].tolist() for c in corners)
+    # no face midpoint; an edge midpoint inserted before the corners that
+    # make it flat may stay a vertex, on the boundary all the same
+    assert (np.isin(G[v], [0.0, 1.0]).sum(axis=1) >= 2).all()
+    # outward: the centre lies beneath every facet
+    A, B, C = (G[v[F[:, j]]] for j in range(3))
+    assert (np.einsum("ij,ij->i", np.cross(B - A, C - A), 0.5 - A) < 0.0).all()
+    # closed: each directed edge once, and its reverse once
+    edges = [(int(a), int(b)) for f in F for a, b in zip(f, np.roll(f, -1))]
+    assert len(set(edges)) == 3 * len(F) and set(edges) == {(b, a) for a, b in edges}
+    assert len(F) == 2 * len(v) - 4
+    assert convex._reduced_hull(G) is not None
+
+
+def test_fan_tetrahedra_hold_the_rows_inside():
+    G = np.array(_polyhedron_case("cube"))
+    v, F = convex._polyhedron(G)
+    W = G[v]
+    rng = np.random.default_rng(2)
+    inside = np.vstack([rng.uniform(0.0, 1.0, (50, 3)), W, [[0.5, 0.5, 0.5]]])
+    outside = np.vstack([rng.uniform(1.01, 2.0, (20, 3)), -rng.uniform(0.01, 1.0, (20, 3)),
+                         [[0.5, 0.5, 1.5], [1.5, 0.5, 0.5]]])
+    tet, w = convex._locate3(W, F, np.vstack([inside, outside]))
+    assert (tet[:len(inside)] >= 0).all() and (tet[len(inside):] == -1).all()
+    assert (w[len(inside):] == 0.0).all()
+    t, w = tet[:len(inside)], w[:len(inside)]
+    assert (t[:, 0] == 0).all() and (w >= 0.0).all()
+    assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert_allclose(np.einsum("rs,rsk->rk", w, W[t]), inside, rtol=0.0, atol=1e-15)
+    # no row sits in a tetrahedron of zero volume
+    P = W[t] - W[t[:, :1]]
+    assert (np.abs(np.linalg.det(P[:, 1:])) > 0.1).all()
+
+
+def _polyhedron_case(name):
+    rng = np.random.default_rng(len(name))
+    if name.startswith("random"):
+        return rng.uniform(-1.0, 1.0, (int(name[7:]), 3))
+    if name == "cube":
+        # corners, face midpoints and edge midpoints of the unit cube
+        return [[i, j, k] for i in (0.0, 0.5, 1.0) for j in (0.0, 0.5, 1.0)
+                for k in (0.0, 0.5, 1.0) if [i, j, k].count(0.5) < 3]
+    if name == "repeated-solid":
+        tet = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+               [0.25, 0.25, 0.25]]
+        return np.array(tet + tet[::2] + tet[:1])
+    if name == "flat":
+        return np.column_stack([rng.uniform(-1.0, 1.0, (12, 2)), np.full(12, 0.3)]) @ \
+            np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    if name == "collinear":
+        return np.outer(rng.uniform(-1.0, 1.0, 6), [1.0, 2.0, -0.5]) + [0.1, 0.2, 0.3]
+    if name == "one-point":
+        return np.array([[0.3, -0.2, 0.1]])
+    if name == "two-points":
+        return np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    if name == "duplicates":
+        # a triangle's corners, each repeated: many points, no solid
+        tri = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        return np.array(tri * 3 + tri[:1])
+    # the triangle again, with copies 1 ulp and 1e-15 off its plane
+    one_ulp = np.nextafter(1.0, 2.0)
+    return np.array([[1.0, 0.0, 0.0], [one_ulp, 0.0, 0.0], [1.0, 0.0, 1e-15],
+                     [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+_SOLIDS = ["random-4", "random-12", "random-80", "cube", "repeated-solid"]
+_NO_SOLIDS = ["flat", "collinear", "one-point", "two-points", "duplicates",
+              "near-duplicates"]
+
+
+@pytest.mark.parametrize("name", _SOLIDS + _NO_SOLIDS)
+@pytest.mark.parametrize("dedup", [True, False], ids=["hull", "raw"])
+def test_polyhedron_path_matches_the_plain_active_set(name, dedup, monkeypatch):
+    # finite_hull drops exact repeats; a ConvexSet built directly keeps them
+    G = np.array(_polyhedron_case(name), dtype=float)
+    K = finite_hull(G) if dedup else convex.ConvexSet(m=3, generators=G)
+    rng = np.random.default_rng(3)
+    i, j = np.triu_indices(len(G), 1)
+    X = np.vstack([
+        G,                                          # at every generator
+        0.5 * (G[i] + G[j]),                        # on edges and chords
+        G.mean(axis=0) + 0.4 * rng.normal(size=(40, 3)),
+        G.mean(axis=0) + 1e3 * rng.normal(size=(5, 3)),   # far outside
+    ])
+    located = []
+    real = convex._locate3
+    monkeypatch.setattr(convex, "_locate3",
+                        lambda W, F, X: located.append(len(X)) or real(W, F, X))
+    reset_certificate_stats()
+    P = project(K, X)
+    assert_allclose(P, _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-13)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
+    # a set that spans no solid goes down the plain path on all generators
+    assert sum(located) == (len(X) if name in _SOLIDS else 0)
+
+
+def test_hull_with_the_origin_in_three_dimensions():
+    # the origin is one generator of the hull that hull0 projects onto
+    mesh = build_structured_mesh("kuhn3d", 2)
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 1.5, (mesh.num_vertices, 3))
+    values[mesh.interior_nodes] = rng.uniform(-1.0, 1.5, (len(mesh.interior_nodes), 3))
+    K = hull_with_origin(values[mesh.boundary_nodes])
+    v, _ = convex._reduced_hull(K.generators)
+    assert (K.generators[v] == 0.0).all(axis=1).any()
+    X = np.vstack([values, -values, np.zeros((1, 3))])
+    assert_allclose(project(K, X), _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-13)
+    rep = verify_hull_with_zero(mesh, NodalField(mesh, values))
+    inner = values[mesh.interior_nodes]
+    cold = np.linalg.norm(inner - _project_hull(K.generators, inner)[0], axis=1)
+    assert rep.violation == pytest.approx(cold.max(), rel=0.0, abs=1e-13)
+    assert rep.violation > rep.tol
+    assert rep.worst_index == mesh.interior_nodes[cold.argmax()]
+
+
+def test_rows_inside_the_polyhedron_need_no_affine_solve(monkeypatch):
+    rng = np.random.default_rng(12)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (200, 3)))
+    # convex combinations of four generators at weights >= 0.1
+    w = rng.dirichlet(np.ones(4), 500) * 0.6 + 0.1
+    X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, 4))])
+    calls = []
+    real = convex._affine_coefficients
+    monkeypatch.setattr(convex, "_affine_coefficients",
+                        lambda G, act, X: calls.append(len(act)) or real(G, act, X))
+    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
+    assert calls == []
+    project(K, X + [3.0, 0.0, 0.0])
+    assert calls
+
+
+@pytest.mark.parametrize("mutation", [
+    "another-tetrahedron", "all-on-one-vertex", "weights-reversed", "weights-sum-1.5"])
+def test_a_wrong_tetrahedron_is_mended(mutation, monkeypatch):
+    # as for m = 2: a wrong claim of _locate3 costs a cold start on the hull
+    # vertices, never a wrong point
+    rng = np.random.default_rng(21)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (40, 3)))
+    X = np.vstack([rng.uniform(-0.4, 0.4, (30, 3)), 3.0 * rng.normal(size=(10, 3))])
+    ref = _project_hull(K.generators, X)[0]
+    real = convex._locate3
+    calls = []
+
+    def wrong(W, F, X):
+        tet, w = real(W, F, X)
+        calls.append(int((tet[:, 0] >= 0).sum()))
+        if mutation == "another-tetrahedron":
+            fan = F[(F != 0).all(axis=1)]
+            t = rng.integers(0, len(fan), len(X))
+            tet = np.where(tet >= 0, np.column_stack([0 * t, fan[t]]), -1)
+        elif mutation == "all-on-one-vertex":
+            tet = np.tile([0, 1, 2, 3], (len(X), 1))
+            w = np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))
+        elif mutation == "weights-reversed":
+            w = w[:, ::-1]
+        else:
+            w = 1.5 * w
+        return tet, w
+
+    monkeypatch.setattr(convex, "_locate3", wrong)
+    assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
+    assert calls and calls[0] > 0
+
+
+@pytest.mark.parametrize("case", ["polygon-rebuilt", "polyhedron-rebuilt", "polyhedron-torn"])
+def test_a_hull_missing_a_vertex_goes_cold(case, monkeypatch):
+    # a reduced hull must hold every generator and close up; one that does
+    # not sends the call down the plain path on all generators
+    m = 2 if case.startswith("polygon") else 3
+    rng = np.random.default_rng(30 + m)
+    G = rng.uniform(-1.0, 1.0, (60, m))
+    X = np.vstack([rng.uniform(-0.3, 0.3, (20, m)), 3.0 * rng.normal(size=(10, m)), G])
+    assert convex._reduced_hull(G) is not None
+    name = "_polygon" if m == 2 else "_polyhedron"
+    real = getattr(convex, name)
+    v, F = real(G)
+    if case.endswith("torn"):
+        # the true hull with the facets around one vertex torn out: every
+        # generator still lies beneath every facet, but the facets are open
+        F = F[(F != 2).all(axis=1)]
+    else:
+        # the hull of the generators but one of its vertices
+        keep = np.delete(np.arange(len(G)), v[2])
+        v, F = real(G[keep])
+        v = keep[v]
+    monkeypatch.setattr(convex, name, lambda G: (v, F))
+    monkeypatch.setattr(convex, "_fan_start", lambda W, F, X: pytest.fail("located"))
+    assert convex._reduced_hull(G) is None
+    reset_certificate_stats()
+    assert_allclose(project(finite_hull(G), X), _project_hull(G, X)[0], rtol=0.0, atol=0.0)
+    assert certificate_stats().worst_slack <= 0.0
+
+
+def test_rows_a_near_flat_hull_fails_start_again_on_all_generators():
+    # every generator lies within eps of every facet plane of this reduced
+    # hull, yet past the rim of the near-flat solid some lie far outside it;
+    # the rows that then fail their certificate start again on all of G
+    rng = np.random.default_rng(3)
+    G = rng.uniform(-1.0, 1.0, (17, 3)) * [1.0, 1.0, 2e-12]
+    v, _ = convex._reduced_hull(G)
+    assert np.linalg.norm(G - _project_hull(G[v], G)[0], axis=1).max() > 0.5
+    X = np.vstack([G, 3.0 * rng.normal(size=(20, 3))])
+    reset_certificate_stats()
+    # the reduction may drop a generator within eps = 2e-12 of its planes
+    assert_allclose(project(finite_hull(G), X), _project_hull(G, X)[0], rtol=0.0, atol=1e-11)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
 
 
 def test_is_extreme():

@@ -50,7 +50,8 @@ def test_every_import_is_used(path):
 
 def test_verifiers_do_not_import_scipy_spatial():
     # importing scipy.spatial (Qhull) pulls in scipy.special and adds about
-    # 6 MB of resident memory; the m = 2 hull reduction is numpy only
+    # 6 MB of resident memory; the m = 2 and m = 3 hull reductions are numpy
+    # and Python floats only
     code = "\n".join([
         "import sys",
         "import numpy as np",
@@ -62,6 +63,7 @@ def test_verifiers_do_not_import_scipy_spatial():
         "rng = np.random.default_rng(0)",
         "field = NodalField(mesh, rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2)))",
         "verify_chp(mesh, field)",
+        "verify_chp(mesh, NodalField(mesh, rng.uniform(-1.0, 1.0, (mesh.num_vertices, 3))))",
         "verify_hull_with_zero(mesh, field)",
         "verify_lemma_pos(mesh, field, finite_hull(rng.normal(size=(24, 2))))",
         "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'",
