@@ -7,10 +7,10 @@ over affine subproblems advances all rows of a batch together.  For
 m = 2 and m = 3 ``project`` first reduces the generators to the vertices
 of their polygon (Andrew's monotone chain) or polyhedron (Quickhull),
 checks that reduced hull against every generator, and locates each row
-in its fan triangulation from one vertex: a row inside starts the
-iteration from its triangle or tetrahedron and ends it at once, the
+in its fan triangulation from one vertex, built once per call: a row
+inside starts the iteration from its simplex and ends it at once, the
 others run it on the vertices alone.  Flat, collinear and one-point sets,
-and rows the reduced hull fails, run it on all the generators.
+empty fans and rows the reduced hull fails run it on all the generators.
 ``project`` takes a point or a batch of rows and certifies every row,
 against all the generators, by the variational inequality
 
@@ -255,36 +255,6 @@ def _polygon(G: np.ndarray):
     return v, np.searchsorted(v, ring)
 
 
-def _locate(W: np.ndarray, X: np.ndarray):
-    """Per row of X (k, 2), the triangle of the fan from W[0] over the
-    convex polygon W (n >= 3 vertices, counter-clockwise) that holds it.
-
-    The wedge comes from the signs of the cross products with the fan's
-    rays, the barycentric weights from 2x2 cross products, clipped at 0
-    and renormalised.  Returns (tri, w), both (k, 3): the vertex positions
-    (0, t, t + 1) in W and their weights, or -1 and zero weights for a row
-    outside the polygon.  Rounding can misplace a row near a ray or in a
-    triangle of zero computed area, so the weights are only a start that
-    ``_project_hull`` tests.
-    """
-    E = W[1:] - W[0]
-    R = X - W[0]
-    c = E[:, 0] * R[:, None, 1] - E[:, 1] * R[:, None, 0]
-    t = np.clip((c >= 0.0).sum(axis=1), 1, len(W) - 2)
-    rows = np.arange(len(X))
-    A, B = W[t], W[t + 1]
-    num = np.stack([(B[:, 0] - A[:, 0]) * (X[:, 1] - A[:, 1])
-                    - (B[:, 1] - A[:, 1]) * (X[:, 0] - A[:, 0]),
-                    -c[rows, t], c[rows, t - 1]], axis=1)
-    found = (c[:, 0] >= 0.0) & (c[:, -1] <= 0.0) & (num[:, 0] >= 0.0)
-    num = np.clip(num, 0.0, None)
-    total = num.sum(axis=1)
-    found &= total > 0.0
-    w = np.divide(num, total[:, None], out=np.zeros_like(num), where=found[:, None])
-    tri = np.where(found[:, None], np.stack([np.zeros_like(t), t, t + 1], axis=1), -1)
-    return tri, w
-
-
 def _polyhedron(G: np.ndarray):
     """Vertices and facets of the convex polyhedron spanned by the rows of
     G (k, 3), by Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) on
@@ -401,50 +371,45 @@ def _polyhedron(G: np.ndarray):
     return v, F.reshape(-1, 3)
 
 
-def _locate3(W: np.ndarray, F: np.ndarray, X: np.ndarray):
-    """Per row of X (k, 3), the tetrahedron of the fan from W[0] over the
-    convex polyhedron W (facets F, as ``_polyhedron`` gives them) that
-    holds it.
-
-    The fan joins W[0] to every facet that does not touch it; tetrahedra of
-    zero computed volume (a facet coplanar with W[0]) are skipped.  The
-    cone from W[0] comes from the signs of triple products, the weights
-    from the same triple products and the one against the far facet,
-    clipped at 0 and renormalised, so no matrix is inverted.  Returns
-    (tet, w), both (k, 4): the vertex positions (0, a, b, c) in W and
-    their weights, or -1 and zero weights for a row outside the
-    polyhedron.  Rounding can misplace a row near a face of the fan, so
-    the weights are only a start that ``_project_hull`` tests.
+def _fan(W: np.ndarray, F: np.ndarray):
+    """The fan triangulation from W[0] of the hull with vertices W (n, m)
+    and outward facets F: W[0] joined to every facet that does not touch
+    it, bar the simplices of zero computed volume, whose edge matrix (rows
+    W[a] - W[0]) has a determinant <= 0.  Returns (S, E, Inv): per simplex
+    its vertex positions (0, a, ...) in W, its edge matrix and the inverse.
     """
-    fan = F[(F != 0).all(axis=1)]
-    P = W[fan] - W[0]
-    U, V = P[:, [1, 2, 0]], P[:, [2, 0, 1]]
-    # per fan tetrahedron b x c, c x a and a x b, with (a, b, c) its facet
-    N = U[..., [1, 2, 0]] * V[..., [2, 0, 1]] - U[..., [2, 0, 1]] * V[..., [1, 2, 0]]
-    vol = np.einsum("ij,ij->i", P[:, 0], N[:, 0])
-    solid = vol > 0.0
-    fan, vol, N = fan[solid], vol[solid], N[solid]
-    # minus their sum is (a - b) x (c - a), the far facet's inward normal,
-    # so the weights of a row at r from W[0] are (vol + r.N0, r.N1, r.N2, r.N3)
-    N = np.concatenate([-N.sum(axis=1, keepdims=True), N], axis=1)
-    c = ((X - W[0]) @ N.transpose(1, 0, 2).reshape(-1, 3).T).reshape(len(X), 4, -1)
-    cone = (c[:, 1] >= 0.0) & (c[:, 2] >= 0.0) & (c[:, 3] >= 0.0)
+    S = F[(F != 0).all(axis=1)]
+    E = W[S] - W[0]
+    solid = np.linalg.det(E) > 0.0
+    S, E = S[solid], E[solid]
+    return np.column_stack([np.zeros_like(S[:, 0]), S]), E, np.linalg.inv(E)
+
+
+def _locate(W: np.ndarray, fan, X: np.ndarray):
+    """Per row of X (k, m), the simplex of the hull W's ``fan`` that holds
+    it, and its barycentric weights.
+
+    A row lies in the cone of the first simplex where its coordinates c in
+    the edge basis are >= 0, and in the simplex if 1 - sum(c) >= 0 too.
+    The weights get one step of iterative refinement against the residual,
+    which keeps them accurate in thin simplices, and are clipped at 0 and
+    renormalised.  Returns (simp, w), both (k, m + 1): the vertex
+    positions in W and the weights, or -1 and zero weights for a row
+    outside the hull.  Rounding can misplace a row near a face of the fan,
+    so the weights are only a start that ``_project_hull`` tests.
+    """
+    S, E, Inv = fan
+    R = X - W[0]
+    # C[i, r, f] is row r's coordinate on edge i of simplex f: with the
+    # edges first, the cone test reduces over contiguous (r, f) planes
+    C = R @ Inv.transpose(2, 1, 0)
+    cone = (C >= 0.0).all(axis=0)
     t = cone.argmax(axis=1)
-    rows = np.arange(len(X))
-    num = c[rows, :, t]
-    num[:, 0] += vol[t]
-    found = cone[rows, t] & (num[:, 0] >= 0.0)
-    tet = np.column_stack([np.zeros_like(t), fan[t]])
-    # one step of iterative refinement against the residual in R^3 keeps
-    # the weights accurate in thin tetrahedra
-    d = X - np.einsum("rs,rsk->rk", num / vol[t, None], W[tet])
-    num += np.einsum("rk,rsk->rs", d, N[t])
-    num = np.clip(num, 0.0, None)
-    total = num.sum(axis=1)
-    found &= total > 0.0
-    w = np.divide(num, total[:, None], out=np.zeros_like(num), where=found[:, None])
-    tet = np.where(found[:, None], tet, -1)
-    return tet, w
+    c = C[:, np.arange(len(X)), t].T
+    found = (cone.any(axis=1) & (c.sum(axis=1) <= 1.0))[:, None]
+    c += np.einsum("rj,rji->ri", R - np.einsum("ri,rij->rj", c, E[t]), Inv[t])
+    w = np.clip(np.column_stack([1.0 - c.sum(axis=1), c]), 0.0, None)
+    return np.where(found, S[t], -1), np.where(found, w / w.sum(axis=1, keepdims=True), 0.0)
 
 
 def _reduced_hull(G: np.ndarray):
@@ -457,8 +422,9 @@ def _reduced_hull(G: np.ndarray):
     ``_polyhedron``.  The check asks that every facet has a normal, that
     every generator lies within eps = 1e-12 * (1 + max|G|) of every
     facet's half-space, and, for m = 3, that every directed edge meets its
-    reverse exactly once, so the facets close up.  Returns (v, F), F as
-    positions in v.
+    reverse exactly once, so the facets close up.  A hull that passes and
+    whose ``_fan`` keeps at least one simplex (a thin one may keep none)
+    returns (v, fan): the vertex indices in G and the fan of G[v].
     """
     m = G.shape[1]
     if m == 2:
@@ -486,18 +452,10 @@ def _reduced_hull(G: np.ndarray):
     size = np.sqrt(np.einsum("ij,ij->i", N, N))
     eps = _HULL_REL_TOL * (1.0 + np.abs(G).max())
     holds = (G @ N.T - np.einsum("ij,ij->i", N, A) <= eps * size).all()
-    return (v, F) if closed and (size > 0.0).all() and holds else None
-
-
-def _fan_start(W: np.ndarray, F: np.ndarray, X: np.ndarray):
-    """Warm start of ``_project_hull`` on the hull vertices W (facets F of
-    ``_reduced_hull``): per row of X its simplex in the fan triangulation
-    of the hull, as positions in W, and its barycentric weights."""
-    if W.shape[1] == 2:
-        ring = F[:, 0]
-        tri, w = _locate(W[ring], X)
-        return np.where(tri >= 0, ring[tri], -1), w
-    return _locate3(W, F, X)
+    if not (closed and (size > 0.0).all() and holds):
+        return None
+    fan = _fan(G[v], F)
+    return (v, fan) if len(fan[0]) else None
 
 
 def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
@@ -536,9 +494,10 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
     Without ``tol``, m = 2 generators that span a polygon and m = 3 ones
     that span a solid are reduced once to the vertices of their hull
     (``_reduced_hull``, which also checks it), and ``_project_hull`` runs
-    on those, warm-started from the simplex and weights ``_fan_start``
-    locates; the weights are mapped back to G's rows for ``_members``, and
-    the variational inequality is still checked against every row of G.
+    on those, warm-started from the simplex and weights ``_locate`` finds
+    in the hull's fan, which is built once per call; the weights are
+    mapped back to G's rows for ``_members``, and the variational
+    inequality is still checked against every row of G.
     Any other set, a hull that fails its check, and a row whose membership
     or certificate fails on the reduced hull run on all of G.
     """
@@ -562,8 +521,8 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
             P[r], act, lam = _project_hull(G, X[r], off, None)
             member[r] = _members(G, P[r], act, lam, off)
         else:
-            v, F = hull
-            P[r], act, lam = _project_hull(G[v], X[r], None, _fan_start(G[v], F, X[r]))
+            v, fan = hull
+            P[r], act, lam = _project_hull(G[v], X[r], None, _locate(G[v], fan, X[r]))
             member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
         slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
         if hull is not None:

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import convex
 from femchp.convex import (
@@ -207,13 +207,19 @@ def test_polygon_keeps_the_corners():
     assert (E[:-1, 0] * E[1:, 1] - E[:-1, 1] * E[1:, 0]).tolist() == [1.0, 1.0]
 
 
-# every fan triangle over this polygon has positive area but one, whose
-# area rounds to 0.0
-_ZERO_AREA_FAN = [[-0.17071131235775555, 0.0775679785126866],
+# every fan triangle from this polygon's first vertex has positive area but
+# one, whose area rounds to 0.0
+_ZERO_AREA_FAN = [[-0.6122836269743994, 0.2782100527778053],
+                  [-0.17071131235775555, 0.0775679785126866],
                   [-0.17763023730512695, 0.08071180661778528],
                   [-0.5259402680158444, 0.23897727013493875],
-                  [-0.6122836269743994, 0.2782100527778053],
                   [-0.2735405393146664, 0.12319323581853611]]
+
+# a triangle that passes _polygon and the hull check, yet the determinant of
+# its one fan triangle rounds to a value <= 0
+_EMPTY_FAN = [[0.0008613646740562864, -1.5798269923315347],
+              [0.41692231608258007, -0.5558897311862772],
+              [0.23191761949486708, -1.0111912962135385]]
 
 
 def _polygon_case(name):
@@ -239,76 +245,183 @@ def _polygon_case(name):
     return np.array(_ZERO_AREA_FAN)
 
 
-@pytest.mark.parametrize("name", [
-    "random-3", "random-12", "random-80", "circle", "collinear", "one-point",
-    "two-points", "duplicates", "near-duplicates", "zero-area-fan"])
-@pytest.mark.parametrize("dedup", [True, False], ids=["hull", "raw"])
-def test_polygon_path_matches_the_plain_active_set(name, dedup):
+def _fan_of(G):
+    """The hull vertices of G (m = 2 or 3), its facets and its fan."""
+    if G.shape[1] == 2:
+        v, ring = convex._polygon(G)
+        F = np.column_stack([ring, np.roll(ring, -1)])
+    else:
+        v, F = convex._polyhedron(G)
+    return G[v], F, convex._fan(G[v], F)
+
+
+def _spy(monkeypatch, name, calls):
+    """Wrap convex.<name> so that each call appends its arguments to calls."""
+    real = getattr(convex, name)
+    monkeypatch.setattr(convex, name, lambda *args: calls.append(args) or real(*args))
+
+
+def _reduced_path_matches_the_plain_active_set(G, dedup, located, monkeypatch):
     # finite_hull drops exact repeats; a ConvexSet built directly keeps them
-    G = _polygon_case(name)
-    K = finite_hull(G) if dedup else convex.ConvexSet(m=2, generators=G)
+    m = G.shape[1]
+    K = finite_hull(G) if dedup else convex.ConvexSet(m=m, generators=G)
     rng = np.random.default_rng(3)
     i, j = np.triu_indices(len(G), 1)
     X = np.vstack([
         G,                                          # at every generator
         0.5 * (G[i] + G[j]),                        # on edges and chords
-        G.mean(axis=0) + 0.4 * rng.normal(size=(40, 2)),
-        G.mean(axis=0) + 1e3 * rng.normal(size=(5, 2)),   # far outside
+        G.mean(axis=0) + 0.4 * rng.normal(size=(40, m)),
+        G.mean(axis=0) + 1e3 * rng.normal(size=(5, m)),   # far outside
     ])
+    calls = []
+    _spy(monkeypatch, "_locate", calls)
     reset_certificate_stats()
     P = project(K, X)
     assert_allclose(P, _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-13)
     assert certificate_stats().projections == len(X)
     assert certificate_stats().worst_slack <= 0.0
+    # a set that spans no polygon or solid goes down the plain path on all
+    # generators
+    assert sum(len(args[2]) for args in calls) == (len(X) if located else 0)
+
+
+_POLYGONS = ["random-3", "random-12", "random-80", "circle", "duplicates",
+             "near-duplicates", "zero-area-fan"]
+_NO_POLYGONS = ["collinear", "one-point", "two-points"]
+
+
+@pytest.mark.parametrize("name", _POLYGONS + _NO_POLYGONS)
+@pytest.mark.parametrize("dedup", [True, False], ids=["hull", "raw"])
+def test_polygon_path_matches_the_plain_active_set(name, dedup, monkeypatch):
+    _reduced_path_matches_the_plain_active_set(
+        _polygon_case(name), dedup, name in _POLYGONS, monkeypatch)
+
+
+def _rows_inside_need_no_affine_solve(m, monkeypatch):
+    rng = np.random.default_rng(12)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (200, m)))
+    # convex combinations of m + 1 generators at weights >= 0.1
+    w = rng.dirichlet(np.ones(m + 1), 500) * (0.9 - 0.1 * m) + 0.1
+    X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, m + 1))])
+    calls = []
+    _spy(monkeypatch, "_affine_coefficients", calls)
+    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
+    assert calls == []
+    project(K, X + 3.0 * np.eye(m)[0])
+    assert calls
 
 
 def test_rows_inside_the_polygon_need_no_affine_solve(monkeypatch):
-    rng = np.random.default_rng(12)
-    K = finite_hull(rng.uniform(-1.0, 1.0, (200, 2)))
-    # convex combinations of three generators at weights >= 0.1
-    w = rng.dirichlet(np.ones(3), 500) * 0.7 + 0.1
-    X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, 3))])
+    _rows_inside_need_no_affine_solve(2, monkeypatch)
+
+
+def _a_wrong_location_is_mended(m, mutation, monkeypatch):
+    # a located row starts from its simplex and weights only if they pass
+    # the gap test, so a wrong claim of _locate costs a cold start on the
+    # hull vertices, never a wrong point (weights that pass it but are not
+    # convex fail _members)
+    rng = np.random.default_rng(21)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (40, m)))
+    inner = 0.6 if m == 2 else 0.4
+    X = np.vstack([rng.uniform(-inner, inner, (30, m)), 3.0 * rng.normal(size=(10, m))])
+    ref = _project_hull(K.generators, X)[0]
+    real = convex._locate
     calls = []
-    real = convex._affine_coefficients
-    monkeypatch.setattr(convex, "_affine_coefficients",
-                        lambda G, act, X: calls.append(len(act)) or real(G, act, X))
-    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
-    assert calls == []
-    project(K, X + [3.0, 0.0])
-    assert calls
+
+    def wrong(W, fan, X):
+        simp, w = real(W, fan, X)
+        calls.append(int((simp[:, 0] >= 0).sum()))
+        if mutation in ("next-triangle", "another-tetrahedron"):
+            # the fan simplex after the one it found
+            S = fan[0]
+            t = (simp[:, None] == S).all(axis=2).argmax(axis=1)
+            simp = np.where(simp >= 0, S[(t + 1) % len(S)], -1)
+        elif mutation == "all-on-one-vertex":
+            simp = np.tile(np.arange(m + 1), (len(X), 1))
+            w = np.tile(np.eye(m + 1)[0], (len(X), 1))
+        elif mutation == "weights-reversed":
+            w = w[:, ::-1]
+        else:
+            w = 1.5 * w
+        return simp, w
+
+    monkeypatch.setattr(convex, "_locate", wrong)
+    assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
+    assert calls and calls[0] > 0
 
 
 @pytest.mark.parametrize("mutation", [
     "next-triangle", "all-on-one-vertex", "weights-reversed", "weights-sum-1.5"])
 def test_a_wrong_location_is_mended(mutation, monkeypatch):
-    # a located row starts from its triangle and weights only if they pass
-    # the gap test, so a wrong claim of _locate costs a cold start, never a
-    # wrong point (weights that pass it but are not convex fail _members)
-    rng = np.random.default_rng(21)
-    K = finite_hull(rng.uniform(-1.0, 1.0, (40, 2)))
-    X = np.vstack([rng.uniform(-0.6, 0.6, (30, 2)), 3.0 * rng.normal(size=(10, 2))])
+    _a_wrong_location_is_mended(2, mutation, monkeypatch)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_fan_is_built_once_per_call(m, monkeypatch):
+    rng = np.random.default_rng(40 + m)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (30, m)))
+    X = np.vstack([rng.uniform(-0.3, 0.3, (20, m)), 3.0 * rng.normal(size=(10, m))])
     ref = _project_hull(K.generators, X)[0]
-    real = convex._locate
-    calls = []
+    # blocks of 8 rows: four of them
+    monkeypatch.setattr(convex, "_BLOCK", 8 * len(K.generators))
+    built, located = [], []
+    _spy(monkeypatch, "_fan", built)
+    _spy(monkeypatch, "_locate", located)
+    for _ in range(2):
+        built.clear()
+        located.clear()
+        assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
+        assert len(built) == 1 and len(located) == 4
 
-    def wrong(W, X):
-        tri, w = real(W, X)
-        calls.append(int((tri[:, 0] >= 0).sum()))
-        if mutation == "next-triangle":
-            t = tri[:, 1] % (len(W) - 2) + 1
-            tri = np.where(tri >= 0, np.stack([0 * t, t, t + 1], axis=1), -1)
-        elif mutation == "all-on-one-vertex":
-            tri = np.tile([0, 1, 2], (len(X), 1))
-            w = np.tile([1.0, 0.0, 0.0], (len(X), 1))
-        elif mutation == "weights-reversed":
-            w = w[:, ::-1]
-        else:
-            w = 1.5 * w
-        return tri, w
 
-    monkeypatch.setattr(convex, "_locate", wrong)
-    assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
-    assert calls and calls[0] > 0
+def test_a_thin_triangle_with_an_empty_fan_goes_down_the_plain_path(monkeypatch):
+    G = np.array(_EMPTY_FAN)
+    W, F, fan = _fan_of(G)
+    assert len(W) == 3 and len(fan[0]) == 0
+    built = []
+    _spy(monkeypatch, "_fan", built)
+    # the hull passes its check, so the fan is built, and then it is empty
+    assert convex._reduced_hull(G) is None
+    assert len(built) == 1
+    rng = np.random.default_rng(6)
+    X = np.vstack([G, G.mean(axis=0), G.mean(axis=0) + rng.normal(size=(20, 2))])
+    K = finite_hull(G)
+    assert_array_equal(project(K, X), _project_hull(K.generators, X)[0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fan_simplices_hold_the_rows_inside(m):
+    # the fan from the first vertex of _ZERO_AREA_FAN meets one triangle of
+    # zero area, and the one from the cube's first corner meets its faces
+    # through that corner in tetrahedra of zero volume
+    G = np.array(_ZERO_AREA_FAN if m == 2 else _polyhedron_case("cube"))
+    W, F, fan = _fan_of(G)
+    assert 0 < len(fan[0]) < (F != 0).all(axis=1).sum()
+    rng = np.random.default_rng(2)
+    if m == 2:
+        # rows at the sliver's vertices can miss the cone test by rounding
+        # and start cold; the path test covers them
+        mid = G.mean(axis=0)
+        inside = np.vstack([rng.dirichlet(np.ones(len(W)), 50) @ W, mid])
+        normal = (W[1] - W[0])[::-1] * [1.0, -1.0]
+        outside = np.vstack([mid + np.outer(rng.uniform(0.01, 1.0, 20), normal),
+                             mid - np.outer(rng.uniform(0.01, 1.0, 20), normal),
+                             2.0 * W[0] - mid, 2.0 * W[1] - mid])
+    else:
+        inside = np.vstack([rng.uniform(0.0, 1.0, (50, 3)), W, [[0.5, 0.5, 0.5]]])
+        outside = np.vstack([rng.uniform(1.01, 2.0, (20, 3)), -rng.uniform(0.01, 1.0, (20, 3)),
+                             [[0.5, 0.5, 1.5], [1.5, 0.5, 0.5]]])
+    simp, w = convex._locate(W, fan, np.vstack([inside, outside]))
+    assert (simp[:len(inside)] >= 0).all() and (simp[len(inside):] == -1).all()
+    assert (w[len(inside):] == 0.0).all()
+    t, w = simp[:len(inside)], w[:len(inside)]
+    assert (t[:, 0] == 0).all() and (w >= 0.0).all()
+    assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert_allclose(np.einsum("rs,rsk->rk", w, W[t]), inside, rtol=0.0, atol=1e-15)
+    # no row sits in a simplex of zero volume: the least nonzero one is
+    # 4.9e-4 in the polygon's fan and 1/8 in the cube's
+    least = 1e-4 if m == 2 else 0.1
+    assert (np.linalg.det(W[t[:, 1:]] - W[t[:, :1]]) > least).all()
 
 
 def test_polyhedron_keeps_the_corners():
@@ -330,26 +443,6 @@ def test_polyhedron_keeps_the_corners():
     assert len(set(edges)) == 3 * len(F) and set(edges) == {(b, a) for a, b in edges}
     assert len(F) == 2 * len(v) - 4
     assert convex._reduced_hull(G) is not None
-
-
-def test_fan_tetrahedra_hold_the_rows_inside():
-    G = np.array(_polyhedron_case("cube"))
-    v, F = convex._polyhedron(G)
-    W = G[v]
-    rng = np.random.default_rng(2)
-    inside = np.vstack([rng.uniform(0.0, 1.0, (50, 3)), W, [[0.5, 0.5, 0.5]]])
-    outside = np.vstack([rng.uniform(1.01, 2.0, (20, 3)), -rng.uniform(0.01, 1.0, (20, 3)),
-                         [[0.5, 0.5, 1.5], [1.5, 0.5, 0.5]]])
-    tet, w = convex._locate3(W, F, np.vstack([inside, outside]))
-    assert (tet[:len(inside)] >= 0).all() and (tet[len(inside):] == -1).all()
-    assert (w[len(inside):] == 0.0).all()
-    t, w = tet[:len(inside)], w[:len(inside)]
-    assert (t[:, 0] == 0).all() and (w >= 0.0).all()
-    assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-    assert_allclose(np.einsum("rs,rsk->rk", w, W[t]), inside, rtol=0.0, atol=1e-15)
-    # no row sits in a tetrahedron of zero volume
-    P = W[t] - W[t[:, :1]]
-    assert (np.abs(np.linalg.det(P[:, 1:])) > 0.1).all()
 
 
 def _polyhedron_case(name):
@@ -391,28 +484,8 @@ _NO_SOLIDS = ["flat", "collinear", "one-point", "two-points", "duplicates",
 @pytest.mark.parametrize("name", _SOLIDS + _NO_SOLIDS)
 @pytest.mark.parametrize("dedup", [True, False], ids=["hull", "raw"])
 def test_polyhedron_path_matches_the_plain_active_set(name, dedup, monkeypatch):
-    # finite_hull drops exact repeats; a ConvexSet built directly keeps them
-    G = np.array(_polyhedron_case(name), dtype=float)
-    K = finite_hull(G) if dedup else convex.ConvexSet(m=3, generators=G)
-    rng = np.random.default_rng(3)
-    i, j = np.triu_indices(len(G), 1)
-    X = np.vstack([
-        G,                                          # at every generator
-        0.5 * (G[i] + G[j]),                        # on edges and chords
-        G.mean(axis=0) + 0.4 * rng.normal(size=(40, 3)),
-        G.mean(axis=0) + 1e3 * rng.normal(size=(5, 3)),   # far outside
-    ])
-    located = []
-    real = convex._locate3
-    monkeypatch.setattr(convex, "_locate3",
-                        lambda W, F, X: located.append(len(X)) or real(W, F, X))
-    reset_certificate_stats()
-    P = project(K, X)
-    assert_allclose(P, _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-13)
-    assert certificate_stats().projections == len(X)
-    assert certificate_stats().worst_slack <= 0.0
-    # a set that spans no solid goes down the plain path on all generators
-    assert sum(located) == (len(X) if name in _SOLIDS else 0)
+    _reduced_path_matches_the_plain_active_set(
+        np.array(_polyhedron_case(name), dtype=float), dedup, name in _SOLIDS, monkeypatch)
 
 
 def test_hull_with_the_origin_in_three_dimensions():
@@ -435,52 +508,13 @@ def test_hull_with_the_origin_in_three_dimensions():
 
 
 def test_rows_inside_the_polyhedron_need_no_affine_solve(monkeypatch):
-    rng = np.random.default_rng(12)
-    K = finite_hull(rng.uniform(-1.0, 1.0, (200, 3)))
-    # convex combinations of four generators at weights >= 0.1
-    w = rng.dirichlet(np.ones(4), 500) * 0.6 + 0.1
-    X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, 4))])
-    calls = []
-    real = convex._affine_coefficients
-    monkeypatch.setattr(convex, "_affine_coefficients",
-                        lambda G, act, X: calls.append(len(act)) or real(G, act, X))
-    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
-    assert calls == []
-    project(K, X + [3.0, 0.0, 0.0])
-    assert calls
+    _rows_inside_need_no_affine_solve(3, monkeypatch)
 
 
 @pytest.mark.parametrize("mutation", [
     "another-tetrahedron", "all-on-one-vertex", "weights-reversed", "weights-sum-1.5"])
 def test_a_wrong_tetrahedron_is_mended(mutation, monkeypatch):
-    # as for m = 2: a wrong claim of _locate3 costs a cold start on the hull
-    # vertices, never a wrong point
-    rng = np.random.default_rng(21)
-    K = finite_hull(rng.uniform(-1.0, 1.0, (40, 3)))
-    X = np.vstack([rng.uniform(-0.4, 0.4, (30, 3)), 3.0 * rng.normal(size=(10, 3))])
-    ref = _project_hull(K.generators, X)[0]
-    real = convex._locate3
-    calls = []
-
-    def wrong(W, F, X):
-        tet, w = real(W, F, X)
-        calls.append(int((tet[:, 0] >= 0).sum()))
-        if mutation == "another-tetrahedron":
-            fan = F[(F != 0).all(axis=1)]
-            t = rng.integers(0, len(fan), len(X))
-            tet = np.where(tet >= 0, np.column_stack([0 * t, fan[t]]), -1)
-        elif mutation == "all-on-one-vertex":
-            tet = np.tile([0, 1, 2, 3], (len(X), 1))
-            w = np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))
-        elif mutation == "weights-reversed":
-            w = w[:, ::-1]
-        else:
-            w = 1.5 * w
-        return tet, w
-
-    monkeypatch.setattr(convex, "_locate3", wrong)
-    assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
-    assert calls and calls[0] > 0
+    _a_wrong_location_is_mended(3, mutation, monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["polygon-rebuilt", "polyhedron-rebuilt", "polyhedron-torn"])
@@ -505,7 +539,7 @@ def test_a_hull_missing_a_vertex_goes_cold(case, monkeypatch):
         v, F = real(G[keep])
         v = keep[v]
     monkeypatch.setattr(convex, name, lambda G: (v, F))
-    monkeypatch.setattr(convex, "_fan_start", lambda W, F, X: pytest.fail("located"))
+    monkeypatch.setattr(convex, "_locate", lambda W, fan, X: pytest.fail("located"))
     assert convex._reduced_hull(G) is None
     reset_certificate_stats()
     assert_allclose(project(finite_hull(G), X), _project_hull(G, X)[0], rtol=0.0, atol=0.0)
