@@ -18,7 +18,7 @@ from .mesh import (Mesh, MeshFormatError, MeshConformityError, GENERATORS,
                    build_structured_mesh, load_mesh, save_mesh)
 from .field import NodalField, BoundaryData, FieldFormatError, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
-from .solver import minimize
+from .solver import _check_tol, minimize
 from . import verify as verify_mod
 from . import convex
 
@@ -199,6 +199,7 @@ def _check_theorem(theorem: str, mesh: Mesh, field: NodalField, tol, extra_input
     check, extra = _THEOREMS[theorem]
     kwargs = {extra: extra_input(extra)} if extra else {}
     if tol is not None:
+        _check_tol("tol", tol)
         kwargs["tol"] = tol
     return check(mesh, field, **kwargs)
 
@@ -324,7 +325,11 @@ def parse_experiment_spec(text: str) -> dict:
                     raise ValueError(f"spec line {ln}: unknown theorem {t!r}")
             spec["theorems"] = toks
         elif key in ("solver_tol", "verify_tol"):
-            spec[key] = float(value)
+            try:
+                spec[key] = float(value)
+                _check_tol(key, spec[key])
+            except ValueError as exc:
+                raise ValueError(f"spec line {ln}: {exc}") from None
         elif key == "lumped_q":
             spec[key] = float(value)
         elif key == "max_iters":

@@ -16,11 +16,11 @@ against all the generators, by the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
-with tol = 1e-10 * (1 + |x|^2), and, for m >= 2, checks that Px is the
-convex combination of generators its active-set weights claim, so Px lies
-in the set.  A row that fails either check raises CertificateError.
-``is_extreme`` runs the same block loop and certificate with a per-row
-generator mask, on all the generators.  The statistics stay
+with tol = 1e-10 * (max|z|^2 + |x|^2), and, for m >= 2, checks that Px is
+the convex combination of generators its active-set weights claim, so Px
+lies in the set.  A row that fails either check raises CertificateError.
+``is_extreme`` runs the same block loop once on the hull's vertices and
+once per value within tol of a vertex.  The statistics stay
 process-wide: every certified row counts once and the worst slack seen
 is kept, both read through ``certificate_stats``.
 """
@@ -145,24 +145,23 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     return nu
 
 
-def _project_hull(G: np.ndarray, X: np.ndarray, off=None, start=None):
+def _project_hull(G: np.ndarray, X: np.ndarray, start=None):
     """Active-set nearest point iteration over the hull of the rows of G,
     run for all rows of X (k, m) together.
 
-    Row r sees only the generators where ``off[r]`` is False (all of them
-    when ``off`` is None) and must see at least one.  ``start`` (act0,
-    lam0), both (k, s), warm-starts a row from the generators act0[r] with
-    the convex weights lam0[r] if that point already passes the gap test
-    that ends a row; every other row starts from its nearest generator.
-    Each row keeps at most m + 2 active generators and their convex
-    weights.  A row stops when its slots are full, or when the generator it
-    added was dropped again, which leaves its active set and weights as
-    they were.  Returns (P, act, lam): the nearest points (k, m), the active
-    generator indices (k, m + 2; -1 marks a free slot) and their weights, 0
-    on free slots.
+    ``start`` (act0, lam0), both (k, s), warm-starts a row from the
+    generators act0[r] with the convex weights lam0[r] if that point
+    already passes the gap test that ends a row; every other row starts
+    from its nearest generator.  The gap test is relative to the data:
+    1e-14 * (max|G|^2 + |x|^2).  Each row keeps at most m + 2 active
+    generators and their convex weights.  A row stops when its slots are
+    full, or when the generator it added was dropped again, which leaves
+    its active set and weights as they were.  Returns (P, act, lam): the
+    nearest points (k, m), the active generator indices (k, m + 2; -1
+    marks a free slot) and their weights, 0 on free slots.
     """
     k, m = X.shape
-    tol = 1e-14 * (1.0 + np.einsum("ij,ij->i", X, X))
+    tol = 1e-14 * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
     act = np.full((k, m + 2), -1)
     lam = np.zeros((k, m + 2))
     warm = np.zeros(k, dtype=bool)
@@ -172,13 +171,11 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None, start=None):
         Y = np.einsum("rs,rsk->rk", lam, G[act])
         # a warm start stands only where it already passes the loop's gap
         # test: its active weights need not minimise over their affine hull
-        warm = (act[:, 0] >= 0) & (_worst_gaps(G, X, Y, off) <= tol)
+        warm = (act[:, 0] >= 0) & (_worst_gaps(G, X, Y) <= tol)
         if warm.all():
             return Y, act, lam
     rows = np.flatnonzero(~warm)
     d2 = ((G - X[rows, None]) ** 2).sum(axis=2)
-    if off is not None:
-        d2[off[rows]] = np.inf
     act[rows], lam[rows] = -1, 0.0
     act[rows, 0] = d2.argmin(axis=1)
     lam[rows, 0] = 1.0
@@ -188,8 +185,6 @@ def _project_hull(G: np.ndarray, X: np.ndarray, off=None, start=None):
         D = X[rows] - Y[rows]
         gap = D @ G.T
         gap -= np.einsum("ij,ij->i", Y[rows], D)[:, None]
-        if off is not None:
-            gap[off[rows]] = -np.inf
         j = gap.argmax(axis=1)
         a = act[rows]
         go = ((gap.max(axis=1) > tol[rows])
@@ -458,73 +453,58 @@ def _reduced_hull(G: np.ndarray):
     return (v, fan) if len(fan[0]) else None
 
 
-def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray, off=None) -> np.ndarray:
-    """Per row, the max of (x - Px).(z - Px) over the generators z it sees."""
+def _worst_gaps(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Per row, the max of (x - Px).(z - Px) over the generators z."""
     D = X - P
     gaps = D @ G.T
     gaps -= np.einsum("ij,ij->i", D, P)[:, None]
-    if off is not None:
-        gaps[off] = -np.inf
     return gaps.max(axis=1)
 
 
-def _members(G: np.ndarray, P: np.ndarray, act: np.ndarray, lam: np.ndarray,
-             off=None) -> np.ndarray:
+def _members(G: np.ndarray, P: np.ndarray, act: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Per row, whether the weights ``lam`` on the generators ``act`` are
-    convex, sit only on generators the row sees and reproduce P."""
-    sees = act >= 0
-    if off is not None:
-        sees &= ~off[np.arange(len(act))[:, None], act]
+    convex, sit only on occupied slots and reproduce P."""
     Y = np.einsum("rs,rsk->rk", lam, G[act])
-    return ((lam >= 0.0).all(axis=1) & ((lam == 0.0) | sees).all(axis=1)
+    return ((lam >= 0.0).all(axis=1) & ((lam == 0.0) | (act >= 0)).all(axis=1)
             & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-12)
             & (np.linalg.norm(Y - P, axis=1) <= 1e-12 * (1.0 + np.linalg.norm(P, axis=1))))
 
 
-def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
+def _certified(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The one block loop behind ``project`` and ``is_extreme``.
 
     Projects each row of X (k, m) onto the hull of the rows of G,
-    certifies it and counts it in the statistics, on blocks of at most
-    ``_BLOCK`` row x generator entries.  With ``tol``, row r sees only the
-    generators farther than tol from it; a row that sees none stays NaN
-    and is neither projected nor counted.  Rows with m = 1 are clipped
-    between the generators they see, so they are members by construction;
-    the others must pass ``_members`` on the weights of ``_project_hull``.
-    Without ``tol``, m = 2 generators that span a polygon and m = 3 ones
-    that span a solid are reduced once to the vertices of their hull
+    certifies it against every row of G and counts it in the statistics,
+    on blocks of at most ``_BLOCK`` row x generator entries.  Rows with
+    m = 1 are clipped to [min G, max G], so they are members by
+    construction; the others must pass ``_members`` on the weights of
+    ``_project_hull``.  m = 2 generators that span a polygon and m = 3
+    ones that span a solid are reduced once to the vertices of their hull
     (``_reduced_hull``, which also checks it), and ``_project_hull`` runs
     on those, warm-started from the simplex and weights ``_locate`` finds
     in the hull's fan, which is built once per call; the weights are
-    mapped back to G's rows for ``_members``, and the variational
-    inequality is still checked against every row of G.
-    Any other set, a hull that fails its check, and a row whose membership
-    or certificate fails on the reduced hull run on all of G.
+    mapped back to G's rows for ``_members``.  Any other set, a hull that
+    fails its check, and a row whose membership or certificate fails on
+    the reduced hull run on all of G.
     """
-    P = np.full_like(X, np.nan)
-    cert = _CERT_REL_TOL * (1.0 + np.einsum("ij,ij->i", X, X))
-    slack = np.full(len(X), -np.inf)
+    P = np.empty_like(X)
+    cert = _CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
+    slack = np.empty(len(X))
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
-    hull = _reduced_hull(G) if tol is None else None
+    hull = _reduced_hull(G)
     for s in range(0, len(X), step):
-        r, off = slice(s, s + step), None
-        if tol is not None:
-            off = np.linalg.norm(G - X[r, None], axis=2) <= tol
-            sees = ~off.all(axis=1)
-            r, off = s + np.flatnonzero(sees), off[sees]
+        r = slice(s, s + step)
         if G.shape[1] == 1:
-            g = G[:, 0] if off is None else np.where(off, np.nan, G[:, 0])
-            P[r] = np.clip(X[r], np.nanmin(g, axis=-1, keepdims=True),
-                           np.nanmax(g, axis=-1, keepdims=True))
+            P[r] = np.clip(X[r], G.min(), G.max())
         elif hull is None:
-            P[r], act, lam = _project_hull(G, X[r], off, None)
-            member[r] = _members(G, P[r], act, lam, off)
+            P[r], act, lam = _project_hull(G, X[r])
+            member[r] = _members(G, P[r], act, lam)
         else:
             v, fan = hull
-            P[r], act, lam = _project_hull(G[v], X[r], None, _locate(G[v], fan, X[r]))
+            P[r], act, lam = _project_hull(G[v], X[r], _locate(G[v], fan, X[r]))
             member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
-        slack[r] = _worst_gaps(G, X[r], P[r], off) - cert[r]
+        slack[r] = _worst_gaps(G, X[r], P[r]) - cert[r]
         if hull is not None:
             # the hull check bounds each generator's distance to the facet
             # planes, not to the hull: past the rim of a near-flat solid a
@@ -532,7 +512,7 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
             # so a row the reduced hull fails starts again on all of G
             redo = s + np.flatnonzero(~member[r] | (slack[r] > 0.0))
             if len(redo):
-                P[redo], act, lam = _project_hull(G, X[redo], None, None)
+                P[redo], act, lam = _project_hull(G, X[redo])
                 member[redo] = _members(G, P[redo], act, lam)
                 slack[redo] = _worst_gaps(G, X[redo], P[redo]) - cert[redo]
         _STATS.record(slack[r])
@@ -540,7 +520,7 @@ def _certified(G: np.ndarray, X: np.ndarray, tol=None) -> np.ndarray:
         i = int(np.argmin(member))
         raise CertificateError(
             f"projection membership failed for row {i}: its weights do not make it "
-            f"a convex combination of the generators it sees"
+            f"a convex combination of the generators"
         )
     if (slack > 0.0).any():
         i = int(np.argmax(slack))
@@ -596,10 +576,14 @@ def is_extreme(points, index, tol: float) -> np.ndarray:
     point of the hull of all points.
 
     True exactly when the point stays at distance > tol from the hull of the
-    other points (points within tol of it are ignored as duplicates).  All
-    indices share one pass through ``project``'s block loop: each point is
-    projected onto the hull of the generators of ``finite_hull(points)``
-    farther than tol from it, and a point with none is extreme.
+    other points (points within tol of it are ignored as duplicates).  A
+    point farther than tol from every vertex of the hull (the interval's
+    ends for m = 1, ``_reduced_hull``'s for m = 2 and 3, else every
+    generator) lies in the hull of the points farther than tol from it, so
+    all such points share one certified projection onto the vertices.  The
+    others, and any that end more than tol from that hull, are each
+    projected onto the hull of the generators farther than tol from them;
+    one with none is extreme.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     index = np.asarray(index)
@@ -607,5 +591,19 @@ def is_extreme(points, index, tol: float) -> np.ndarray:
     if bad.any():
         raise IndexError(f"index {index[bad].flat[0]} out of range [0, {len(points)})")
     X = points[index]
-    P = _certified(finite_hull(points).generators, X, tol)
-    return ~(np.linalg.norm(X - P, axis=1) <= tol)
+    G = finite_hull(points).generators
+    if G.shape[1] == 1:
+        V = G[[G.argmin(), G.argmax()]]
+    else:
+        hull = _reduced_hull(G)
+        V = G if hull is None else G[hull[0]]
+    cand = np.zeros(len(X), dtype=bool)
+    for w in V:
+        cand |= np.linalg.norm(X - w, axis=1) <= tol
+    sure = np.flatnonzero(~cand)
+    cand[sure] = np.linalg.norm(X[sure] - _certified(V, X[sure]), axis=1) > tol
+    extreme = np.zeros(len(X), dtype=bool)
+    for i in np.flatnonzero(cand):
+        far = np.linalg.norm(G - X[i], axis=1) > tol
+        extreme[i] = not far.any() or np.linalg.norm(X[i] - _certified(G[far], X[i, None])) > tol
+    return extreme

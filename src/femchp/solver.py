@@ -219,6 +219,12 @@ def _harmonic_start(model, start, source):
     return start.values[mesh.interior_nodes] - lu.solve(r)
 
 
+def _check_tol(name: str, tol) -> None:
+    """Raise ValueError unless ``tol`` is a finite number >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol}")
+
+
 def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
              source: SourceTerm | None = None,
              lumped: LumpedTerm | None = None,
@@ -233,7 +239,12 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     step changed the energy by less than 1e-15 relatively.  Whatever ends
     the iteration, ``report.converged`` holds, and the status is
     "converged", exactly when the final residual sup-norm is at most tol.
+    A negative ``max_iters`` and a tol that is not a finite number >= 0
+    raise ValueError.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    _check_tol("tol", tol)
     t0 = time.perf_counter()
     start = interpolate_boundary(mesh, boundary, m)
     vals = start.values.copy()

@@ -85,6 +85,13 @@ def test_solve_bad_bc_and_source(tmp_path):
                      "--bc", "sin-product", "--lumped-q", q]) == EXIT_INPUT
 
 
+def test_solve_rejects_a_bad_cap_or_tolerance(capsys):
+    for opt, value in (("--max-iters", "-1"), ("--tol", "-1"), ("--tol", "nan")):
+        assert main(["solve", "--generator", "right2d", "-n", "2",
+                     "--bc", "sin-product", opt, value]) == EXIT_INPUT
+        assert "must be" in capsys.readouterr().err
+
+
 def test_solve_rejects_abs_distance_center_of_wrong_length(capsys):
     for center in ("0.5", "0.5,0.5,0.5"):
         assert main(["solve", "--generator", "right2d", "-n", "2",
@@ -154,6 +161,14 @@ def test_verify_chp_claim_failure(tmp_path, solved_pair):
     save_field(NodalField(mesh, vals), str(bad))
     assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
                  "--field", str(bad)]) == EXIT_CLAIM_FAILED
+
+
+def test_verify_rejects_a_bad_tolerance(solved_pair, capsys):
+    mesh_path, field_path = solved_pair
+    for tol in ("nan", "-1", "inf"):
+        assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
+                     "--field", str(field_path), "--tol", tol]) == EXIT_INPUT
+        assert "tol must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_verify_strong_chp_hypothesis_exit(tmp_path, solved_pair):
@@ -345,6 +360,11 @@ def test_experiment_spec_errors(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         parse_experiment_spec(SMALL_SPEC.replace("theorems = chp", "theorems = strong-chp")
                               + "lumped_q = 0\n")
+    for key in ("solver_tol", "verify_tol"):
+        for value in ("nan", "-1", "inf", "tiny"):
+            line = len(SMALL_SPEC.splitlines()) + 1
+            with pytest.raises(ValueError, match=f"spec line {line}: "):
+                parse_experiment_spec(SMALL_SPEC + f"{key} = {value}\n")
     zero_q = tmp_path / "q.spec"
     zero_q.write_text(SMALL_SPEC + "lumped_q = 0\n")
     assert main(["experiment", str(zero_q)]) == EXIT_INPUT

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from femchp import convex
 from femchp.convex import (
     CertificateError,
+    _members,
     _project_hull,
     _worst_gaps,
     boundary_hull,
@@ -163,7 +164,7 @@ def test_blocks_match_one_block(monkeypatch):
     inside = np.tile([0.5, 0.5], (12, 1))
     inside[7] = [5.0, 5.0]
     # its weights are true: (0.5, 0.5) = 0.5 g0 + 0.25 g1 + 0.25 g2, and g0
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
         np.where(X > 4.0, G[0], X), np.tile([0, 1, 2, -1], (len(X), 1)),
         np.where((X > 4.0).all(axis=1)[:, None], [1.0, 0.0, 0.0, 0.0],
                  [0.5, 0.25, 0.25, 0.0])))
@@ -589,6 +590,9 @@ def _census_case(name):
     if name.startswith("constant"):
         m = int(name[-1])
         return np.tile(np.arange(1.0, m + 1.0), (7, 1)), None
+    if name == "collinear-m2":
+        t = rng.uniform(-1.0, 1.0, 14)
+        return np.column_stack([t, 0.5 - 2.0 * t]), None
     if name == "circle":
         t = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
         return np.column_stack([np.cos(t), np.sin(t)]), None
@@ -624,7 +628,7 @@ def _census_case(name):
     "constant-m1", "constant-m2", "constant-m3", "circle", "repeated-exactly",
     "repeated-within-tol", "flat-m3", "random-m1", "random-m2", "random-m3",
     "empty-index", "right2d-1", "near-repeated-1005", "near-repeated-1011",
-    "near-repeated-1017"])
+    "near-repeated-1017", "collinear-m2", "random-m4"])
 def test_census_matches_per_node_reference(name, monkeypatch):
     points, index = _census_case(name)
     if index is None:
@@ -651,6 +655,24 @@ def test_census_matches_per_node_reference(name, monkeypatch):
             is_extreme(points, np.array([bad]), _TOL)
         with pytest.raises(IndexError, match="out of range"):
             is_extreme(points, np.append(index, bad), _TOL)
+
+
+@pytest.mark.parametrize("name", ["circle", "random-m2", "random-m3"])
+def test_a_census_hull_missing_a_vertex_matches_the_reference(name, monkeypatch):
+    # without its first vertex the reduced hull no longer holds that value,
+    # which ends farther than tol from it and goes on to the candidates
+    points, _ = _census_case(name)
+    index = np.arange(len(points))
+    expect = [_is_extreme_alone(points, int(i), _TOL) for i in index]
+    real = convex._reduced_hull
+
+    def short(G):
+        hull = real(G)
+        sub = None if hull is None else real(G[hull[0][1:]])
+        return None if sub is None else (hull[0][1:][sub[0]], sub[1])
+
+    monkeypatch.setattr(convex, "_reduced_hull", short)
+    assert is_extreme(points, index, _TOL).tolist() == expect
 
 
 def _normal_equations(G, act, X):
@@ -693,10 +715,37 @@ def test_thin_simplices_keep_their_accuracy():
                      [0.9990067962371056, 0.1245616311317812],
                      [0.9990314186287432, -0.704814285925117]])
     assert np.linalg.norm(project(T, p) - p) <= 1e-15
-    # the normal equations alone leave this node 6.1e-10 from its own
-    # projection's certificate, and CertificateError follows
+    # a census node of a random cloud: projected onto the values farther
+    # than 1e-9 from it, the normal equations alone leave it 7.7e-10 from
+    # itself and 6.1e-10 past its certificate's 3.0e-10
     points = np.random.default_rng(1).uniform(-1.0, 1.0, (4223, 2))
+    x = points[509][None]
+    G = finite_hull(points).generators
+    G = G[np.linalg.norm(G - x, axis=1) > 1e-9]
+    P, act, lam = _project_hull(G, x)
+    cert = convex._CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", x, x))
+    assert _worst_gaps(G, x, P) <= cert
+    assert _members(G, P, act, lam).all()
+    assert np.linalg.norm(P - x) <= 1e-13
     assert is_extreme(points, np.array([509]), 1e-9).tolist() == [False]
+
+
+@pytest.mark.parametrize("path", ["reduced-hull", "plain"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_projection_is_scale_invariant(scale, m, path, monkeypatch):
+    # the loop's gap test and the certificate scale with the data, so the
+    # set and the points scaled together give the projection scaled
+    if path == "plain":
+        monkeypatch.setattr(convex, "_reduced_hull", lambda G: None)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(-1.0, 1.0, (int(rng.integers(m + 2, 40)), m))
+        X = 2.0 * rng.normal(size=(20, m))
+        assert (convex._reduced_hull(G) is None) == (path == "plain")
+        ref = project(finite_hull(G), X)
+        got = project(finite_hull(scale * G), scale * X) / scale
+        assert_allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
 def test_variational_inequality_measure():
@@ -719,7 +768,7 @@ def test_variational_inequality_measure():
 
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
         G[np.zeros(len(X), dtype=int)], np.tile([0, -1, -1, -1], (len(X), 1)),
         np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))))
     with pytest.raises(CertificateError):
@@ -732,7 +781,7 @@ def test_projection_left_unmoved_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     real = convex._project_hull
     monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X, off, start: (X,) + real(G, X, off, start)[1:])
+                        lambda G, X, start=None: (X,) + real(G, X, start)[1:])
     assert_allclose(project(K, [0.5, 0.5]), [0.5, 0.5], atol=0.0)
     with pytest.raises(CertificateError, match="membership failed for row 1:"):
         project(K, np.array([[0.5, 0.5], [3.0, 3.0]]))
@@ -747,20 +796,10 @@ def test_bad_weights_raise(monkeypatch, act, lam):
     # (2, 1) is the true projection of (3, 1) onto the square and each
     # weight set reproduces it within 1e-15, yet none is a convex combination
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
         np.array([[2.0, 1.0]]), np.array([act]), np.array([lam])))
     with pytest.raises(CertificateError, match="membership failed for row 0:"):
         project(K, np.array([[3.0, 1.0]]))
-
-
-def test_weight_on_an_unseen_generator_raises(monkeypatch):
-    # the census row (1, 1) does not see its own value among the generators;
-    # Px = x with all weight on that value reproduces x but is not a member
-    points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, off, start: (
-        X.copy(), np.array([[3, -1, -1, -1]]), np.array([[1.0, 0.0, 0.0, 0.0]])))
-    with pytest.raises(CertificateError, match="membership failed for row 0:"):
-        is_extreme(points, np.array([3]), 1e-9)
 
 
 def test_certificate_stats_accumulate():

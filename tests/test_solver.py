@@ -326,6 +326,16 @@ def test_max_iters_cap(right2d_n4):
     assert rep.iterations == 1
 
 
+@pytest.mark.parametrize("key, value", [("max_iters", -1), ("tol", -1.0), ("tol", np.nan),
+                                        ("tol", np.inf)])
+def test_minimize_rejects_a_bad_cap_or_tolerance(right2d_n4, key, value):
+    # max_iters = -1 once ran no iteration and failed on an unset residual;
+    # tol = -1 ran until the energy stagnated
+    bc = BoundaryData.random_uniform(4, -1.0, 1.0)
+    with pytest.raises(ValueError, match="must be"):
+        minimize(p_dirichlet(3.0), right2d_n4, bc, m=1, **{key: value})
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("model", [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
                                    p_dirichlet(10.0), mean_curvature()],
