@@ -52,9 +52,9 @@ _CERT_REL_TOL = 1e-10
 # whose (rows x generators) arrays hold at most this many entries, or on
 # single rows
 _BLOCK = 1 << 17
-# a reduced hull must hold every generator within this many times
-# (1 + max|G|) of each facet's half-space, far below the certificate's
-# tolerance; the same margin decides which points it drops
+# a reduced hull must hold every generator within this many times max|G|
+# of each facet's half-space, far below the certificate's tolerance; the
+# same margin decides which points it drops, at any scale of G
 _HULL_REL_TOL = 1e-12
 
 
@@ -260,7 +260,7 @@ def _polyhedron(G: np.ndarray):
     one numpy pass drops the points inside it and gives each other point
     to the facet it lies farthest beyond.  Then the farthest point beyond
     a facet is inserted at a time: the facets it sees by more than eps =
-    1e-12 * (1 + max|G|) go, a fan from it over their horizon replaces
+    1e-12 * max|G| go, a fan from it over their horizon replaces
     them, and their outside points move to the first new facet they lie
     beyond, or go.  A point within eps of the hull when it is reached is
     dropped, and so is a repeated point; one inserted before the points
@@ -270,7 +270,7 @@ def _polyhedron(G: np.ndarray):
     positions in v of its corners, counter-clockwise seen from outside.
     """
     k = len(G)
-    eps = _HULL_REL_TOL * (1.0 + float(np.abs(G).max()))
+    eps = _HULL_REL_TOL * float(np.abs(G).max())
     i0 = int(G[:, 0].argmin())
     R = G - G[i0]
     d = np.einsum("ij,ij->i", R, R)
@@ -367,17 +367,14 @@ def _polyhedron(G: np.ndarray):
 
 
 def _fan(W: np.ndarray, F: np.ndarray):
-    """The fan triangulation from W[0] of the hull with vertices W (n, m)
-    and outward facets F: W[0] joined to every facet that does not touch
-    it, bar the simplices of zero computed volume, whose edge matrix (rows
-    W[a] - W[0]) has a determinant <= 0.  Returns (S, E, Inv): per simplex
-    its vertex positions (0, a, ...) in W, its edge matrix and the inverse.
+    """The fan triangulation from W[0] of a hull with vertices W (n, m):
+    W[0] joined to each facet of F, the facets that ``_reduced_hull`` finds
+    W[0] more than eps beneath, so that every simplex has a volume well
+    above rounding.  Returns (S, E, Inv): per simplex its vertex positions
+    (0, a, ...) in W, its edge matrix (rows W[a] - W[0]) and the inverse.
     """
-    S = F[(F != 0).all(axis=1)]
-    E = W[S] - W[0]
-    solid = np.linalg.det(E) > 0.0
-    S, E = S[solid], E[solid]
-    return np.column_stack([np.zeros_like(S[:, 0]), S]), E, np.linalg.inv(E)
+    E = W[F] - W[0]
+    return np.column_stack([np.zeros_like(F[:, 0]), F]), E, np.linalg.inv(E)
 
 
 def _locate(W: np.ndarray, fan, X: np.ndarray):
@@ -415,10 +412,10 @@ def _reduced_hull(G: np.ndarray):
     The facets are oriented outward: for m = 2 the counter-clockwise edges
     (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of
     ``_polyhedron``.  The check asks that every facet has a normal, that
-    every generator lies within eps = 1e-12 * (1 + max|G|) of every
+    every generator lies within eps = 1e-12 * max|G| of every
     facet's half-space, and, for m = 3, that every directed edge meets its
     reverse exactly once, so the facets close up.  A hull that passes and
-    whose ``_fan`` keeps at least one simplex (a thin one may keep none)
+    whose ``_fan`` has at least one simplex (a thin one may have none)
     returns (v, fan): the vertex indices in G and the fan of G[v].
     """
     m = G.shape[1]
@@ -445,11 +442,14 @@ def _reduced_hull(G: np.ndarray):
     else:
         return None
     size = np.sqrt(np.einsum("ij,ij->i", N, N))
-    eps = _HULL_REL_TOL * (1.0 + np.abs(G).max())
-    holds = (G @ N.T - np.einsum("ij,ij->i", N, A) <= eps * size).all()
-    if not (closed and (size > 0.0).all() and holds):
+    margin = _HULL_REL_TOL * np.abs(G).max() * size
+    D = G @ N.T - np.einsum("ij,ij->i", N, A)       # N . (g - A), generators x facets
+    if not (closed and (size > 0.0).all() and (D <= margin).all()):
         return None
-    fan = _fan(G[v], F)
+    # -D[v[0]] = N . (A - G[v[0]]) is the fan simplex's determinant up to
+    # the rounding of N, which a sliver facet's normal can carry past the
+    # margin; a facet through G[v[0]] is dropped by index
+    fan = _fan(G[v], F[(F != 0).all(axis=1) & (D[v[0]] < -margin)])
     return (v, fan) if len(fan[0]) else None
 
 

@@ -212,9 +212,9 @@ class LumpedTerm:
 
 
 def _gradient_norms(field: NodalField):
-    G = field.element_gradients()                     # (E, n, m)
-    t = np.sqrt(np.einsum("enm,enm->e", G, G))
-    return G, t
+    """(G, t) of the field: element gradients (E, n, m) and their norms (E,),
+    one gradient pass per field however many callers read them."""
+    return field._norms
 
 
 def energy_value(model: EnergyModel, field: NodalField,

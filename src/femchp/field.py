@@ -5,6 +5,8 @@ A field stores one value row per mesh vertex.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .mesh import Mesh, _read_rows
@@ -24,10 +26,14 @@ class FieldFormatError(ValueError):
 
 
 class NodalField:
-    """Vertex values of shape (V, m) tied to a mesh."""
+    """Vertex values of shape (V, m) tied to a mesh.
+
+    The field holds a read-only copy of the values, so that what is
+    computed from them once (``_norms``) stays valid for its lifetime.
+    """
 
     def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float, order="C")
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2 or values.shape[0] != mesh.num_vertices:
@@ -37,7 +43,8 @@ class NodalField:
         if not np.isfinite(values).all():
             raise ValueError("field values contain non-finite entries")
         self.mesh = mesh
-        self.values = np.ascontiguousarray(values)
+        values.flags.writeable = False
+        self.values = values
 
     @property
     def m(self) -> int:
@@ -50,6 +57,16 @@ class NodalField:
         """Gradients on all elements at once, shape (E, n, m)."""
         vals = self.values[self.mesh.elements]          # (E, n+1, m)
         return np.matmul(self.mesh.gradients.transpose(0, 2, 1), vals)
+
+    @cached_property
+    def _norms(self):
+        """(G, t): the element gradients (E, n, m) and their Frobenius norms
+        (E,), computed on first use and read-only, so the energy, the
+        residual and the Hessian at one field share one gradient pass."""
+        G = self.element_gradients()
+        t = np.sqrt(np.einsum("enm,enm->e", G, G))
+        G.flags.writeable = t.flags.writeable = False
+        return G, t
 
 
 class BoundaryData:

@@ -102,9 +102,9 @@ class SolveReport:
         ])
 
 
-def _energy_of(model, mesh, values, source, lumped) -> float:
+def _energy_of(model, field, source, lumped) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
-        return energy_value(model, NodalField(mesh, values), source=source, lumped=lumped)
+        return energy_value(model, field, source=source, lumped=lumped)
 
 
 def assemble_hessian(model: EnergyModel, field: NodalField,
@@ -152,19 +152,29 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     return mesh.assemble(loc, nodal)
 
 
-def _backtrack(model, mesh, base_values, interior, dmat, E0, slope,
-               source, lumped):
+def _trial(base: NodalField, s: float, dmat) -> NodalField:
+    """The field base + s * dmat on the interior rows, boundary rows kept."""
+    values = base.values.copy()
+    values[base.mesh.interior_nodes] += s * dmat
+    return base.with_values(values)
+
+
+def _backtrack(model, base: NodalField, dmat, E0, slope, source, lumped):
+    """Armijo backtracking from ``base`` along the interior step ``dmat``.
+
+    Returns (s, trial, E, evals): the accepted step length, the field it
+    reaches, which the next iterate reuses, its energy and the number of
+    energy evaluations."""
     if not np.isfinite(slope) or slope >= 0.0:
         raise LineSearchError(f"non-descent direction (slope {slope:.3e})")
     s = 1.0
     evals = 0
     while s >= _MIN_STEP:
-        trial = base_values.copy()
-        trial[interior] += s * dmat
-        Et = _energy_of(model, mesh, trial, source, lumped)
+        trial = _trial(base, s, dmat)
+        Et = _energy_of(model, trial, source, lumped)
         evals += 1
         if np.isfinite(Et) and Et <= E0 + _ARMIJO_C1 * s * slope:
-            return s, Et, evals
+            return s, trial, Et, evals
         s *= _SHRINK
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
 
@@ -247,14 +257,18 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     _check_tol("tol", tol)
     t0 = time.perf_counter()
     start = interpolate_boundary(mesh, boundary, m)
-    vals = start.values.copy()
+    fld = start
     interior = mesh.interior_nodes
     start_kind = "interpolant"
     if len(interior) and model.a0 == 0.0:
+        vals = start.values.copy()
         vals[interior] = _harmonic_start(model, start, source)
+        fld = start.with_values(vals)
         start_kind = "harmonic"
 
-    E = _energy_of(model, mesh, vals, source, lumped)
+    # every field the iteration visits computes its element gradients once:
+    # its energy, residual and Hessian all read them (``_gradient_norms``)
+    E = _energy_of(model, fld, source, lumped)
     if not np.isfinite(E):
         raise ValueError("energy is not finite at the initial iterate")
     report = SolveReport(converged=False, status="max-iterations", iterations=0,
@@ -263,10 +277,14 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     rel_dec = None
     prev_rn = None
     stall = 0
-    eta = _ETA_MAX
+    # b = 0 on every element and no lumped term: the Hessian does not depend
+    # on the iterate (the quadratic energies), so the linear model is exact
+    # and the first step is solved tightly; a wrong guess (a zero gradient
+    # everywhere) only tightens that one solve
+    exact = lumped is None and not _newton_weights(model, _gradient_norms(fld)[1])[1].any()
+    eta = _ETA_MIN if exact else _ETA_MAX
     model_norm = None       # |g + s H d| of the last step's linear model
 
-    fld = NodalField(mesh, vals)
     r = residual(model, fld, source=source, lumped=lumped)
     for it in range(max_iters + 1):
         rn = float(np.abs(r).max()) if r.size else 0.0
@@ -302,30 +320,27 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         # once the predicted energy drop falls below the float resolution of
         # the energy itself, the Armijo comparison is decided by rounding
         # noise; in that regime accept the full Newton step when it strictly
-        # reduces the residual sup-norm instead; its residual is the next
-        # iterate's
+        # reduces the residual sup-norm instead
         if abs(_ARMIJO_C1 * slope) < 8.0 * _EPS * (1.0 + abs(E)) and kind == "newton":
-            trial = vals.copy()
-            trial[interior] += dmat
-            r_t = residual(model, NodalField(mesh, trial), source=source, lumped=lumped)
+            trial = _trial(fld, 1.0, dmat)
+            r_t = residual(model, trial, source=source, lumped=lumped)
             rn_t = float(np.abs(r_t).max()) if r_t.size else 0.0
-            E_new = _energy_of(model, mesh, trial, source, lumped)
+            E_new = _energy_of(model, trial, source, lumped)
             if not (np.isfinite(rn_t) and np.isfinite(E_new) and rn_t < rn):
                 report.status = "stagnated"
                 break
             s, evals = 1.0, 1
         else:
             try:
-                s, E_new, evals = _backtrack(model, mesh, vals, interior, dmat, E,
-                                             slope, source, lumped)
+                s, trial, E_new, evals = _backtrack(model, fld, dmat, E, slope,
+                                                    source, lumped)
             except LineSearchError as exc:
                 report.status = f"line-search-failure: {exc}"
                 break
             r_t = None
 
-        vals[interior] += s * dmat
         prev_norm, model_norm = g_norm, float(np.linalg.norm(r_flat + s * Hd))
-        fld = NodalField(mesh, vals)
+        fld = trial
         r = residual(model, fld, source=source, lumped=lumped) if r_t is None else r_t
         if kind == "newton":
             report.newton_steps += 1
@@ -342,7 +357,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     if report.converged:
         report.status = "converged"
     report.wall_time = time.perf_counter() - t0
-    return NodalField(mesh, vals), report
+    return fld, report
 
 
 def solve_quadratic_oracle(mesh: Mesh, boundary: BoundaryData,

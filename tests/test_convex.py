@@ -209,7 +209,8 @@ def test_polygon_keeps_the_corners():
 
 
 # every fan triangle from this polygon's first vertex has positive area but
-# one, whose area rounds to 0.0
+# one, whose area rounds to 0.0: its edge matrix is singular, though the
+# facet normal's product gives it 8e-18, below the fan's margin
 _ZERO_AREA_FAN = [[-0.6122836269743994, 0.2782100527778053],
                   [-0.17071131235775555, 0.0775679785126866],
                   [-0.17763023730512695, 0.08071180661778528],
@@ -247,13 +248,18 @@ def _polygon_case(name):
 
 
 def _fan_of(G):
-    """The hull vertices of G (m = 2 or 3), its facets and its fan."""
+    """The hull vertices of G (m = 2 or 3), its facets and the fan that
+    ``_reduced_hull`` builds."""
     if G.shape[1] == 2:
         v, ring = convex._polygon(G)
         F = np.column_stack([ring, np.roll(ring, -1)])
     else:
         v, F = convex._polyhedron(G)
-    return G[v], F, convex._fan(G[v], F)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_fan", built)
+        convex._reduced_hull(G)
+    return G[v], F, convex._fan(*built[0])
 
 
 def _spy(monkeypatch, name, calls):
@@ -552,12 +558,13 @@ def test_rows_a_near_flat_hull_fails_start_again_on_all_generators():
     # hull, yet past the rim of the near-flat solid some lie far outside it;
     # the rows that then fail their certificate start again on all of G
     rng = np.random.default_rng(3)
-    G = rng.uniform(-1.0, 1.0, (17, 3)) * [1.0, 1.0, 2e-12]
+    G = rng.uniform(-1.0, 1.0, (17, 3)) * [1.0, 1.0, 1e-12]
     v, _ = convex._reduced_hull(G)
     assert np.linalg.norm(G - _project_hull(G[v], G)[0], axis=1).max() > 0.5
     X = np.vstack([G, 3.0 * rng.normal(size=(20, 3))])
     reset_certificate_stats()
-    # the reduction may drop a generator within eps = 2e-12 of its planes
+    # the reduction may drop a generator within eps = 1e-12 * max|G| of its
+    # planes
     assert_allclose(project(finite_hull(G), X), _project_hull(G, X)[0], rtol=0.0, atol=1e-11)
     assert certificate_stats().projections == len(X)
     assert certificate_stats().worst_slack <= 0.0
@@ -746,6 +753,25 @@ def test_projection_is_scale_invariant(scale, m, path, monkeypatch):
         ref = project(finite_hull(G), X)
         got = project(finite_hull(scale * G), scale * X) / scale
         assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-11])
+def test_a_tiny_sphere_keeps_its_reduced_hull(scale):
+    # the hull margin scales with the data: at eps = 1e-12 * (1 + max|G|)
+    # 15 of these sets lost their reduced hull at radius 1e-9, and all 60
+    # at radius 1e-11
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(40, 3))
+        G = scale * U / np.linalg.norm(U, axis=1, keepdims=True)
+        hull = convex._reduced_hull(G)
+        assert hull is not None and len(hull[0]) == len(G), seed
+        X = scale * np.vstack([rng.uniform(-0.5, 0.5, (10, 3)), 2.0 * rng.normal(size=(10, 3))])
+        reset_certificate_stats()
+        P = project(finite_hull(G), X)
+        assert certificate_stats().projections == len(X)
+        assert certificate_stats().worst_slack <= 0.0
+        assert_allclose(P, _project_hull(G, X)[0], rtol=0.0, atol=1e-13 * scale)
 
 
 def test_variational_inequality_measure():

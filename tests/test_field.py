@@ -29,6 +29,23 @@ def test_field_shape_checks(right2d_n2):
     assert f.m == 1
 
 
+def test_field_values_are_a_read_only_copy(right2d_n2):
+    # a field's gradients are computed once and kept, so its values must not
+    # change under them; the caller's array stays its own
+    vals = np.arange(9.0)
+    f = NodalField(right2d_n2, vals)
+    G, t = f._norms
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[4, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        G[0] += 1.0
+    vals[4] = -1.0
+    assert f.values[4, 0] == 4.0
+    assert f._norms[0] is G
+    assert_array_equal(G, f.element_gradients())
+    assert_array_equal(t, np.linalg.norm(G, axis=(1, 2)))
+
+
 def test_element_gradients_affine(right2d_n4):
     coeffs = np.array([[2.0, -1.0], [0.5, 3.0]])
     f = NodalField(right2d_n4, affine_values(right2d_n4, [1.0, -2.0], coeffs))

@@ -354,6 +354,74 @@ def test_each_iterate_takes_one_residual(monkeypatch, model, m):
     assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("lumped_q", [None, 3.0])
+@pytest.mark.parametrize("source", [None, -1.0])
+@pytest.mark.parametrize("model", [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
+                                   mean_curvature()],
+                         ids=lambda model: model.name)
+def test_each_field_takes_one_gradient_pass(monkeypatch, model, source, lumped_q):
+    # the energy, the residual and the Hessian at one iterate or trial
+    # share its element gradients
+    seen = []
+    real = NodalField.element_gradients
+
+    def recording(self):
+        seen.append(self.values.tobytes())
+        return real(self)
+
+    monkeypatch.setattr(NodalField, "element_gradients", recording)
+    mesh = build_structured_mesh("crisscross2d", 6)
+    m = 1 if source is not None else 2
+    _, rep = minimize(model, mesh, BoundaryData.random_uniform(2, -1.0, 1.0), m=m,
+                      source=SourceTerm.constant(mesh, source) if source is not None else None,
+                      lumped=LumpedTerm.from_mesh(mesh, lumped_q) if lumped_q else None)
+    assert rep.converged
+    assert len(seen) == len(set(seen)) > rep.iterations
+
+
+@pytest.mark.parametrize("spec", [("right2d", 8), ("crisscross2d", 6), ("equilateral2d", 6),
+                                  ("kuhn3d", 3)],
+                         ids=lambda spec: f"{spec[0]}:{spec[1]}")
+def test_quadratic_energies_take_one_exact_step_and_a_confirming_one(spec):
+    # the p = 2 Hessian does not depend on the iterate, so the first step
+    # is solved to the tightest forcing and the second only confirms it
+    mesh = build_structured_mesh(*spec)
+    coeff = np.random.default_rng(len(spec[0])).uniform(0.1, 10.0, mesh.num_elements)
+    cases = [(m, None, None) for m in (1, 2, 3)] + [(m, coeff, None) for m in (1, 2, 3)]
+    cases.append((1, None, SourceTerm.constant(mesh, -2.0)))
+    cases.append((1, coeff, SourceTerm.constant(mesh, 3.0)))
+    for seed, (m, c, source) in enumerate(cases):
+        bc = BoundaryData.random_uniform(seed, -1.0, 1.0)
+        fld, rep = minimize(p_dirichlet(2.0, coeff=c), mesh, bc, m=m, source=source)
+        case = (m, c is not None, source is not None)
+        assert rep.converged and rep.newton_steps == rep.iterations == 2, case
+        assert rep.gradient_steps == rep.backtracks == 0, case
+        if c is None and source is None:
+            oracle = solve_quadratic_oracle(mesh, bc, m=m)
+            assert np.abs(fld.values - oracle.values).max() <= 1e-10, case
+
+
+def test_a_lumped_term_keeps_the_eisenstat_walker_forcing(monkeypatch):
+    # a lumped term makes the p = 2 Hessian depend on the iterate, so the
+    # first step keeps the loose forcing
+    etas = []
+    real = solver_module._pcg
+
+    def recording(H, g, eta):
+        etas.append(eta)
+        return real(H, g, eta)
+
+    monkeypatch.setattr(solver_module, "_pcg", recording)
+    mesh = build_structured_mesh("right2d", 8)
+    bc = BoundaryData.random_uniform(3, -1.0, 1.0)
+    for lumped, first in ((None, solver_module._ETA_MIN),
+                          (LumpedTerm.from_mesh(mesh, 3.0), solver_module._ETA_MAX)):
+        etas.clear()
+        _, rep = minimize(p_dirichlet(2.0), mesh, bc, m=2, lumped=lumped)
+        assert rep.converged and etas[0] == first
+    assert rep.newton_steps > 2
+
+
 @pytest.mark.parametrize("model", [p_dirichlet(2.0), p_dirichlet(3.0), mean_curvature()],
                          ids=lambda model: model.name)
 def test_converged_is_the_converged_status_at_every_cap(model):
@@ -372,15 +440,14 @@ def test_line_search_rejects_ascent(right2d_n4):
     model = p_dirichlet(2.0)
     E = energy_value(model, f)
     r = residual(model, f)
-    interior = right2d_n4.interior_nodes
     slope = float(np.sum(r * r))
     with pytest.raises(LineSearchError):      # +gradient is uphill
-        _backtrack(model, right2d_n4, f.values, interior, r, E, slope, None, None)
-    s, E_new, evals = _backtrack(model, right2d_n4, f.values, interior, -r, E,
-                                 -slope, None, None)
+        _backtrack(model, f, r, E, slope, None, None)
+    s, fld, E_new, evals = _backtrack(model, f, -r, E, -slope, None, None)
     assert 0.0 < s <= 1.0 and evals >= 1
     trial = f.values.copy()
     trial[right2d_n4.interior_nodes] += s * (-r)
+    assert_array_equal(fld.values, trial)
     assert energy_value(model, f.with_values(trial)) == E_new < E
 
 
@@ -435,18 +502,14 @@ def test_p3_zero_interior_newton_steps_stay_silent(capfd):
     mesh = build_structured_mesh("right2d", 30)
     bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
     fld = interpolate_boundary(mesh, bc, 2)
-    interior = mesh.interior_nodes
     for step in range(5):
         H = assemble_hessian(model, fld)
         assert (H.diagonal() == 0.0).any(), step
         r = residual(model, fld).reshape(-1)
         d, kind, _, _ = _pcg(H, r, 0.5)
         assert kind == "newton", step
-        s, _, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 2),
-                             energy_value(model, fld), float(r @ d), None, None)
-        vals = fld.values.copy()
-        vals[interior] += s * d.reshape(-1, 2)
-        fld = fld.with_values(vals)
+        _, fld, _, _ = _backtrack(model, fld, d.reshape(-1, 2), energy_value(model, fld),
+                                  float(r @ d), None, None)
     assert capfd.readouterr() == ("", "")
 
 
@@ -491,7 +554,6 @@ def test_zero_diagonal_rows_with_a_source_keep_the_steps_finite(capfd):
     source = SourceTerm.constant(mesh, -1.0)
     bc = BoundaryData.random_uniform(2029167940, -1.0, 1.0)
     fld = interpolate_boundary(mesh, bc, 1)
-    interior = mesh.interior_nodes
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for step in range(5):
@@ -503,12 +565,9 @@ def test_zero_diagonal_rows_with_a_source_keep_the_steps_finite(capfd):
             slope = float(r @ d)
             assert np.isfinite(d).all() and np.isfinite(slope) and slope < 0.0, step
             E = energy_value(model, fld, source=source)
-            s, E_new, _ = _backtrack(model, mesh, fld.values, interior, d.reshape(-1, 1),
-                                     E, slope, source, None)
+            _, fld, E_new, _ = _backtrack(model, fld, d.reshape(-1, 1), E, slope,
+                                          source, None)
             assert E_new < E, step
-            vals = fld.values.copy()
-            vals[interior] += s * d.reshape(-1, 1)
-            fld = fld.with_values(vals)
     assert capfd.readouterr() == ("", "")
 
 
