@@ -290,11 +290,11 @@ def residual(model: EnergyModel, field: NodalField,
     """
     mesh = field.mesh
     c = model.element_coeff(mesh.num_elements)
-    G, t = _gradient_norms(field)
+    _, t = _gradient_norms(field)
     av = _safe_a(model, t)
 
     # per-element nodal forces: vol * c * a * (G^T grad_hat_i)
-    forces = ((mesh.volumes * c * av)[:, None, None] * np.matmul(mesh.gradients, G)).ravel()
+    forces = ((mesh.volumes * c * av)[:, None, None] * field._forces).ravel()
     keys = (mesh.elements[:, :, None] * field.m + np.arange(field.m)).ravel()
 
     if source is not None:

@@ -68,6 +68,15 @@ class NodalField:
         G.flags.writeable = t.flags.writeable = False
         return G, t
 
+    @cached_property
+    def _forces(self):
+        """The element nodal forces (E, n+1, m): row i of an element is
+        G^T grad phi_i.  Computed on first use and read-only, so the
+        residual and the Hessian at one field share one product."""
+        P = np.matmul(self.mesh.gradients, self._norms[0])
+        P.flags.writeable = False
+        return P
+
 
 class BoundaryData:
     """Boundary value prescription.

@@ -148,7 +148,7 @@ class Mesh:
         self.gradients.flags.writeable = False
         self._grams = None
         self._angle_report = None
-        self._scatters = {}
+        self._patterns = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -338,56 +338,122 @@ class Mesh:
             self._grams = g
         return self._grams
 
-    def assemble(self, blocks: np.ndarray, diagonal: np.ndarray | None = None,
+    def assemble(self, pairs, diagonal: np.ndarray | None = None,
                  interior: bool = True) -> scipy.sparse.csc_matrix:
-        """Sum element blocks into a sparse matrix over nodal DOFs.
+        """Sum element weights into a symmetric sparse matrix over nodal DOFs.
 
-        ``blocks`` (E, n+1, m, n+1, m) couples component j of local vertex i
-        (row) with component l of local vertex k (column); ``diagonal``
-        (N0, m, m) adds one block per node.  DOF z*m + j is component j of
-        the z-th interior node, or of the z-th vertex with
-        ``interior=False``; entries of other nodes are dropped.  The pattern
-        and the slots are built once per (m, interior) and kept, so a call
-        only sums the data with one ``np.bincount``.
+        ``pairs`` holds one element-last (n+1, n+1, E) array per component
+        pair j <= l, in the order of ``np.triu_indices(m)``: entry (i, k, e)
+        couples component j of local vertex i (row) with component l of
+        local vertex k (column) in element e.  Block (l, j) is read as the
+        transpose of block (j, l), so only symmetric operators can be
+        assembled.  ``diagonal`` (N0, m, m) adds one block per node.  DOF
+        z*m + j is component j of the z-th interior node, or of the z-th
+        vertex with ``interior=False``; entries of other nodes are dropped.
+        Every m shares one scalar pattern per ``interior`` flag
+        (``_Pattern``): a call sums each pair onto it in element order, with
+        one sparse product, and places the sums by a cached index map.
         """
-        m = blocks.shape[-1]
-        # threads sharing a mesh may build the same scatter twice; the
+        m = math.isqrt(8 * len(pairs) + 1) // 2
+        if m * (m + 1) // 2 != len(pairs):
+            raise ValueError(f"{len(pairs)} component pairs is not m(m+1)/2 for any m")
+        shape = (self.dim + 1, self.dim + 1, self.num_elements)
+        if any(w.shape != shape for w in pairs):
+            raise ValueError(f"pair weights must have the element-last shape {shape}")
+        # threads sharing a mesh may build the same pattern twice; the
         # copies are equal, so whichever is kept gives the same matrix
-        if (m, interior) not in self._scatters:
-            self._scatters[m, interior] = self._scatter(m, interior)
-        indptr, indices, slots, diag = self._scatters[m, interior]
-        nnz = len(indices)
-        data = np.bincount(slots, weights=blocks.ravel(), minlength=nnz + 1)[:nnz]
+        if interior not in self._patterns:
+            self._patterns[interior] = _Pattern(self, interior)
+        pattern = self._patterns[interior]
+        indptr, indices, source, diag = pattern.layout(m)
+        data = np.concatenate([pattern.summation @ w.ravel() for w in pairs])[source]
         if diagonal is not None:
             data[diag] += diagonal.ravel()
         N = len(indptr) - 1
         return scipy.sparse.csc_matrix((data, indices, indptr), shape=(N, N))
 
-    def _scatter(self, m: int, interior: bool):
-        """CSC pattern, and the data slot of each block entry and diagonal block."""
-        nodes = self.interior_nodes if interior else np.arange(self.num_vertices)
-        pos = np.full(self.num_vertices, -1)
-        pos[nodes] = np.arange(len(nodes))
-        dof = pos[self.elements][:, :, None] * m + np.arange(m)       # (E, n+1, m)
-        dof[pos[self.elements] < 0] = -1
-        rows, cols = dof[:, :, :, None, None], dof[:, None, None, :, :]
-        N = len(nodes) * m
-        # column-major keys; dropped entries share the key N*N, past all others,
-        # so their slot is nnz
-        keys = np.where((rows >= 0) & (cols >= 0), cols * N + rows, N * N)
-        pattern, slots = np.unique(keys.ravel(), return_inverse=True)
-        pattern = pattern[pattern < N * N]
-        indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
-        A = scipy.sparse.csc_matrix((np.zeros(len(pattern)), pattern % N, indptr),
-                                    shape=(N, N))       # lets scipy pick the index type
-        d = np.arange(N).reshape(-1, m)
-        diag = np.searchsorted(pattern, d[:, None, :] * N + d[:, :, None])
-        return A.indptr, A.indices, slots, diag.ravel()
-
     def angle_report(self) -> AngleReport:
         if self._angle_report is None:
             self._angle_report = classify_mesh(self)
         return self._angle_report
+
+
+class _Pattern:
+    """The scalar sparsity pattern of a mesh's nodal operators, and its
+    m-component layouts.
+
+    The nodes are the interior ones, or all vertices.  ``rows`` and
+    ``indptr`` are the CSC pattern of the node pairs that share an element;
+    ``transpose`` maps each slot to the slot of its mirror entry and
+    ``diagonal`` each node to its own slot.  ``summation`` (nnz,
+    (n+1)^2 E) sums element-last weights onto the slots: row s lists the
+    entries (i, k, e) of slot s in element order, so every slot adds its
+    terms in element order.  One stable sort of the element keys gives
+    both.
+    """
+
+    def __init__(self, mesh: Mesh, interior: bool):
+        nodes = mesh.interior_nodes if interior else np.arange(mesh.num_vertices)
+        pos = np.full(mesh.num_vertices, -1)
+        pos[nodes] = np.arange(len(nodes))
+        node = pos[mesh.elements]                             # (E, n+1)
+        rows, cols = node[:, :, None], node[:, None, :]
+        N = len(nodes)
+        # column-major keys of the element-major entries (e, i, k); dropped
+        # entries share the key N*N, past all others, so they sort last
+        keys = np.where((rows >= 0) & (cols >= 0), cols * N + rows, N * N).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        kept = int(np.searchsorted(keys, N * N))
+        first = np.flatnonzero(np.diff(keys[:kept], prepend=-1))
+        pattern = keys[first]
+        cols, self.rows = np.divmod(pattern, N)
+        self.N = N
+        self.indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
+        self.transpose = np.searchsorted(pattern, self.rows * N + cols)
+        self.diagonal = np.searchsorted(pattern, np.arange(N) * (N + 1))
+        E, size = len(node), len(order)
+        e, ik = np.divmod(order[:kept], size // E)
+        self.summation = scipy.sparse.csr_matrix(
+            (np.ones(kept), ik * E + e, np.append(first, kept)), shape=(len(first), size))
+        self._layouts = {}
+
+    def layout(self, m: int):
+        """(indptr, indices, source, diag) of the m-component matrix.
+
+        DOF z*m + j is component j of node z, so column y*m + l holds, for
+        each row node z of column y in turn, rows z*m + 0 .. z*m + m-1: the
+        entry (z*m + j, y*m + l) of scalar slot s sits at
+        m (s + (m-1) indptr[y]) + l m count[y] + j, with count[y] the slots
+        of column y.  ``source`` gives each data position its index into the
+        concatenated pair sums: pair (j, l) at slot s for j <= l, and pair
+        (l, j) at the mirror slot for j > l.  ``diag`` (N m m,) holds the
+        positions of the nodal blocks, row component first.
+        """
+        if m in self._layouts:
+            return self._layouts[m]
+        nnz = len(self.rows)
+        ptr = self.indptr
+        count = np.diff(ptr)
+        col = np.repeat(np.arange(self.N), count)
+        base = m * (np.arange(nnz) + (m - 1) * ptr[col])
+        stride = m * count[col]
+        comp = np.arange(m)
+        at = base[:, None, None] + comp[:, None] * stride[:, None, None] + comp  # [s, l, j]
+        indices = np.empty(m * m * nnz, dtype=np.int64)
+        indices[at] = self.rows[:, None, None] * m + comp
+        source = np.empty_like(indices)
+        for p, (j, l) in enumerate(itertools.combinations_with_replacement(range(m), 2)):
+            source[at[:, l, j]] = p * nnz + np.arange(nnz)
+            if l > j:
+                source[at[:, j, l]] = p * nnz + self.transpose
+        indptr = np.append(m * m * ptr[:-1, None] + comp * m * count[:, None], m * m * nnz)
+        N = self.N * m
+        A = scipy.sparse.csc_matrix((np.zeros(len(indices)), indices, indptr),
+                                    shape=(N, N))       # lets scipy pick the index type
+        diag = at[self.diagonal].transpose(0, 2, 1)       # [z, j, l]: row j, column l
+        self._layouts[m] = A.indptr, A.indices, source, diag.ravel()
+        return self._layouts[m]
 
 
 def _all_columns(mask):

@@ -21,6 +21,7 @@ regions.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -116,25 +117,32 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     with P_zj = (grad U column j) . g_z and b = (F'' - a) / t^2; the b term
     vanishes with the gradient, so zero-gradient elements only keep the a
     part.  The lumped term adds one m x m block per interior node.  Linear
-    source terms do not contribute.  The blocks are summed through the
-    mesh's cached scatter (``Mesh.assemble``).
+    source terms do not contribute.  Only the pairs j <= l are computed,
+    element-last so that every product runs over the elements; H is
+    symmetric, so ``Mesh.assemble`` mirrors block (j, l) into (l, j) on the
+    mesh's one scalar pattern.
     """
     mesh = field.mesh
     m = field.m
     c = model.element_coeff(mesh.num_elements)
 
-    G, t = _gradient_norms(field)                        # (E, n, m), (E,)
+    _, t = _gradient_norms(field)
     a_eff, b_eff = _newton_weights(model, t)
 
     coef = mesh.volumes * c
-    Pf = np.matmul(mesh.gradients, G).reshape(len(G), -1)   # (E, (n+1) m)
-    # the scale multiplies the exactly commuting outer product, so each
-    # block, and with it H, is bitwise symmetric
-    loc = (coef * b_eff)[:, None, None] * (Pf[:, :, None] * Pf[:, None, :])
-    loc = loc.reshape(len(G), mesh.dim + 1, m, mesh.dim + 1, m)
-    ca = (coef * a_eff)[:, None, None]
-    for j in range(m):
-        loc[:, :, j, :, j] += ca * mesh.gradient_grams
+    sb = coef * b_eff
+    ca = np.multiply(mesh.gradient_grams.transpose(1, 2, 0), coef * a_eff, order="C")
+    # element-last forces (m, n+1, E), so every product below runs over the
+    # elements innermost; sb scales the exactly commuting product
+    # P_ij P_kl, so block (l, j) is the transpose of block (j, l) bit for bit
+    P = field._forces.transpose(2, 1, 0).copy()
+    pairs = []
+    for j, l in itertools.combinations_with_replacement(range(m), 2):
+        block = P[j][:, None] * P[l]
+        block *= sb
+        if j == l:
+            block += ca
+        pairs.append(block)
 
     nodal = None
     if lumped is not None:
@@ -149,7 +157,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         nodal = ((w * f1)[:, None, None] * np.eye(m)
                  + (w * f2)[:, None, None] * (v[:, :, None] * v[:, None, :]))
 
-    return mesh.assemble(loc, nodal)
+    return mesh.assemble(pairs, nodal)
 
 
 def _trial(base: NodalField, s: float, dmat) -> NodalField:
@@ -222,7 +230,7 @@ def _harmonic_start(model, start, source):
     """
     mesh = start.mesh
     coef = mesh.volumes * model.element_coeff(mesh.num_elements)
-    K = mesh.assemble((coef[:, None, None] * mesh.gradient_grams)[:, :, None, :, None])
+    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * coef])
     lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)

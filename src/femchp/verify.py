@@ -158,18 +158,17 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
     """Neighbor-weight matrix B of the minimiser's Euler-Lagrange equation, V x V.
 
     B[i, k] = sum_T |T| c_T a(|grad U|) grad phi_i . grad phi_k, with a(t)
-    from the Hessian's ``_newton_weights`` and B from the same cached
-    scatter.  At node z, beta_0 = B[z, z] and beta_y = -B[z, y] for each
-    neighbor y sharing an element with z; summing the beta_y reproduces
-    beta_0 exactly because the basis gradients of each element sum to zero,
-    for any per-element weight whatsoever.  B is symmetric CSC, so column z
-    of its arrays is row z.
+    from the Hessian's ``_newton_weights`` and B on the mesh's scalar
+    pattern of all vertices (``Mesh.assemble``).  At node z, beta_0 =
+    B[z, z] and beta_y = -B[z, y] for each neighbor y sharing an element
+    with z; summing the beta_y reproduces beta_0 exactly because the basis
+    gradients of each element sum to zero, for any per-element weight
+    whatsoever.  B is symmetric CSC, so column z of its arrays is row z.
     """
     _check_pair(mesh, field)
     a, _ = _newton_weights(model, _gradient_norms(field)[1])
     w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
-    S = mesh.gradient_grams * w[:, None, None]
-    return mesh.assemble(S[:, :, None, :, None], interior=False)
+    return mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * w], interior=False)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,

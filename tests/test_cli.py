@@ -291,7 +291,7 @@ THREADED_SPECS = {
 @pytest.mark.parametrize("name", sorted(THREADED_SPECS))
 def test_experiment_checks_every_theorem_in_the_pool(tmp_path, monkeypatch, name):
     # each combination is solved and checked in a worker thread; the rows,
-    # strong-chp's lazily built scatter included, match the serial run's bytes
+    # strong-chp's lazily built pattern included, match the serial run's bytes
     text, n_rows = THREADED_SPECS[name]
     spec = tmp_path / "s.spec"
     spec.write_text(text)

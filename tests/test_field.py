@@ -46,6 +46,16 @@ def test_field_values_are_a_read_only_copy(right2d_n2):
     assert_array_equal(t, np.linalg.norm(G, axis=(1, 2)))
 
 
+def test_nodal_forces_are_computed_once_and_read_only(kuhn_n2):
+    # the residual and the Hessian at one field read the same forces
+    f = NodalField(kuhn_n2, np.random.default_rng(3).standard_normal((kuhn_n2.num_vertices, 2)))
+    P = f._forces
+    assert f._forces is P
+    assert_array_equal(P, np.matmul(kuhn_n2.gradients, f.element_gradients()))
+    with pytest.raises(ValueError, match="read-only"):
+        P[0] += 1.0
+
+
 def test_element_gradients_affine(right2d_n4):
     coeffs = np.array([[2.0, -1.0], [0.5, 3.0]])
     f = NodalField(right2d_n4, affine_values(right2d_n4, [1.0, -2.0], coeffs))

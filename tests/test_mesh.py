@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import mesh as mesh_module
+from femchp.energy import LumpedTerm, _newton_weights, mean_curvature, p_dirichlet
+from femchp.field import BoundaryData, NodalField
 from femchp.mesh import (
     ACUTE,
     GENERATORS,
@@ -21,6 +25,8 @@ from femchp.mesh import (
     load_mesh,
     save_mesh,
 )
+from femchp.solver import assemble_hessian, minimize
+from femchp.verify import beta_weights
 
 
 def test_reference_triangle_geometry(ref_triangle):
@@ -201,14 +207,23 @@ def test_repeated_vertex_index_rejected():
         assert str(exc.value) == message
 
 
+def _pair_blocks(blocks):
+    """The element-last (n+1, n+1, E) pair arrays, j <= l, of (E, n+1, m, n+1, m) blocks."""
+    m = blocks.shape[-1]
+    return [np.ascontiguousarray(blocks[:, :, j, :, l].transpose(1, 2, 0))
+            for j, l in itertools.combinations_with_replacement(range(m), 2)]
+
+
 @pytest.mark.parametrize("gen,n", [("right2d", 3), ("kuhn3d", 2)])
 def test_assemble_matches_dense_scatter(gen, n):
-    # random, non-symmetric blocks pin the row/column orientation
+    # random blocks, symmetric per element, and random nodal blocks against
+    # a dense np.add.at sum
     mesh = build_structured_mesh(gen, n)
     rng = np.random.default_rng(5)
     k = mesh.dim + 1
-    for m in (1, 2):
-        blocks = rng.standard_normal((mesh.num_elements, k, m, k, m))
+    for m in (1, 2, 3):
+        X = rng.standard_normal((mesh.num_elements, k * m, k * m))
+        blocks = (X + X.transpose(0, 2, 1)).reshape(-1, k, m, k, m)
         for interior, nodes in ((True, mesh.interior_nodes),
                                 (False, np.arange(mesh.num_vertices))):
             pos = np.full(mesh.num_vertices, -1)
@@ -221,15 +236,135 @@ def test_assemble_matches_dense_scatter(gen, n):
             N = len(nodes) * m
             ref = np.zeros((N, N))
             np.add.at(ref, (rows[ok], cols[ok]), blocks[ok])
-            A = mesh.assemble(blocks, interior=interior)
+            A = mesh.assemble(_pair_blocks(blocks), interior=interior)
             assert A.format == "csc" and A.has_sorted_indices
             assert_allclose(A.toarray(), ref, rtol=1e-14, atol=1e-14)
 
             diagonal = rng.standard_normal((len(nodes), m, m))
             for z in range(len(nodes)):
                 ref[z * m:(z + 1) * m, z * m:(z + 1) * m] += diagonal[z]
-            A = mesh.assemble(blocks, diagonal, interior=interior)
+            A = mesh.assemble(_pair_blocks(blocks), diagonal, interior=interior)
             assert_allclose(A.toarray(), ref, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="component pairs"):
+        mesh.assemble(_pair_blocks(blocks)[:2])
+    with pytest.raises(ValueError, match="element-last"):
+        mesh.assemble([mesh.gradient_grams])
+
+
+def _reference_assemble(mesh, blocks, diagonal=None, interior=True):
+    """The element-major assembly: (E, n+1, m, n+1, m) blocks summed by one
+    np.bincount over slots from one np.unique of all E (n+1)^2 m^2 keys."""
+    m = blocks.shape[-1]
+    nodes = mesh.interior_nodes if interior else np.arange(mesh.num_vertices)
+    pos = np.full(mesh.num_vertices, -1)
+    pos[nodes] = np.arange(len(nodes))
+    dof = pos[mesh.elements][:, :, None] * m + np.arange(m)       # (E, n+1, m)
+    dof[pos[mesh.elements] < 0] = -1
+    rows, cols = dof[:, :, :, None, None], dof[:, None, None, :, :]
+    N = len(nodes) * m
+    keys = np.where((rows >= 0) & (cols >= 0), cols * N + rows, N * N)
+    pattern, slots = np.unique(keys.ravel(), return_inverse=True)
+    pattern = pattern[pattern < N * N]
+    nnz = len(pattern)
+    indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
+    A = scipy.sparse.csc_matrix((np.zeros(nnz), pattern % N, indptr), shape=(N, N))
+    data = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=nnz + 1)[:nnz]
+    if diagonal is not None:
+        d = np.arange(N).reshape(-1, m)
+        data[np.searchsorted(pattern, d[:, None, :] * N + d[:, :, None]).ravel()] \
+            += diagonal.ravel()
+    return scipy.sparse.csc_matrix((data, A.indices, A.indptr), shape=(N, N))
+
+
+def _reference_hessian(model, field, lumped=None):
+    """The Newton Hessian from element-major (E, n+1, m, n+1, m) blocks."""
+    mesh, m = field.mesh, field.m
+    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
+    a, b = _newton_weights(model, field._norms[1])
+    Pf = np.matmul(mesh.gradients, field._norms[0]).reshape(mesh.num_elements, -1)
+    loc = (coef * b)[:, None, None] * (Pf[:, :, None] * Pf[:, None, :])
+    loc = loc.reshape(mesh.num_elements, mesh.dim + 1, m, mesh.dim + 1, m)
+    for j in range(m):
+        loc[:, :, j, :, j] += (coef * a)[:, None, None] * mesh.gradient_grams
+    nodal = None
+    if lumped is not None:
+        q, w = lumped.q, lumped.weights[mesh.interior_nodes]
+        v = field.values[mesh.interior_nodes]
+        vn = np.linalg.norm(v, axis=1)
+        pos = vn > 0.0
+        f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
+        f2 = np.zeros_like(vn)
+        f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
+        nodal = ((w * f1)[:, None, None] * np.eye(m)
+                 + (w * f2)[:, None, None] * (v[:, :, None] * v[:, None, :]))
+    return _reference_assemble(mesh, loc, nodal)
+
+
+def _assert_same_csc(A, B):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(A, name), getattr(B, name)
+        assert x.dtype == y.dtype, name
+        assert_array_equal(x, y, strict=True)
+
+
+@pytest.mark.parametrize("gen,n", [("right2d", 5), ("crisscross2d", 4),
+                                   ("obtuse2d", 5), ("kuhn3d", 3)])
+def test_assembly_is_bitwise_the_element_major_scatter(gen, n, monkeypatch):
+    # each slot sums its element terms in element order on both paths, so
+    # H, the harmonic start's K and B agree to the last bit: at p = 2 the
+    # component couplings are stored zeros, at p = 3 and for mean curvature
+    # they are not
+    mesh = build_structured_mesh(gen, n)
+    rng = np.random.default_rng(7)
+    factors = []
+    real_splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda K, **kw: factors.append(K) or real_splu(K, **kw))
+    for m in (1, 2, 3):
+        values = rng.standard_normal((mesh.num_vertices, m))
+        field = NodalField(mesh, values)
+        for model in (p_dirichlet(2.0), p_dirichlet(3.0), mean_curvature()):
+            for lumped in (None, LumpedTerm.from_mesh(mesh, 3.0)):
+                _assert_same_csc(assemble_hessian(model, field, lumped=lumped),
+                                 _reference_hessian(model, field, lumped))
+            B = _reference_assemble(mesh, (mesh.volumes * model.element_coeff(
+                mesh.num_elements) * _newton_weights(model, field._norms[1])[0]
+                )[:, None, None, None, None] * mesh.gradient_grams[:, :, None, :, None],
+                interior=False)
+            _assert_same_csc(beta_weights(mesh, field, model), B)
+    coeff = rng.uniform(0.5, 2.0, mesh.num_elements)
+    model = p_dirichlet(3.0, coeff=coeff)
+    minimize(model, mesh, BoundaryData.random_uniform(3, -1.0, 1.0), m=2, max_iters=0)
+    (K,) = factors
+    coef = mesh.volumes * coeff
+    _assert_same_csc(K, _reference_assemble(
+        mesh, (coef[:, None, None] * mesh.gradient_grams)[:, :, None, :, None]))
+
+
+def test_one_scalar_pattern_per_interior_flag(monkeypatch):
+    # K, H at every m and B share the pattern of their interior flag: one
+    # sort of the E (n+1)^2 element keys each, and the summation holds at
+    # most E (n+1)^2 entries, not E (n+1)^2 m^2
+    mesh = build_structured_mesh("kuhn3d", 3)
+    k = mesh.dim + 1
+    sorted_sizes = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_sizes.append(np.size(a))
+                        or real_argsort(a, *args, **kw))
+    model = p_dirichlet(3.0)
+    minimize(model, mesh, BoundaryData.random_uniform(1, -1.0, 1.0), m=1, max_iters=0)
+    assert sorted_sizes == [mesh.num_elements * k * k]
+    for m in (1, 2, 3):
+        field = NodalField(mesh, np.random.default_rng(m).standard_normal((mesh.num_vertices, m)))
+        assemble_hessian(model, field, lumped=LumpedTerm.from_mesh(mesh, 3.0))
+        beta_weights(mesh, field, model)
+    assert sorted_sizes == [mesh.num_elements * k * k] * 2
+    inner = (~mesh.is_boundary[mesh.elements]).sum(axis=1)
+    for interior, kept in ((True, int((inner ** 2).sum())),
+                           (False, mesh.num_elements * k * k)):
+        summation = mesh._patterns[interior].summation
+        assert summation.shape[1] == mesh.num_elements * k * k
+        assert summation.nnz == kept
 
 
 def test_orphan_vertex_rejected():

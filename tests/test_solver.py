@@ -205,7 +205,7 @@ def test_p3_zero_interior_start_takes_a_newton_step(right2d_n4, capfd):
 
 
 def test_hessian_cache_follows_the_mesh():
-    # each mesh keeps its own scatter: meshes used in alternation, and a new
+    # each mesh keeps its own pattern: meshes used in alternation, and a new
     # mesh built right after another was dropped (which in CPython usually
     # gets the dropped mesh's id()), give the Hessians of a fresh mesh
     model = p_dirichlet(3.0)
