@@ -211,10 +211,16 @@ class LumpedTerm:
         return cls(q=float(q), weights=lumped_weights(mesh))
 
 
-def _gradient_norms(field: NodalField):
-    """(G, t) of the field: element gradients (E, n, m) and their norms (E,),
-    one gradient pass per field however many callers read them."""
-    return field._norms
+def _check_terms(field: NodalField, source: SourceTerm | None,
+                 lumped: LumpedTerm | None) -> None:
+    """Raise ValueError unless the optional terms fit the field's mesh and m."""
+    mesh = field.mesh
+    if source is not None:
+        source.check(mesh)
+        if field.m != 1:
+            raise ValueError("source terms are only defined for scalar fields (m=1)")
+    if lumped is not None and len(lumped.weights) != mesh.num_vertices:
+        raise ValueError("lumped weights do not match the mesh")
 
 
 def energy_value(model: EnergyModel, field: NodalField,
@@ -223,19 +229,15 @@ def energy_value(model: EnergyModel, field: NodalField,
     """Total energy of the field under the model (+ optional source / lumped)."""
     mesh = field.mesh
     c = model.element_coeff(mesh.num_elements)
-    _, t = _gradient_norms(field)
+    _check_terms(field, source, lumped)
+    _, t = field._norms
     total = float(np.sum(mesh.volumes * c * model.F(t)))
 
     if source is not None:
-        source.check(mesh)
-        if field.m != 1:
-            raise ValueError("source terms are only defined for scalar fields (m=1)")
         means = field.values[mesh.elements, 0].mean(axis=1)
         total -= float(np.sum(source.values * mesh.volumes * means))
 
     if lumped is not None:
-        if len(lumped.weights) != mesh.num_vertices:
-            raise ValueError("lumped weights do not match the mesh")
         vnorm = np.linalg.norm(field.values, axis=1)
         total += float(np.sum(lumped.weights * vnorm ** lumped.q)) / lumped.q
 
@@ -290,7 +292,8 @@ def residual(model: EnergyModel, field: NodalField,
     """
     mesh = field.mesh
     c = model.element_coeff(mesh.num_elements)
-    _, t = _gradient_norms(field)
+    _check_terms(field, source, lumped)
+    _, t = field._norms
     av = _safe_a(model, t)
 
     # per-element nodal forces: vol * c * a * (G^T grad_hat_i)
@@ -298,9 +301,6 @@ def residual(model: EnergyModel, field: NodalField,
     keys = (mesh.elements[:, :, None] * field.m + np.arange(field.m)).ravel()
 
     if source is not None:
-        source.check(mesh)
-        if field.m != 1:
-            raise ValueError("source terms are only defined for scalar fields (m=1)")
         contrib = source.values * mesh.volumes / (mesh.dim + 1)
         keys = np.concatenate([keys, mesh.elements.ravel()])
         forces = np.concatenate([forces, np.repeat(-contrib, mesh.dim + 1)])
@@ -310,8 +310,6 @@ def residual(model: EnergyModel, field: NodalField,
                          minlength=mesh.num_vertices * field.m).reshape(-1, field.m)
 
     if lumped is not None:
-        if len(lumped.weights) != mesh.num_vertices:
-            raise ValueError("lumped weights do not match the mesh")
         vnorm = np.linalg.norm(field.values, axis=1)
         fac = np.where(vnorm > 0.0, vnorm ** (lumped.q - 2.0), 0.0)
         r_full += (lumped.weights * fac)[:, None] * field.values

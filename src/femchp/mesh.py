@@ -389,7 +389,9 @@ class _Pattern:
     (n+1)^2 E) sums element-last weights onto the slots: row s lists the
     entries (i, k, e) of slot s in element order, so every slot adds its
     terms in element order.  One stable sort of the element keys gives
-    both.
+    both.  The index arrays are read-only: every assembled matrix shares
+    its layout's, so an in-place scipy op on one (``eliminate_zeros``,
+    ``sort_indices``) raises instead of corrupting later assemblies.
     """
 
     def __init__(self, mesh: Mesh, interior: bool):
@@ -416,6 +418,8 @@ class _Pattern:
         e, ik = np.divmod(order[:kept], size // E)
         self.summation = scipy.sparse.csr_matrix(
             (np.ones(kept), ik * E + e, np.append(first, kept)), shape=(len(first), size))
+        for a in (self.rows, self.indptr, self.transpose, self.diagonal):
+            a.flags.writeable = False
         self._layouts = {}
 
     def layout(self, m: int):
@@ -452,8 +456,11 @@ class _Pattern:
         A = scipy.sparse.csc_matrix((np.zeros(len(indices)), indices, indptr),
                                     shape=(N, N))       # lets scipy pick the index type
         diag = at[self.diagonal].transpose(0, 2, 1)       # [z, j, l]: row j, column l
-        self._layouts[m] = A.indptr, A.indices, source, diag.ravel()
-        return self._layouts[m]
+        layout = A.indptr, A.indices, source, diag.ravel()
+        for a in layout:
+            a.flags.writeable = False
+        self._layouts[m] = layout
+        return layout
 
 
 def _all_columns(mask):

@@ -31,7 +31,7 @@ import scipy.sparse.linalg
 from .mesh import Mesh
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
-                     p_dirichlet, _gradient_norms, _newton_weights)
+                     p_dirichlet, _newton_weights)
 
 __all__ = [
     "SolveReport",
@@ -126,7 +126,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     m = field.m
     c = model.element_coeff(mesh.num_elements)
 
-    _, t = _gradient_norms(field)
+    _, t = field._norms
     a_eff, b_eff = _newton_weights(model, t)
 
     coef = mesh.volumes * c
@@ -172,8 +172,9 @@ def _backtrack(model, base: NodalField, dmat, E0, slope, source, lumped):
 
     Returns (s, trial, E, evals): the accepted step length, the field it
     reaches, which the next iterate reuses, its energy and the number of
-    energy evaluations."""
-    if not np.isfinite(slope) or slope >= 0.0:
+    energy evaluations.  With ``slope`` None the full step is taken after
+    one evaluation, whatever its energy; the caller judges it."""
+    if slope is not None and (not np.isfinite(slope) or slope >= 0.0):
         raise LineSearchError(f"non-descent direction (slope {slope:.3e})")
     s = 1.0
     evals = 0
@@ -181,7 +182,7 @@ def _backtrack(model, base: NodalField, dmat, E0, slope, source, lumped):
         trial = _trial(base, s, dmat)
         Et = _energy_of(model, trial, source, lumped)
         evals += 1
-        if np.isfinite(Et) and Et <= E0 + _ARMIJO_C1 * s * slope:
+        if slope is None or (np.isfinite(Et) and Et <= E0 + _ARMIJO_C1 * s * slope):
             return s, trial, Et, evals
         s *= _SHRINK
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
@@ -220,7 +221,7 @@ def _pcg(H, g, eta):
 
 
 def _harmonic_start(model, start, source):
-    """Interior values of the p = 2 minimiser with the model's coefficients.
+    """The p = 2 minimiser with the model's coefficients and start's boundary.
 
     One Newton step of the quadratic energy from the interpolant, solved
     against its residual (source included; a lumped term would make the
@@ -234,7 +235,7 @@ def _harmonic_start(model, start, source):
     lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)
-    return start.values[mesh.interior_nodes] - lu.solve(r)
+    return _trial(start, -1.0, lu.solve(r))
 
 
 def _check_tol(name: str, tol) -> None:
@@ -264,18 +265,15 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     _check_tol("tol", tol)
     t0 = time.perf_counter()
-    start = interpolate_boundary(mesh, boundary, m)
-    fld = start
+    fld = interpolate_boundary(mesh, boundary, m)
     interior = mesh.interior_nodes
     start_kind = "interpolant"
     if len(interior) and model.a0 == 0.0:
-        vals = start.values.copy()
-        vals[interior] = _harmonic_start(model, start, source)
-        fld = start.with_values(vals)
+        fld = _harmonic_start(model, fld, source)
         start_kind = "harmonic"
 
     # every field the iteration visits computes its element gradients once:
-    # its energy, residual and Hessian all read them (``_gradient_norms``)
+    # its energy, residual and Hessian all read them (``NodalField._norms``)
     E = _energy_of(model, fld, source, lumped)
     if not np.isfinite(E):
         raise ValueError("energy is not finite at the initial iterate")
@@ -289,13 +287,13 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
     # on the iterate (the quadratic energies), so the linear model is exact
     # and the first step is solved tightly; a wrong guess (a zero gradient
     # everywhere) only tightens that one solve
-    exact = lumped is None and not _newton_weights(model, _gradient_norms(fld)[1])[1].any()
+    exact = lumped is None and not _newton_weights(model, fld._norms[1])[1].any()
     eta = _ETA_MIN if exact else _ETA_MAX
     model_norm = None       # |g + s H d| of the last step's linear model
 
     r = residual(model, fld, source=source, lumped=lumped)
+    rn = float(np.abs(r).max()) if r.size else 0.0
     for it in range(max_iters + 1):
-        rn = float(np.abs(r).max()) if r.size else 0.0
         report.iterations = it
         report.residual_norm = rn
         report.energy = E
@@ -327,29 +325,23 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
 
         # once the predicted energy drop falls below the float resolution of
         # the energy itself, the Armijo comparison is decided by rounding
-        # noise; in that regime accept the full Newton step when it strictly
-        # reduces the residual sup-norm instead
-        if abs(_ARMIJO_C1 * slope) < 8.0 * _EPS * (1.0 + abs(E)) and kind == "newton":
-            trial = _trial(fld, 1.0, dmat)
-            r_t = residual(model, trial, source=source, lumped=lumped)
-            rn_t = float(np.abs(r_t).max()) if r_t.size else 0.0
-            E_new = _energy_of(model, trial, source, lumped)
-            if not (np.isfinite(rn_t) and np.isfinite(E_new) and rn_t < rn):
-                report.status = "stagnated"
-                break
-            s, evals = 1.0, 1
-        else:
-            try:
-                s, trial, E_new, evals = _backtrack(model, fld, dmat, E, slope,
-                                                    source, lumped)
-            except LineSearchError as exc:
-                report.status = f"line-search-failure: {exc}"
-                break
-            r_t = None
+        # noise; in that regime take the full Newton step, and keep it only
+        # when it strictly reduces the residual sup-norm
+        rounding = kind == "newton" and abs(_ARMIJO_C1 * slope) < 8.0 * _EPS * (1.0 + abs(E))
+        try:
+            s, trial, E_new, evals = _backtrack(model, fld, dmat, E, None if rounding else slope,
+                                                source, lumped)
+        except LineSearchError as exc:
+            report.status = f"line-search-failure: {exc}"
+            break
+        r_new = residual(model, trial, source=source, lumped=lumped)
+        rn_new = float(np.abs(r_new).max()) if r_new.size else 0.0
+        if rounding and not (np.isfinite(rn_new) and np.isfinite(E_new) and rn_new < rn):
+            report.status = "stagnated"
+            break
 
         prev_norm, model_norm = g_norm, float(np.linalg.norm(r_flat + s * Hd))
-        fld = trial
-        r = residual(model, fld, source=source, lumped=lumped) if r_t is None else r_t
+        fld, r, rn = trial, r_new, rn_new
         if kind == "newton":
             report.newton_steps += 1
         else:

@@ -16,7 +16,7 @@ import numpy as np
 from .mesh import Mesh
 from .field import NodalField
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, p_dirichlet,
-                     _gradient_norms, _newton_weights)
+                     _newton_weights)
 from . import convex
 
 __all__ = [
@@ -166,7 +166,7 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
     whatsoever.  B is symmetric CSC, so column z of its arrays is row z.
     """
     _check_pair(mesh, field)
-    a, _ = _newton_weights(model, _gradient_norms(field)[1])
+    a, _ = _newton_weights(model, field._norms[1])
     w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
     return mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * w], interior=False)
 
@@ -203,18 +203,16 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     extreme = interior[convex.is_extreme(values, interior, tol)]
 
     B = beta_weights(mesh, field, model)
+    diag = B.diagonal()
     row_sums = np.asarray(B.sum(axis=1)).ravel()[interior]
-    beta0 = B.diagonal()[interior]
+    beta0 = diag[interior]
     ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(beta0), 1e-300))
                         .max(initial=0.0))
-    lam_ok = True
-    for z in extreme:
-        col = slice(B.indptr[z], B.indptr[z + 1])
-        off, data = B.indices[col] != z, B.data[col]
-        b0 = float(data[~off].sum())
-        if b0 > 0.0:
-            lam = -data[off] / b0
-            lam_ok = lam_ok and bool(lam.min() >= -1e-10) and abs(lam.sum() - 1.0) <= 1e-10
+    # lambda_y = -B[y, z] / B[z, z] >= 0 at each extreme z with B[z, z] > 0;
+    # they sum to 1 - (row sum) / beta_0, which the identity test bounds
+    col = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
+    at = np.isin(col, extreme) & (B.indices != col) & (diag[col] > 0.0)
+    lam_ok = bool((-B.data[at] / diag[col[at]] >= -1e-10).all())
 
     if len(extreme):
         spread = float((values.max(axis=0) - values.min(axis=0)).max())

@@ -829,3 +829,20 @@ def test_load_mesh_messages(tmp_path, lines, message):
     with pytest.raises(MeshFormatError) as exc:
         load_mesh(p)
     assert str(exc.value) == message
+
+
+def test_assembled_matrices_do_not_alias_a_writable_pattern():
+    # assembled matrices share the mesh's cached index arrays; an in-place
+    # op on one must raise rather than change every later assembly
+    mesh = build_structured_mesh("right2d", 4)
+    fld = NodalField(mesh, np.random.default_rng(3).standard_normal((mesh.num_vertices, 2)))
+    model = p_dirichlet(2.0)
+    for build in (lambda: beta_weights(mesh, fld, model), lambda: assemble_hessian(model, fld)):
+        first = build()
+        ref = first.copy()
+        assert (first.data == 0.0).any()       # right2d stores zero couplings
+        with pytest.raises(ValueError):
+            first.eliminate_zeros()
+        again = build()
+        for name in ("data", "indices", "indptr"):
+            assert_array_equal(getattr(again, name), getattr(ref, name))

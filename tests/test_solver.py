@@ -451,6 +451,50 @@ def test_line_search_rejects_ascent(right2d_n4):
     assert energy_value(model, f.with_values(trial)) == E_new < E
 
 
+def test_backtrack_without_a_slope_takes_the_full_step(right2d_n4):
+    bc = BoundaryData.random_uniform(6, -1.0, 1.0)
+    f = interpolate_boundary(right2d_n4, bc, 1)
+    model = p_dirichlet(2.0)
+    E = energy_value(model, f)
+    r = residual(model, f)
+    # uphill, and a step whose energy is not finite: one evaluation, s = 1
+    for step in (r, np.full_like(r, 1e300)):
+        s, fld, E_new, evals = _backtrack(model, f, step, E, None, None, None)
+        assert s == 1.0 and evals == 1
+        trial = f.values.copy()
+        trial[right2d_n4.interior_nodes] += step
+        assert_array_equal(fld.values, trial)
+        if step is r:
+            assert energy_value(model, fld) == E_new > E
+        else:
+            assert not np.isfinite(E_new)
+
+
+@pytest.mark.parametrize("seed, exit_path", [(1, "rounding"), (4, "stall")])
+def test_stagnated_exits_report_the_returned_iterate(monkeypatch, seed, exit_path):
+    # p = 10 on right2d:8 ends in the rounding regime, either on a full step
+    # that fails to reduce the residual (one line search more than accepted
+    # steps) or on two flat steps in a row
+    slopes = []
+    real = solver_module._backtrack
+
+    def recording(model, base, dmat, E0, slope, source, lumped):
+        slopes.append(slope)
+        return real(model, base, dmat, E0, slope, source, lumped)
+
+    monkeypatch.setattr(solver_module, "_backtrack", recording)
+    model = p_dirichlet(10.0)
+    fld, rep = minimize(model, build_structured_mesh("right2d", 8),
+                        BoundaryData.random_uniform(seed, -1.0, 1.0))
+    assert rep.status == "stagnated" and not rep.converged
+    steps = rep.newton_steps + rep.gradient_steps
+    assert len(slopes) == steps + (exit_path == "rounding")
+    assert slopes[-1] is None or exit_path == "stall"
+    assert rep.residual_norm == float(np.abs(residual(model, fld)).max())
+    assert len(rep.energy_history) == steps + 1
+    assert rep.energy == rep.energy_history[-1] == energy_value(model, fld)
+
+
 def test_solve_report_fields(right2d_n4):
     bc = BoundaryData.random_uniform(8, -1.0, 1.0)
     _, rep = minimize(p_dirichlet(3.0), right2d_n4, bc, m=1)

@@ -125,6 +125,21 @@ def test_strong_chp_pass_constant():
     assert out.details["extreme_interior_nodes"] > 0   # everything is extreme
 
 
+@pytest.mark.parametrize("gen, ok", [("equilateral2d", True), ("obtuse2d", False)])
+def test_strong_chp_lambda_checks_are_a_plain_bool(gen, ok):
+    # on a constant field every interior node is extreme; obtuse2d has a
+    # positive off-diagonal entry of B, a negative neighbour weight lambda
+    mesh = build_structured_mesh(gen, 4)
+    const = NodalField(mesh, np.full(mesh.num_vertices, 0.3))
+    out = verify_strong_chp(mesh, const, model=p_dirichlet(2.0))
+    assert out.details["extreme_interior_nodes"] == len(mesh.interior_nodes)
+    assert out.details["lambda_checks_ok"] is ok
+    # node by node: lambda_y = -B[y, z] / B[z, z] over column z of B
+    Bd = beta_weights(mesh, const, p_dirichlet(2.0)).toarray()
+    assert ok == all((-np.delete(Bd[:, z], z) / Bd[z, z] >= -1e-10).all()
+                     for z in mesh.interior_nodes if Bd[z, z] > 0.0)
+
+
 def test_strong_chp_fail_on_extreme_bump():
     # constant field with one interior value pushed outward: that value is
     # an extreme point of the value hull, yet the field is not constant
