@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Mesh",
@@ -366,7 +367,9 @@ class Mesh:
             self._patterns[interior] = _Pattern(self, interior)
         pattern = self._patterns[interior]
         indptr, indices, source, diag = pattern.layout(m)
-        data = np.concatenate([pattern.summation @ w.ravel() for w in pairs])[source]
+        S = pattern.summation
+        data = np.concatenate([_csr_matvec(S.indptr, S.indices, S.data, w.ravel())
+                               for w in pairs])[source]
         if diagonal is not None:
             data[diag] += diagonal.ravel()
         N = len(indptr) - 1
@@ -461,6 +464,17 @@ class _Pattern:
             a.flags.writeable = False
         self._layouts[m] = layout
         return layout
+
+
+def _csr_matvec(indptr, indices, data, x):
+    """A x for the CSR arrays of A, by the kernel that ``A @ x`` runs,
+    without scipy's dispatch around it (several microseconds a call); each
+    row adds its terms in index order.  ``indptr`` and ``indices`` must share
+    one dtype: the kernel accepts mixed index types, but then converts the
+    indices on every call."""
+    y = np.zeros(len(indptr) - 1)
+    _sparsetools.csr_matvec(len(y), len(x), indptr, indices, data, x, y)
+    return y
 
 
 def _all_columns(mask):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse.linalg
 
-from .mesh import Mesh
+from .mesh import Mesh, _csr_matvec
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
                      p_dirichlet, _newton_weights)
@@ -192,10 +192,20 @@ def _pcg(H, g, eta):
     """Steihaug's truncated CG for H d = -g, Jacobi-preconditioned, to
     |g + H d| <= eta |g| or 10 iterations per unknown.  Non-positive curvature
     ends it with the last iterate, or, on the first step, with the
-    preconditioned residual (kind "gradient").  Returns (d, kind, its, H d)."""
-    # CSR of H^T = H without stored zeros (p = 2 component couplings): faster products
-    A = scipy.sparse.csr_matrix((H.data, H.indices, H.indptr), shape=H.shape, copy=True)
-    A.eliminate_zeros()
+    preconditioned residual (kind "gradient").  Returns (d, kind, its, H d).
+
+    Each product is one ``_csr_matvec`` call on H's own CSC arrays, read as
+    the CSR arrays of H^T = H; no scipy matrix is built or dispatched."""
+    # stored zeros (the p = 2 component couplings) only slow the products:
+    # drop them where there are any.  A column now starts at the count of
+    # kept entries before its old start, in the indices' dtype, since the
+    # kernel converts mixed index types on every call
+    indptr, indices, data = H.indptr, H.indices, H.data
+    keep = data != 0.0
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        indptr = np.searchsorted(kept, indptr).astype(indices.dtype)
+        indices, data = indices[kept], data[kept]
     diag = H.diagonal()
     top = float(diag.max(initial=0.0)) or 1.0
     w = 1.0 / np.where(diag > 1e-12 * top, diag, top)    # zero rows stay bounded
@@ -203,7 +213,7 @@ def _pcg(H, g, eta):
     z = w * res
     p, rz, stop = z.copy(), float(res @ z), (eta * np.linalg.norm(g)) ** 2
     while res @ res > stop and k < 10 * len(g):
-        Hp = A @ p
+        Hp = _csr_matvec(indptr, indices, data, p)
         curv = float(p @ Hp)
         k += 1
         if not curv > 0.0:

@@ -846,3 +846,21 @@ def test_assembled_matrices_do_not_alias_a_writable_pattern():
         again = build()
         for name in ("data", "indices", "indptr"):
             assert_array_equal(getattr(again, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_matvec_is_bitwise_the_sparse_product(index_dtype):
+    # the helper calls scipy's private kernel; the floors CI job runs this at
+    # the oldest scipy admitted, so a kernel moved or changed there shows here
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
+    dense[[0, 7, 8, 39]] = 0.0                        # empty rows, first and last too
+    A = scipy.sparse.csr_matrix(dense)
+    A.indptr, A.indices = A.indptr.astype(index_dtype), A.indices.astype(index_dtype)
+    x = rng.standard_normal(60)[::2]                  # not contiguous
+    assert not x.flags.c_contiguous
+    y = mesh_module._csr_matvec(A.indptr, A.indices, A.data, x)
+    assert y.dtype == np.float64 and y.shape == (40,)
+    assert y.tobytes() == (A @ x).tobytes()
+    assert not y[[0, 7, 8, 39]].any()
+    assert A.indptr.dtype == A.indices.dtype == index_dtype

@@ -18,6 +18,7 @@ from femchp.energy import (
     residual,
 )
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
+from femchp import mesh as mesh_module
 from femchp.mesh import GENERATORS, Mesh, build_structured_mesh
 import femchp.solver as solver_module
 from femchp.solver import (
@@ -178,6 +179,65 @@ def test_pcg_solves_spd_and_exits_on_non_positive_curvature(capfd):
         assert_array_equal(Hd, H @ d)
         assert float(g @ d) < 0.0
     assert capfd.readouterr() == ("", "")
+
+
+def test_pcg_drops_stored_zeros_bitwise():
+    # the zero-coupled p = 2, m = 3 Hessian: CG on it with every entry
+    # stored, zeros included, is CG on it after ``eliminate_zeros``
+    mesh = build_structured_mesh("right2d", 8)
+    fld = interpolate_boundary(mesh, BoundaryData.random_uniform(4, -1.0, 1.0), 3)
+    H = assemble_hessian(p_dirichlet(2.0), fld)
+    lean = sp.csc_matrix(H, copy=True)
+    lean.eliminate_zeros()
+    assert lean.nnz < H.nnz < H.shape[0] ** 2
+    g = residual(p_dirichlet(2.0), fld).reshape(-1)
+    for eta in (1e-12, 0.5):
+        d, kind, its, Hd = _pcg(_stored(H.toarray()), g, eta)
+        d_ref, kind_ref, its_ref, Hd_ref = _pcg(lean, g, eta)
+        assert (kind, its) == (kind_ref, its_ref)
+        assert d.tobytes() == d_ref.tobytes() and Hd.tobytes() == Hd_ref.tobytes()
+
+
+@pytest.mark.parametrize("p, m", [(2.0, 3), (3.0, 2)])
+def test_sparse_products_get_one_index_dtype(monkeypatch, p, m):
+    # mixed index dtypes run, but the kernel converts the indices per call
+    calls = []
+    real = mesh_module._csr_matvec
+
+    def recording(indptr, indices, data, x):
+        calls.append((indptr.dtype, indices.dtype))
+        return real(indptr, indices, data, x)
+
+    monkeypatch.setattr(mesh_module, "_csr_matvec", recording)
+    monkeypatch.setattr(solver_module, "_csr_matvec", recording)
+    mesh = build_structured_mesh("right2d", 8)
+    _, rep = minimize(p_dirichlet(p), mesh, BoundaryData.random_uniform(1, -1.0, 1.0), m=m)
+    assert rep.converged and len(calls) > rep.cg_iterations > 0
+    assert all(ptr == idx for ptr, idx in calls)
+
+
+def test_no_scipy_matrix_work_in_the_cg_loop(monkeypatch):
+    mesh = build_structured_mesh("right2d", 8)
+    bc = BoundaryData.random_uniform(2, -1.0, 1.0)
+    minimize(p_dirichlet(3.0), mesh, bc, m=2)          # builds the mesh's patterns
+    counts = dict.fromkeys(("built", "matmul", "hessians"), 0)
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "__init__", counting("built", cls.__init__))
+        monkeypatch.setattr(cls, "__matmul__", counting("matmul", cls.__matmul__))
+    monkeypatch.setattr(solver_module, "assemble_hessian",
+                        counting("hessians", solver_module.assemble_hessian))
+    _, rep = minimize(p_dirichlet(3.0), mesh, bc, m=2)
+    assert rep.converged and rep.start == "harmonic" and rep.cg_iterations > 0
+    # one matrix per Hessian, and the harmonic start's stiffness
+    assert counts == {"built": rep.newton_steps + rep.gradient_steps + 1, "matmul": 0,
+                      "hessians": rep.newton_steps + rep.gradient_steps}
 
 
 def test_p3_zero_interior_start_takes_a_newton_step(right2d_n4, capfd):
