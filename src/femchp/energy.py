@@ -10,6 +10,7 @@ vertex weights w_z = |supp(hat_z)| / (n+1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,10 @@ class EnergyModel:
     strictly_convex: bool = True
     coeff: np.ndarray | None = None
 
-    @property
+    @cached_property
     def a0(self) -> float:
-        """a(0) = F''(0): 0 for p > 2, 1 for p = 2, +inf for p < 2."""
+        """a(0) = F''(0): 0 for p > 2, 1 for p = 2, +inf for p < 2.  Evaluated
+        once per model."""
         with np.errstate(divide="ignore"):
             return float(self.F_tt(np.float64(0.0)))
 

@@ -8,6 +8,7 @@ everything downstream (energies, solvers, angle classification) relies on.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -353,7 +354,9 @@ class Mesh:
         vertex with ``interior=False``; entries of other nodes are dropped.
         Every m shares one scalar pattern per ``interior`` flag
         (``_Pattern``): a call sums each pair onto it in element order, with
-        one sparse product, and places the sums by a cached index map.
+        one sparse product, and places the sums by a cached index map.  The
+        matrix is a copy of the layout's validated shell that shares its
+        read-only index arrays and shape and owns the new ``data``.
         """
         m = math.isqrt(8 * len(pairs) + 1) // 2
         if m * (m + 1) // 2 != len(pairs):
@@ -366,14 +369,19 @@ class Mesh:
         if interior not in self._patterns:
             self._patterns[interior] = _Pattern(self, interior)
         pattern = self._patterns[interior]
-        indptr, indices, source, diag = pattern.layout(m)
+        shell, source, diag = pattern.layout(m)
         S = pattern.summation
         data = np.concatenate([_csr_matvec(S.indptr, S.indices, S.data, w.ravel())
                                for w in pairs])[source]
         if diagonal is not None:
             data[diag] += diagonal.ravel()
-        N = len(indptr) - 1
-        return scipy.sparse.csc_matrix((data, indices, indptr), shape=(N, N))
+        # the one check of the csc_matrix constructor that new data could fail
+        if data.dtype != np.float64 or data.shape != shell.indices.shape:
+            raise ValueError(f"assembled data has dtype {data.dtype} and shape {data.shape}, "
+                             f"not float64 and {shell.indices.shape}")
+        A = copy.copy(shell)
+        A.data = data
+        return A
 
     def angle_report(self) -> AngleReport:
         if self._angle_report is None:
@@ -393,7 +401,7 @@ class _Pattern:
     entries (i, k, e) of slot s in element order, so every slot adds its
     terms in element order.  One stable sort of the element keys gives
     both.  The index arrays are read-only: every assembled matrix shares
-    its layout's, so an in-place scipy op on one (``eliminate_zeros``,
+    its layout shell's, so an in-place scipy op on one (``eliminate_zeros``,
     ``sort_indices``) raises instead of corrupting later assemblies.
     """
 
@@ -426,7 +434,10 @@ class _Pattern:
         self._layouts = {}
 
     def layout(self, m: int):
-        """(indptr, indices, source, diag) of the m-component matrix.
+        """(shell, source, diag) of the m-component matrix.
+
+        ``shell`` is the matrix with zero data, validated once by the
+        ``csc_matrix`` constructor, which also picks the index dtype.
 
         DOF z*m + j is component j of node z, so column y*m + l holds, for
         each row node z of column y in turn, rows z*m + 0 .. z*m + m-1: the
@@ -456,13 +467,13 @@ class _Pattern:
                 source[at[:, j, l]] = p * nnz + self.transpose
         indptr = np.append(m * m * ptr[:-1, None] + comp * m * count[:, None], m * m * nnz)
         N = self.N * m
-        A = scipy.sparse.csc_matrix((np.zeros(len(indices)), indices, indptr),
-                                    shape=(N, N))       # lets scipy pick the index type
-        diag = at[self.diagonal].transpose(0, 2, 1)       # [z, j, l]: row j, column l
-        layout = A.indptr, A.indices, source, diag.ravel()
-        for a in layout:
+        shell = scipy.sparse.csc_matrix((np.zeros(len(indices)), indices, indptr),
+                                        shape=(N, N))
+        diag = at[self.diagonal].transpose(0, 2, 1).ravel()   # [z, j, l]: row j, column l
+        for a in (shell.indptr, shell.indices, source, diag):
             a.flags.writeable = False
-        self._layouts[m] = layout
+        # one tuple, so that threads see a layout and its shell together
+        self._layouts[m] = layout = shell, source, diag
         return layout
 
 
@@ -474,6 +485,15 @@ def _csr_matvec(indptr, indices, data, x):
     indices on every call."""
     y = np.zeros(len(indptr) - 1)
     _sparsetools.csr_matvec(len(y), len(x), indptr, indices, data, x, y)
+    return y
+
+
+def _csr_diagonal(indptr, indices, data):
+    """The diagonal of a square matrix from its CSR arrays (or its CSC
+    arrays, read as those of the transpose), by the kernel that
+    ``A.diagonal()`` runs, without its dispatch."""
+    y = np.empty(len(indptr) - 1)
+    _sparsetools.csr_diagonal(0, len(y), len(y), indptr, indices, data, y)
     return y
 
 

@@ -21,6 +21,7 @@ regions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse.linalg
 
-from .mesh import Mesh, _csr_matvec
+from .mesh import Mesh, _csr_diagonal, _csr_matvec
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
                      p_dirichlet, _newton_weights)
@@ -195,7 +196,8 @@ def _pcg(H, g, eta):
     preconditioned residual (kind "gradient").  Returns (d, kind, its, H d).
 
     Each product is one ``_csr_matvec`` call on H's own CSC arrays, read as
-    the CSR arrays of H^T = H; no scipy matrix is built or dispatched."""
+    the CSR arrays of H^T = H, and the Jacobi diagonal one ``_csr_diagonal``
+    call; no scipy matrix is built or dispatched."""
     # stored zeros (the p = 2 component couplings) only slow the products:
     # drop them where there are any.  A column now starts at the count of
     # kept entries before its old start, in the indices' dtype, since the
@@ -206,7 +208,7 @@ def _pcg(H, g, eta):
         kept = np.flatnonzero(keep)
         indptr = np.searchsorted(kept, indptr).astype(indices.dtype)
         indices, data = indices[kept], data[kept]
-    diag = H.diagonal()
+    diag = _csr_diagonal(indptr, indices, data)
     top = float(diag.max(initial=0.0)) or 1.0
     w = 1.0 / np.where(diag > 1e-12 * top, diag, top)    # zero rows stay bounded
     d, res, k = np.zeros_like(g), -g, 0
@@ -380,7 +382,7 @@ def solve_quadratic_oracle(mesh: Mesh, boundary: BoundaryData,
     free of the Newton machinery so it can serve as an independent check.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import cg
+    from scipy.sparse.linalg import LinearOperator, cg
 
     if source is not None:
         source.check(mesh)
@@ -409,15 +411,21 @@ def solve_quadratic_oracle(mesh: Mesh, boundary: BoundaryData,
         contrib = source.values * mesh.volumes / (n + 1)
         np.add.at(load[:, 0], mesh.elements.ravel(), np.repeat(contrib, n + 1))
 
-    A_ii = A[interior][:, interior]
-    A_ib = A[interior][:, mesh.boundary_nodes]
+    A_i = A[interior]
+    A_ii = A_i[:, interior]
+    A_ib = A_i[:, mesh.boundary_nodes]
     if not (A_ii.diagonal() > 0).all():
         raise RuntimeError("interior stiffness has a non-positive diagonal entry")
+    # the kernel that ``A_ii @ x`` runs, without scipy's operator and
+    # sparse dispatch layers around each product
+    op = LinearOperator(A_ii.shape, dtype=A_ii.dtype,
+                        matvec=functools.partial(_csr_matvec, A_ii.indptr, A_ii.indices,
+                                                 A_ii.data))
 
     gb = values[mesh.boundary_nodes]
     for j in range(m):
         rhs = load[interior, j] - A_ib @ gb[:, j]
-        x, info = cg(A_ii, rhs, rtol=1e-13, atol=0.0, maxiter=100000)
+        x, info = cg(op, rhs, rtol=1e-13, atol=0.0, maxiter=100000)
         if info != 0:
             raise RuntimeError(f"conjugate gradients failed (info {info})")
         values[interior, j] = x

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,8 +16,9 @@ from femchp.energy import (
     parse_energy,
     residual,
 )
-from femchp.field import NodalField
+from femchp.field import BoundaryData, NodalField
 from femchp.mesh import build_structured_mesh
+from femchp.solver import minimize
 
 ALL_MODELS = [p_dirichlet(1.5), p_dirichlet(2.0), p_dirichlet(3.0),
               p_dirichlet(10.0), mean_curvature(),
@@ -67,6 +70,30 @@ def test_profile_flags():
         p_dirichlet(1.0)    # p > 1 required
     with pytest.raises(ValueError):
         orlicz("nope")
+
+
+def test_a0_is_evaluated_once_per_model():
+    base = p_dirichlet(3.0)
+    at_zero = []
+
+    def F_tt(t):
+        if np.ndim(t) == 0:
+            at_zero.append(float(t))
+        return base.F_tt(t)
+
+    model = dataclasses.replace(base, F_tt=F_tt)
+    mesh = build_structured_mesh("right2d", 6)
+    _, rep = minimize(model, mesh, BoundaryData.random_uniform(2, -1.0, 1.0), m=2)
+    assert rep.converged and rep.start == "harmonic" and rep.newton_steps > 1
+    assert at_zero == [0.0]
+    # a copy computes its own value, from its own fields
+    scaled = model.with_coeff(np.full(mesh.num_elements, 2.0))
+    assert scaled.a0 == 0.0 and at_zero == [0.0, 0.0]
+    assert dataclasses.replace(model, F_tt=p_dirichlet(1.5).F_tt).a0 == np.inf
+    assert model.a0 == 0.0 and at_zero == [0.0, 0.0]
+    for name in ("name", "a0"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, 1.0)
 
 
 def test_parse_energy():

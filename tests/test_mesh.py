@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import mesh as mesh_module
 from femchp.energy import LumpedTerm, _newton_weights, mean_curvature, p_dirichlet
-from femchp.field import BoundaryData, NodalField
+from femchp.field import BoundaryData, NodalField, interpolate_boundary
 from femchp.mesh import (
     ACUTE,
     GENERATORS,
@@ -846,6 +846,48 @@ def test_assembled_matrices_do_not_alias_a_writable_pattern():
         again = build()
         for name in ("data", "indices", "indptr"):
             assert_array_equal(getattr(again, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("gen,n", [("right2d", 4), ("kuhn3d", 2), ("obtuse2d", 4)])
+def test_assembly_is_the_validated_constructor_on_a_shared_shell(gen, n):
+    # ``Mesh.assemble`` copies its layout's shell instead of running the
+    # csc_matrix constructor: it must give the matrix that constructor makes,
+    # index dtype and sortedness included, and own its data
+    mesh = build_structured_mesh(gen, n)
+    rng = np.random.default_rng(11)
+    k = mesh.dim + 1
+    for m, interior in itertools.product((1, 2, 3), (True, False)):
+        X = rng.standard_normal((mesh.num_elements, k * m, k * m))
+        pairs = _pair_blocks((X + X.transpose(0, 2, 1)).reshape(-1, k, m, k, m))
+        nodes = len(mesh.interior_nodes) if interior else mesh.num_vertices
+        diagonal = rng.standard_normal((nodes, m, m))
+        A, B = (mesh.assemble(pairs, diagonal, interior=interior) for _ in range(2))
+        ref = scipy.sparse.csc_matrix((A.data.copy(), A.indices.astype(np.int64),
+                                       A.indptr.astype(np.int64)), shape=A.shape)
+        assert type(A) is type(ref) and A.shape == ref.shape == (nodes * m, nodes * m)
+        _assert_same_csc(A, ref)
+        assert A.has_sorted_indices and ref.has_sorted_indices
+        assert A.indices is B.indices and A.indptr is B.indptr
+        assert not (A.indices.flags.writeable or A.indptr.flags.writeable)
+        assert A.data.flags.writeable and not np.shares_memory(A.data, B.data)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_diagonal_is_bitwise_the_sparse_diagonal(index_dtype):
+    # Hessians with lumped nodal blocks at m = 1..3, and the p = 3 Hessian at
+    # the zero-interior start on right2d:4, whose centre row is exactly zero
+    mesh = build_structured_mesh("right2d", 4)
+    rng = np.random.default_rng(2)
+    lumped = LumpedTerm.from_mesh(mesh, 3.0)
+    hessians = [assemble_hessian(mean_curvature(), NodalField(
+        mesh, rng.standard_normal((mesh.num_vertices, m))), lumped=lumped) for m in (1, 2, 3)]
+    start = interpolate_boundary(mesh, BoundaryData.random_uniform(3, -1.0, 1.0), 1)
+    hessians.append(assemble_hessian(p_dirichlet(3.0), start))
+    assert (hessians[-1].diagonal() == 0.0).any()
+    for H in hessians:
+        indptr, indices = H.indptr.astype(index_dtype), H.indices.astype(index_dtype)
+        d = mesh_module._csr_diagonal(indptr, indices, H.data)
+        assert d.dtype == np.float64 and d.tobytes() == H.diagonal().tobytes()
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])

@@ -220,7 +220,7 @@ def test_no_scipy_matrix_work_in_the_cg_loop(monkeypatch):
     mesh = build_structured_mesh("right2d", 8)
     bc = BoundaryData.random_uniform(2, -1.0, 1.0)
     minimize(p_dirichlet(3.0), mesh, bc, m=2)          # builds the mesh's patterns
-    counts = dict.fromkeys(("built", "matmul", "hessians"), 0)
+    counts = dict.fromkeys(("built", "matmul", "diagonal", "hessians"), 0)
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -231,12 +231,15 @@ def test_no_scipy_matrix_work_in_the_cg_loop(monkeypatch):
     for cls in (sp.csr_matrix, sp.csc_matrix):
         monkeypatch.setattr(cls, "__init__", counting("built", cls.__init__))
         monkeypatch.setattr(cls, "__matmul__", counting("matmul", cls.__matmul__))
+        monkeypatch.setattr(cls, "diagonal", counting("diagonal", cls.diagonal))
     monkeypatch.setattr(solver_module, "assemble_hessian",
                         counting("hessians", solver_module.assemble_hessian))
     _, rep = minimize(p_dirichlet(3.0), mesh, bc, m=2)
     assert rep.converged and rep.start == "harmonic" and rep.cg_iterations > 0
-    # one matrix per Hessian, and the harmonic start's stiffness
-    assert counts == {"built": rep.newton_steps + rep.gradient_steps + 1, "matmul": 0,
+    # every Hessian, and the harmonic start's stiffness, is a copy of its
+    # layout's shell, and splu takes that stiffness as it is: no sparse
+    # constructor runs at all, and none per Newton step
+    assert counts == {"built": 0, "matmul": 0, "diagonal": 0,
                       "hessians": rep.newton_steps + rep.gradient_steps}
 
 
@@ -568,6 +571,36 @@ def test_solve_report_fields(right2d_n4):
     assert "start = harmonic" in text.splitlines()
     assert rep.cg_iterations >= rep.newton_steps
     assert f"cg_iterations = {rep.cg_iterations}" in text.splitlines()
+
+
+@pytest.mark.parametrize("gen, n, m, source", [("right2d", 8, 2, None), ("kuhn3d", 3, 1, -1.0),
+                                               ("obtuse2d", 6, 3, None)])
+def test_oracle_is_bitwise_cg_on_the_interior_stiffness(gen, n, m, source):
+    # the oracle's CG runs the kernel of A_ii @ x behind its own operator:
+    # scipy's cg on the matrix A_ii itself gives the same bytes
+    mesh = build_structured_mesh(gen, n)
+    bc = BoundaryData.random_uniform(5, -1.0, 1.0)
+    src = SourceTerm.constant(mesh, source) if source is not None else None
+    fld = solve_quadratic_oracle(mesh, bc, source=src, m=m)
+
+    k = mesh.dim + 1
+    S = mesh.gradient_grams * mesh.volumes[:, None, None]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    A = sp.coo_matrix((S.ravel(), (rows, cols)), shape=(mesh.num_vertices,) * 2).tocsr()
+    interior, boundary = mesh.interior_nodes, mesh.boundary_nodes
+    load = np.zeros((mesh.num_vertices, m))
+    if src is not None:
+        np.add.at(load[:, 0], mesh.elements.ravel(),
+                  np.repeat(src.values * mesh.volumes / k, k))
+    values = interpolate_boundary(mesh, bc, m).values.copy()
+    for j in range(m):
+        rhs = load[interior, j] - A[interior][:, boundary] @ values[boundary, j]
+        x, info = scipy.sparse.linalg.cg(A[interior][:, interior], rhs, rtol=1e-13,
+                                         atol=0.0, maxiter=100000)
+        assert info == 0
+        values[interior, j] = x
+    assert fld.values.tobytes() == values.tobytes()
 
 
 def test_oracle_refuses_wrong_energy(right2d_n4):
