@@ -5,12 +5,12 @@ including the origin).  Every set with m = 1 is an interval and is
 projected by clipping; for m >= 2 an active-set nearest-point iteration
 over affine subproblems advances all rows of a batch together.  For
 m = 2 and m = 3 ``project`` first reduces the generators to the vertices
-of their polygon (Andrew's monotone chain) or polyhedron (Quickhull),
-checks that reduced hull against every generator, and locates each row
-in its fan triangulation from one vertex, built once per call: a row
-inside starts the iteration from its simplex and ends it at once, the
-others run it on the vertices alone.  Flat, collinear and one-point sets,
-empty fans and rows the reduced hull fails run it on all the generators.
+of their polygon (Andrew's monotone chain) or polyhedron (Quickhull) and
+locates each row in its fan triangulation from one vertex, built once per
+call: a row inside starts the iteration from its simplex and ends it at
+once, the others run it on the vertices alone.  The reduced hull is not
+checked; flat, collinear and one-point sets, empty fans and rows that
+fail their certificate on the reduced hull run it on all the generators.
 ``project`` takes a point or a batch of rows and certifies every row,
 against all the generators, by the variational inequality
 
@@ -52,9 +52,10 @@ _CERT_REL_TOL = 1e-10
 # whose (rows x generators) arrays hold at most this many entries, or on
 # single rows
 _BLOCK = 1 << 17
-# a reduced hull must hold every generator within this many times max|G|
-# of each facet's half-space, far below the certificate's tolerance; the
-# same margin decides which points it drops, at any scale of G
+# the reduced hull's eps, relative to max|G|: Quickhull drops the points
+# within it of the hull, and the fan keeps only simplices whose apex lies
+# more than it beneath their facet; the hull is never checked, since the
+# certificate is the gate
 _HULL_REL_TOL = 1e-12
 
 
@@ -370,8 +371,10 @@ def _fan(W: np.ndarray, F: np.ndarray):
     """The fan triangulation from W[0] of a hull with vertices W (n, m):
     W[0] joined to each facet of F, the facets that ``_reduced_hull`` finds
     W[0] more than eps beneath, so that every simplex has a volume well
-    above rounding.  Returns (S, E, Inv): per simplex its vertex positions
-    (0, a, ...) in W, its edge matrix (rows W[a] - W[0]) and the inverse.
+    above rounding and an invertible edge matrix.  The fan of a wrong hull
+    only gives wrong starts, which the certificate catches.  Returns
+    (S, E, Inv): per simplex its vertex positions (0, a, ...) in W, its
+    edge matrix (rows W[a] - W[0]) and the inverse.
     """
     E = W[F] - W[0]
     return np.column_stack([np.zeros_like(F[:, 0]), F]), E, np.linalg.inv(E)
@@ -405,18 +408,17 @@ def _locate(W: np.ndarray, fan, X: np.ndarray):
 
 
 def _reduced_hull(G: np.ndarray):
-    """The vertices of the hull of the rows of G (k, m) and its facets, for
+    """The vertices of the hull of the rows of G (k, m) and its fan, for
     m = 2 generators that span a polygon and m = 3 ones that span a solid;
-    None for any other set, and for a hull that fails its check.
+    None for any other set, and when the fan keeps no simplex (a thin one
+    may have none).
 
     The facets are oriented outward: for m = 2 the counter-clockwise edges
     (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of
-    ``_polyhedron``.  The check asks that every facet has a normal, that
-    every generator lies within eps = 1e-12 * max|G| of every
-    facet's half-space, and, for m = 3, that every directed edge meets its
-    reverse exactly once, so the facets close up.  A hull that passes and
-    whose ``_fan`` has at least one simplex (a thin one may have none)
-    returns (v, fan): the vertex indices in G and the fan of G[v].
+    ``_polyhedron``.  The hull is not checked against the generators: it
+    only decides where ``_project_hull`` runs and where it starts, and the
+    certificate in ``_certified`` reads every generator.  Returns (v, fan):
+    the vertex indices in G and the ``_fan`` of G[v].
     """
     m = G.shape[1]
     if m == 2:
@@ -426,7 +428,6 @@ def _reduced_hull(G: np.ndarray):
         F = np.column_stack([ring, np.roll(ring, -1)])
         A = G[v[ring]]
         N = (np.roll(A, -1, axis=0) - A)[:, ::-1] * [1.0, -1.0]
-        closed = True
     elif m == 3:
         hull = _polyhedron(G)
         if hull is None:
@@ -435,21 +436,14 @@ def _reduced_hull(G: np.ndarray):
         A, B, C = (G[v[F[:, j]]] for j in range(3))
         U, V = B - A, C - A
         N = U[:, [1, 2, 0]] * V[:, [2, 0, 1]] - U[:, [2, 0, 1]] * V[:, [1, 2, 0]]
-        ahead = F[:, [1, 2, 0]]
-        edges = np.sort((F * len(v) + ahead).ravel())
-        closed = ((edges[1:] > edges[:-1]).all()
-                  and np.array_equal(edges, np.sort((ahead * len(v) + F).ravel())))
     else:
         return None
-    size = np.sqrt(np.einsum("ij,ij->i", N, N))
-    margin = _HULL_REL_TOL * np.abs(G).max() * size
-    D = G @ N.T - np.einsum("ij,ij->i", N, A)       # N . (g - A), generators x facets
-    if not (closed and (size > 0.0).all() and (D <= margin).all()):
-        return None
-    # -D[v[0]] = N . (A - G[v[0]]) is the fan simplex's determinant up to
-    # the rounding of N, which a sliver facet's normal can carry past the
-    # margin; a facet through G[v[0]] is dropped by index
-    fan = _fan(G[v], F[(F != 0).all(axis=1) & (D[v[0]] < -margin)])
+    margin = _HULL_REL_TOL * np.abs(G).max() * np.sqrt(np.einsum("ij,ij->i", N, N))
+    # -N . (G[v[0]] - A) = N . (A - G[v[0]]) is the fan simplex's
+    # determinant up to the rounding of N, which a sliver facet's normal can
+    # carry past the margin; a facet through G[v[0]] is dropped by index
+    low = N @ G[v[0]] - np.einsum("ij,ij->i", N, A) < -margin
+    fan = _fan(G[v], F[(F != 0).all(axis=1) & low])
     return (v, fan) if len(fan[0]) else None
 
 
@@ -478,38 +472,34 @@ def _certified(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     on blocks of at most ``_BLOCK`` row x generator entries.  Rows with
     m = 1 are clipped to [min G, max G], so they are members by
     construction; the others must pass ``_members`` on the weights of
-    ``_project_hull``.  m = 2 generators that span a polygon and m = 3
-    ones that span a solid are reduced once to the vertices of their hull
-    (``_reduced_hull``, which also checks it), and ``_project_hull`` runs
-    on those, warm-started from the simplex and weights ``_locate`` finds
-    in the hull's fan, which is built once per call; the weights are
-    mapped back to G's rows for ``_members``.  Any other set, a hull that
-    fails its check, and a row whose membership or certificate fails on
-    the reduced hull run on all of G.
+    ``_project_hull``, mapped back to G's rows.  The certificate is the
+    only gate.  m = 2 generators that span a polygon and m = 3 ones that
+    span a solid are reduced once to the vertices of their hull
+    (``_reduced_hull``), and ``_project_hull`` runs on those, warm-started
+    from the simplex and weights ``_locate`` finds in the hull's fan, which
+    is built once per call; a row whose membership or certificate then
+    fails starts again on all of G.  Any other set runs on all of G.
     """
     P = np.empty_like(X)
     cert = _CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
     slack = np.empty(len(X))
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
-    hull = _reduced_hull(G)
+    v, fan = _reduced_hull(G) or (np.arange(len(G)), None)
+    W = G[v]
     for s in range(0, len(X), step):
         r = slice(s, s + step)
         if G.shape[1] == 1:
             P[r] = np.clip(X[r], G.min(), G.max())
-        elif hull is None:
-            P[r], act, lam = _project_hull(G, X[r])
-            member[r] = _members(G, P[r], act, lam)
         else:
-            v, fan = hull
-            P[r], act, lam = _project_hull(G[v], X[r], _locate(G[v], fan, X[r]))
+            start = None if fan is None else _locate(W, fan, X[r])
+            P[r], act, lam = _project_hull(W, X[r], start)
             member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
         slack[r] = _worst_gaps(G, X[r], P[r]) - cert[r]
-        if hull is not None:
-            # the hull check bounds each generator's distance to the facet
-            # planes, not to the hull: past the rim of a near-flat solid a
-            # generator can lie within eps of every plane and still outside,
-            # so a row the reduced hull fails starts again on all of G
+        if fan is not None:
+            # the reduced hull is never checked: a wrong one, or a near-flat
+            # solid whose rim some generators lie past, fails the rows it
+            # misplaces here, and they start again on all of G
             redo = s + np.flatnonzero(~member[r] | (slack[r] > 0.0))
             if len(redo):
                 P[redo], act, lam = _project_hull(G, X[redo])

@@ -349,9 +349,10 @@ class Mesh:
         couples component j of local vertex i (row) with component l of
         local vertex k (column) in element e.  Block (l, j) is read as the
         transpose of block (j, l), so only symmetric operators can be
-        assembled.  ``diagonal`` (N0, m, m) adds one block per node.  DOF
-        z*m + j is component j of the z-th interior node, or of the z-th
-        vertex with ``interior=False``; entries of other nodes are dropped.
+        assembled.  DOF z*m + j is component j of the z-th interior node,
+        or of the z-th vertex with ``interior=False``; entries of other
+        nodes are dropped.  ``diagonal`` (N, m, m) adds one block to each of
+        those N nodes; any other shape raises ValueError.
         Every m shares one scalar pattern per ``interior`` flag
         (``_Pattern``): a call sums each pair onto it in element order, with
         one sparse product, and places the sums by a cached index map.  The
@@ -369,16 +370,15 @@ class Mesh:
         if interior not in self._patterns:
             self._patterns[interior] = _Pattern(self, interior)
         pattern = self._patterns[interior]
+        if diagonal is not None and diagonal.shape != (pattern.N, m, m):
+            raise ValueError(f"diagonal has shape {diagonal.shape}, not the nodal "
+                             f"block shape {(pattern.N, m, m)}")
         shell, source, diag = pattern.layout(m)
         S = pattern.summation
         data = np.concatenate([_csr_matvec(S.indptr, S.indices, S.data, w.ravel())
                                for w in pairs])[source]
         if diagonal is not None:
             data[diag] += diagonal.ravel()
-        # the one check of the csc_matrix constructor that new data could fail
-        if data.dtype != np.float64 or data.shape != shell.indices.shape:
-            raise ValueError(f"assembled data has dtype {data.dtype} and shape {data.shape}, "
-                             f"not float64 and {shell.indices.shape}")
         A = copy.copy(shell)
         A.data = data
         return A

@@ -217,8 +217,8 @@ _ZERO_AREA_FAN = [[-0.6122836269743994, 0.2782100527778053],
                   [-0.5259402680158444, 0.23897727013493875],
                   [-0.2735405393146664, 0.12319323581853611]]
 
-# a triangle that passes _polygon and the hull check, yet the determinant of
-# its one fan triangle rounds to a value <= 0
+# a triangle that _polygon keeps whole, yet the determinant of its one fan
+# triangle rounds to a value <= 0
 _EMPTY_FAN = [[0.0008613646740562864, -1.5798269923315347],
               [0.41692231608258007, -0.5558897311862772],
               [0.23191761949486708, -1.0111912962135385]]
@@ -387,7 +387,7 @@ def test_a_thin_triangle_with_an_empty_fan_goes_down_the_plain_path(monkeypatch)
     assert len(W) == 3 and len(fan[0]) == 0
     built = []
     _spy(monkeypatch, "_fan", built)
-    # the hull passes its check, so the fan is built, and then it is empty
+    # the polygon is a triangle, so the fan is built, and then it is empty
     assert convex._reduced_hull(G) is None
     assert len(built) == 1
     rng = np.random.default_rng(6)
@@ -524,33 +524,46 @@ def test_a_wrong_tetrahedron_is_mended(mutation, monkeypatch):
     _a_wrong_location_is_mended(3, mutation, monkeypatch)
 
 
+def _torn(F):
+    """The facets F of a polyhedron with those around its vertex at
+    position 2 torn out: every generator still lies beneath every facet
+    left, but the facets no longer close up."""
+    return F[(F != 2).all(axis=1)]
+
+
 @pytest.mark.parametrize("case", ["polygon-rebuilt", "polyhedron-rebuilt", "polyhedron-torn"])
-def test_a_hull_missing_a_vertex_goes_cold(case, monkeypatch):
-    # a reduced hull must hold every generator and close up; one that does
-    # not sends the call down the plain path on all generators
+def test_a_broken_reduced_hull_is_mended_by_the_certificate(case, monkeypatch):
+    # the reduced hull is never checked against the generators; the rows a
+    # broken one misplaces fail their certificate and start again on all G
     m = 2 if case.startswith("polygon") else 3
     rng = np.random.default_rng(30 + m)
     G = rng.uniform(-1.0, 1.0, (60, m))
     X = np.vstack([rng.uniform(-0.3, 0.3, (20, m)), 3.0 * rng.normal(size=(10, m)), G])
-    assert convex._reduced_hull(G) is not None
     name = "_polygon" if m == 2 else "_polyhedron"
     real = getattr(convex, name)
     v, F = real(G)
     if case.endswith("torn"):
-        # the true hull with the facets around one vertex torn out: every
-        # generator still lies beneath every facet, but the facets are open
-        F = F[(F != 2).all(axis=1)]
+        F = _torn(F)
     else:
         # the hull of the generators but one of its vertices
         keep = np.delete(np.arange(len(G)), v[2])
         v, F = real(G[keep])
         v = keep[v]
     monkeypatch.setattr(convex, name, lambda G: (v, F))
-    monkeypatch.setattr(convex, "_locate", lambda W, fan, X: pytest.fail("located"))
-    assert convex._reduced_hull(G) is None
+    assert convex._reduced_hull(G) is not None
+    located, runs = [], []
+    _spy(monkeypatch, "_locate", located)
+    _spy(monkeypatch, "_project_hull", runs)
     reset_certificate_stats()
-    assert_allclose(project(finite_hull(G), X), _project_hull(G, X)[0], rtol=0.0, atol=0.0)
+    P = project(finite_hull(G), X)
+    assert located
+    # a run on all of G redoes the rows a hull missing a vertex fails; the
+    # torn hull keeps its vertices, so its rows only start cold
+    redone = sum(len(args[1]) for args in runs if len(args[0]) == len(G))
+    assert (redone > 0) == case.endswith("rebuilt")
+    assert certificate_stats().projections == len(X)
     assert certificate_stats().worst_slack <= 0.0
+    assert_allclose(P, _project_hull(G, X)[0], rtol=0.0, atol=1e-13)
 
 
 def test_rows_a_near_flat_hull_fails_start_again_on_all_generators():
@@ -679,6 +692,22 @@ def test_a_census_hull_missing_a_vertex_matches_the_reference(name, monkeypatch)
         return None if sub is None else (hull[0][1:][sub[0]], sub[1])
 
     monkeypatch.setattr(convex, "_reduced_hull", short)
+    assert is_extreme(points, index, _TOL).tolist() == expect
+
+
+def test_a_census_on_a_torn_polyhedron_matches_the_reference(monkeypatch):
+    # every hull the census builds has the facets around one vertex torn
+    # out; the vertices stay right, and the certificate mends the starts
+    points, _ = _census_case("random-m3")
+    index = np.arange(len(points))
+    expect = [_is_extreme_alone(points, int(i), _TOL) for i in index]
+    real = convex._polyhedron
+
+    def torn(G):
+        hull = real(G)
+        return None if hull is None else (hull[0], _torn(hull[1]))
+
+    monkeypatch.setattr(convex, "_polyhedron", torn)
     assert is_extreme(points, index, _TOL).tolist() == expect
 
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -870,6 +871,23 @@ def test_assembly_is_the_validated_constructor_on_a_shared_shell(gen, n):
         assert A.indices is B.indices and A.indptr is B.indptr
         assert not (A.indices.flags.writeable or A.indptr.flags.writeable)
         assert A.data.flags.writeable and not np.shares_memory(A.data, B.data)
+
+
+def test_assemble_rejects_a_misshaped_diagonal():
+    # a size-1 array must not broadcast into every nodal block; right2d:4
+    # has 9 interior nodes and 25 vertices
+    mesh = build_structured_mesh("right2d", 4)
+    for m in (1, 2):
+        pairs = _pair_blocks(np.zeros((mesh.num_elements, 3, m, 3, m)))
+        for interior, nodes, other in ((True, 9, 25), (False, 25, 9)):
+            right = (nodes, m, m)
+            A = mesh.assemble(pairs, np.full(right, 5.0), interior)
+            assert_array_equal(A.diagonal(), 5.0)
+            for shape in [(1, 1, 1), (nodes,), (nodes * m * m,), (nodes, m), (nodes + 1, m, m),
+                          (other, m, m), (nodes, m + 1, m + 1), (1, nodes, m, m)]:
+                message = f"diagonal has shape {shape}, not the nodal block shape {right}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    mesh.assemble(pairs, np.full(shape, 5.0), interior)
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
