@@ -9,8 +9,9 @@ of their polygon (Andrew's monotone chain) or polyhedron (Quickhull) and
 locates each row in its fan triangulation from one vertex, built once per
 call: a row inside starts the iteration from its simplex and ends it at
 once, the others run it on the vertices alone.  The reduced hull is not
-checked; flat, collinear and one-point sets, empty fans and rows that
-fail their certificate on the reduced hull run it on all the generators.
+checked; flat, collinear and one-point sets, near-flat solids whose
+Quickhull loses a facet's neighbour, empty fans and rows that fail their
+certificate on the reduced hull run it on all the generators.
 ``project`` takes a point or a batch of rows and certifies every row,
 against all the generators, by the variational inequality
 
@@ -254,7 +255,9 @@ def _polygon(G: np.ndarray):
 def _polyhedron(G: np.ndarray):
     """Vertices and facets of the convex polyhedron spanned by the rows of
     G (k, 3), by Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) on
-    Python floats, or None when the rows span no solid.
+    Python floats, or None when the rows span no solid, or when rounding
+    on a near-flat solid leaves a visible facet with no neighbour across
+    one of its edges (the visible set is then not a disc).
 
     The first tetrahedron joins the lowest x, the point farthest from it,
     the one farthest from their line and the one farthest from their plane;
@@ -337,7 +340,9 @@ def _polyhedron(G: np.ndarray):
         for g in visible:
             a, b, c = corners[g]
             for s, t in ((a, b), (b, c), (c, a)):
-                n = edge[t * k + s]
+                n = edge.get(t * k + s)
+                if n is None:
+                    return None
                 m = mark[n]
                 if m < 0:
                     continue
@@ -410,8 +415,8 @@ def _locate(W: np.ndarray, fan, X: np.ndarray):
 def _reduced_hull(G: np.ndarray):
     """The vertices of the hull of the rows of G (k, m) and its fan, for
     m = 2 generators that span a polygon and m = 3 ones that span a solid;
-    None for any other set, and when the fan keeps no simplex (a thin one
-    may have none).
+    None for any other set, when ``_polyhedron`` gives up on a near-flat
+    solid, and when the fan keeps no simplex (a thin one may have none).
 
     The facets are oriented outward: for m = 2 the counter-clockwise edges
     (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of

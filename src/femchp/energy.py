@@ -254,6 +254,8 @@ def _safe_a(model: EnergyModel, t: np.ndarray) -> np.ndarray:
     unclamped there.
     """
     pos = t > 0.0
+    if pos.all():
+        return model.a(t)
     out = np.zeros_like(t)
     if pos.any():
         out[pos] = model.a(t[pos])
@@ -277,10 +279,16 @@ def _newton_weights(model: EnergyModel, t: np.ndarray):
     if np.isinf(a0):
         t = np.maximum(t, _A_CLAMP_REL * (1.0 + float(t.max(initial=0.0))))
     pos = t > 0.0
-    a = np.full_like(t, a0)
-    a[pos] = model.a(t[pos])
+    every = pos.all()
+    if every:
+        a = model.a(t)
+    else:
+        a = np.full_like(t, a0)
+        a[pos] = model.a(t[pos])
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(pos, (model.F_tt(t) - a) / t ** 2, 0.0)
+        b = (model.F_tt(t) - a) / t ** 2
+    if not every:
+        b = np.where(pos, b, 0.0)
     return a, b
 
 
@@ -300,7 +308,7 @@ def residual(model: EnergyModel, field: NodalField,
 
     # per-element nodal forces: vol * c * a * (G^T grad_hat_i)
     forces = ((mesh.volumes * c * av)[:, None, None] * field._forces).ravel()
-    keys = (mesh.elements[:, :, None] * field.m + np.arange(field.m)).ravel()
+    keys = mesh._scatter_keys(field.m)
 
     if source is not None:
         contrib = source.values * mesh.volumes / (mesh.dim + 1)
@@ -316,4 +324,4 @@ def residual(model: EnergyModel, field: NodalField,
         fac = np.where(vnorm > 0.0, vnorm ** (lumped.q - 2.0), 0.0)
         r_full += (lumped.weights * fac)[:, None] * field.values
 
-    return r_full[mesh.interior_nodes]
+    return r_full.take(mesh.interior_nodes, axis=0)

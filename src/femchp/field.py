@@ -55,7 +55,7 @@ class NodalField:
 
     def element_gradients(self) -> np.ndarray:
         """Gradients on all elements at once, shape (E, n, m)."""
-        vals = self.values[self.mesh.elements]          # (E, n+1, m)
+        vals = self.values.take(self.mesh.elements, axis=0)      # (E, n+1, m)
         return np.matmul(self.mesh.gradients.transpose(0, 2, 1), vals)
 
     @cached_property

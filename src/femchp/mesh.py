@@ -151,6 +151,7 @@ class Mesh:
         self._grams = None
         self._angle_report = None
         self._patterns = {}
+        self._keys = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -355,9 +356,10 @@ class Mesh:
         those N nodes; any other shape raises ValueError.
         Every m shares one scalar pattern per ``interior`` flag
         (``_Pattern``): a call sums each pair onto it in element order, with
-        one sparse product, and places the sums by a cached index map.  The
-        matrix is a copy of the layout's validated shell that shares its
-        read-only index arrays and shape and owns the new ``data``.
+        one sparse product into a shared array of sums, and places the sums
+        by a cached index map.  The matrix is a copy of the layout's
+        validated shell that shares its read-only index arrays and shape and
+        owns the new ``data``.
         """
         m = math.isqrt(8 * len(pairs) + 1) // 2
         if m * (m + 1) // 2 != len(pairs):
@@ -375,13 +377,29 @@ class Mesh:
                              f"block shape {(pattern.N, m, m)}")
         shell, source, diag = pattern.layout(m)
         S = pattern.summation
-        data = np.concatenate([_csr_matvec(S.indptr, S.indices, S.data, w.ravel())
-                               for w in pairs])[source]
+        nnz = len(S.indptr) - 1
+        sums = np.empty(len(pairs) * nnz)
+        for p, w in enumerate(pairs):
+            _csr_matvec(S.indptr, S.indices, S.data, w.ravel(), out=sums[p * nnz:(p + 1) * nnz])
+        data = sums.take(source)
         if diagonal is not None:
             data[diag] += diagonal.ravel()
         A = copy.copy(shell)
         A.data = data
         return A
+
+    def _scatter_keys(self, m: int) -> np.ndarray:
+        """The DOF z*m + j of each element-major entry (e, i, j), z the
+        vertex of local vertex i in element e: the keys by which the nodal
+        forces of an m-component field sum onto the vertices.  Built once
+        per m and read-only, since every residual at that m shares them."""
+        keys = self._keys.get(m)
+        if keys is None:
+            keys = (self.elements[:, :, None] * m + np.arange(m)).ravel()
+            keys.flags.writeable = False
+            # threads may build the keys twice; the copies are equal
+            self._keys[m] = keys
+        return keys
 
     def angle_report(self) -> AngleReport:
         if self._angle_report is None:
@@ -477,15 +495,20 @@ class _Pattern:
         return layout
 
 
-def _csr_matvec(indptr, indices, data, x):
+def _csr_matvec(indptr, indices, data, x, out=None):
     """A x for the CSR arrays of A, by the kernel that ``A @ x`` runs,
     without scipy's dispatch around it (several microseconds a call); each
-    row adds its terms in index order.  ``indptr`` and ``indices`` must share
-    one dtype: the kernel accepts mixed index types, but then converts the
-    indices on every call."""
-    y = np.zeros(len(indptr) - 1)
-    _sparsetools.csr_matvec(len(y), len(x), indptr, indices, data, x, y)
-    return y
+    row adds its terms in index order, from +0.  ``indptr`` and ``indices``
+    must share one dtype: the kernel accepts mixed index types, but then
+    converts the indices on every call.  ``out``, a contiguous float64
+    vector of one entry per row, receives the product instead of a new
+    array."""
+    if out is None:
+        out = np.zeros(len(indptr) - 1)
+    else:
+        out.fill(0.0)   # the kernel adds each row's sum onto its entry
+    _sparsetools.csr_matvec(len(out), len(x), indptr, indices, data, x, out)
+    return out
 
 
 def _csr_diagonal(indptr, indices, data):

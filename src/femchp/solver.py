@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -189,6 +190,12 @@ def _backtrack(model, base: NodalField, dmat, E0, slope, source, lumped):
     raise LineSearchError(f"no acceptable step above {_MIN_STEP:g}")
 
 
+def _norm(x) -> float:
+    """The 2-norm of a 1-D vector, as ``np.linalg.norm`` computes it, without
+    its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def _pcg(H, g, eta):
     """Steihaug's truncated CG for H d = -g, Jacobi-preconditioned, to
     |g + H d| <= eta |g| or 10 iterations per unknown.  Non-positive curvature
@@ -197,7 +204,9 @@ def _pcg(H, g, eta):
 
     Each product is one ``_csr_matvec`` call on H's own CSC arrays, read as
     the CSR arrays of H^T = H, and the Jacobi diagonal one ``_csr_diagonal``
-    call; no scipy matrix is built or dispatched."""
+    call; no scipy matrix is built or dispatched.  Every product lands in
+    one buffer, and the inner products are ``ndarray.dot``: on systems of a
+    few hundred unknowns, numpy's per-call cost is most of an iteration."""
     # stored zeros (the p = 2 component couplings) only slow the products:
     # drop them where there are any.  A column now starts at the count of
     # kept entries before its old start, in the indices' dtype, since the
@@ -213,10 +222,11 @@ def _pcg(H, g, eta):
     w = 1.0 / np.where(diag > 1e-12 * top, diag, top)    # zero rows stay bounded
     d, res, k = np.zeros_like(g), -g, 0
     z = w * res
-    p, rz, stop = z.copy(), float(res @ z), (eta * np.linalg.norm(g)) ** 2
-    while res @ res > stop and k < 10 * len(g):
-        Hp = _csr_matvec(indptr, indices, data, p)
-        curv = float(p @ Hp)
+    Hp = np.empty_like(g)
+    p, rz, stop = z.copy(), float(res.dot(z)), (eta * _norm(g)) ** 2
+    while res.dot(res) > stop and k < 10 * len(g):
+        _csr_matvec(indptr, indices, data, p, out=Hp)
+        curv = float(p.dot(Hp))
         k += 1
         if not curv > 0.0:
             if k == 1:
@@ -226,7 +236,7 @@ def _pcg(H, g, eta):
         d += alpha * p
         res -= alpha * Hp
         np.multiply(w, res, out=z)
-        rz, rz_old = float(res @ z), rz
+        rz, rz_old = float(res.dot(z)), rz
         p *= rz / rz_old
         p += z
     return d, "newton", k, -(g + res)
@@ -325,14 +335,14 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
         prev_rn = rn
 
         r_flat = r.reshape(-1)
-        g_norm = float(np.linalg.norm(r_flat))
+        g_norm = _norm(r_flat)
         if model_norm is not None:
             # Eisenstat-Walker choice 1, safeguarded against a sudden drop
             guard = eta ** _GOLDEN if eta ** _GOLDEN > 0.1 else 0.0
             eta = min(max(abs(g_norm - model_norm) / prev_norm, guard, _ETA_MIN), _ETA_MAX)
         d_flat, kind, its, Hd = _pcg(assemble_hessian(model, fld, lumped=lumped), r_flat, eta)
         report.cg_iterations += its
-        slope = float(r_flat @ d_flat)
+        slope = float(r_flat.dot(d_flat))
         dmat = d_flat.reshape(len(interior), m)
 
         # once the predicted energy drop falls below the float resolution of
@@ -352,7 +362,7 @@ def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,
             report.status = "stagnated"
             break
 
-        prev_norm, model_norm = g_norm, float(np.linalg.norm(r_flat + s * Hd))
+        prev_norm, model_norm = g_norm, _norm(r_flat + s * Hd)
         fld, r, rn = trial, r_new, rn_new
         if kind == "newton":
             report.newton_steps += 1

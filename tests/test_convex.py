@@ -583,6 +583,53 @@ def test_rows_a_near_flat_hull_fails_start_again_on_all_generators():
     assert certificate_stats().worst_slack <= 0.0
 
 
+def _near_flat(seed, scale):
+    """A random near-flat m = 3 set: 4 to 199 points uniform in [-1, 1]^3,
+    z scaled by ``scale``; and the generator, for the points to project."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(-1.0, 1.0, (int(rng.integers(4, 200)), 3))
+    G[:, 2] *= scale
+    return G, rng
+
+
+def test_a_near_flat_solid_quickhull_loses_runs_the_plain_path():
+    # rounding leaves a facet this solid's Quickhull sees with no neighbour
+    # across one edge; the horizon walk raised KeyError there, and project,
+    # worst_distance and is_extreme with it
+    G, rng = _near_flat(1237, 1e-11)
+    assert len(G) == 192
+    assert convex._polyhedron(G) is None and convex._reduced_hull(G) is None
+    K = finite_hull(G)
+    X = np.vstack([G, rng.uniform(-1.5, 1.5, (20, 3))])
+    reset_certificate_stats()
+    P = project(K, X)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
+    # no reduced hull: one block of rows on all generators, cold
+    assert P.tobytes() == _project_hull(K.generators, X)[0].tobytes()
+    assert worst_distance(K, G) == (0.0, None)
+    d, i = worst_distance(K, X)
+    assert i >= len(G) and d == np.linalg.norm(X - P, axis=1).max()
+    index = np.arange(0, len(G), 8)
+    assert is_extreme(G, index, _TOL).tolist() == [_is_extreme_alone(G, i, _TOL) for i in index]
+
+
+def test_near_flat_solids_project_or_raise_a_certificate_error():
+    # z scaled by 1e-9 ... 1e-13; seed 0 at 1e-11 is one of the sets whose
+    # Quickhull raised KeyError.  A row that projects agrees with the plain
+    # path; the tolerance is that of the certificate's gap test, not 1e-13:
+    # on these sets both paths certify points up to about 3e-11 apart
+    for seed in range(20):
+        for scale in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+            G, rng = _near_flat(seed, scale)
+            X = np.vstack([G[:5], rng.uniform(-1.5, 1.5, (10, 3))])
+            try:
+                P = project(finite_hull(G), X)
+            except CertificateError:
+                continue
+            assert_allclose(P, _project_hull(G, X)[0], rtol=0.0, atol=1e-10)
+
+
 def test_is_extreme():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                        [0.5, 0.5], [0.5, 0.0]])

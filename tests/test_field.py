@@ -56,6 +56,16 @@ def test_nodal_forces_are_computed_once_and_read_only(kuhn_n2):
         P[0] += 1.0
 
 
+@pytest.mark.parametrize("gen, m", [("crisscross2d", 2), ("kuhn3d", 3), ("obtuse2d", 1)])
+def test_element_gradients_are_bitwise_the_fancy_index_product(gen, m):
+    # the gather by ``take`` copies the same rows into the same layout
+    mesh = build_structured_mesh(gen, 3)
+    f = NodalField(mesh, np.random.default_rng(m).standard_normal((mesh.num_vertices, m)))
+    ref = np.matmul(mesh.gradients.transpose(0, 2, 1), f.values[mesh.elements])
+    G = f.element_gradients()
+    assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
+
+
 def test_element_gradients_affine(right2d_n4):
     coeffs = np.array([[2.0, -1.0], [0.5, 3.0]])
     f = NodalField(right2d_n4, affine_values(right2d_n4, [1.0, -2.0], coeffs))

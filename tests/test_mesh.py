@@ -924,3 +924,9 @@ def test_csr_matvec_is_bitwise_the_sparse_product(index_dtype):
     assert y.tobytes() == (A @ x).tobytes()
     assert not y[[0, 7, 8, 39]].any()
     assert A.indptr.dtype == A.indices.dtype == index_dtype
+    # into a used slice of a larger buffer: the old entries are overwritten,
+    # not added to, and the neighbours are left alone
+    buf = np.full(50, 3.0)
+    out = mesh_module._csr_matvec(A.indptr, A.indices, A.data, x, out=buf[5:45])
+    assert out.base is buf and out.tobytes() == y.tobytes()
+    assert (buf[:5] == 3.0).all() and (buf[45:] == 3.0).all()

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from femchp.energy import (
     EnergyModel,
     LumpedTerm,
     SourceTerm,
+    _newton_weights,
     _safe_a,
     energy_value,
     mean_curvature,
@@ -121,9 +124,11 @@ def _close(new, ref):
     assert np.abs(new - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("gen", sorted(GENERATORS))
-def test_kernels_match_the_einsum_reference(gen, m):
+def _kernel_cases(gen, m):
+    """(model, field, source, lumped) cases on a small ``gen`` mesh: the
+    zero-interior start, which leaves elements with an exactly zero
+    gradient, and a generic field, with the a(t) clamp, element
+    coefficients, a lumped term and, for m = 1, a source."""
     mesh = build_structured_mesh(gen, 3 if gen == "kuhn3d" else 4)
     rng = np.random.default_rng(m)
     bc = BoundaryData.random_uniform(m, -1.0, 1.0)
@@ -139,9 +144,14 @@ def test_kernels_match_the_einsum_reference(gen, m):
     if m == 1:
         source = SourceTerm(rng.uniform(-1.0, 1.0, mesh.num_elements))
         cases.append((p_dirichlet(1.5), generic, source, None))
-    # the zero-interior start leaves elements with an exactly zero gradient
     assert (np.abs(zero_interior.element_gradients()).max(axis=(1, 2)) == 0.0).any()
-    for model, fld, source, lumped in cases:
+    return cases
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_kernels_match_the_einsum_reference(gen, m):
+    for model, fld, source, lumped in _kernel_cases(gen, m):
         G, E, r, H = _reference_kernels(model, fld, source, lumped)
         _close(fld.element_gradients(), G)
         _close(energy_value(model, fld, source=source, lumped=lumped), E)
@@ -149,6 +159,158 @@ def test_kernels_match_the_einsum_reference(gen, m):
         Hn = assemble_hessian(model, fld, lumped=lumped).toarray()
         _close(Hn, H)
         _close(Hn, Hn.T)
+
+
+def _residual_reference(model, field, source, lumped):
+    """``residual`` with fancy-index gathers, its scatter keys built on the
+    call and a(t) evaluated through the t > 0 mask on every element."""
+    mesh, m = field.mesh, field.m
+    G = np.matmul(mesh.gradients.transpose(0, 2, 1), field.values[mesh.elements])
+    t = np.sqrt(np.einsum("enm,enm->e", G, G))
+    pos = t > 0.0
+    av = np.zeros_like(t)
+    av[pos] = model.a(t[pos])
+    coef = mesh.volumes * model.element_coeff(mesh.num_elements) * av
+    forces = (coef[:, None, None] * np.matmul(mesh.gradients, G)).ravel()
+    keys = (mesh.elements[:, :, None] * m + np.arange(m)).ravel()
+    if source is not None:
+        keys = np.concatenate([keys, mesh.elements.ravel()])
+        forces = np.concatenate([forces, np.repeat(-source.values * mesh.volumes / (mesh.dim + 1),
+                                                   mesh.dim + 1)])
+    r = np.bincount(keys, weights=forces, minlength=mesh.num_vertices * m).reshape(-1, m)
+    if lumped is not None:
+        vnorm = np.linalg.norm(field.values, axis=1)
+        fac = np.where(vnorm > 0.0, vnorm ** (lumped.q - 2.0), 0.0)
+        r += (lumped.weights * fac)[:, None] * field.values
+    return r[mesh.interior_nodes]
+
+
+def _newton_weights_reference(model, t):
+    """``energy._newton_weights`` through the t > 0 mask on every element."""
+    if np.isinf(model.a0):
+        t = np.maximum(t, 1e-8 * (1.0 + float(t.max(initial=0.0))))
+    pos = t > 0.0
+    a = np.full_like(t, model.a0)
+    a[pos] = model.a(t[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(pos, (model.F_tt(t) - a) / t ** 2, 0.0)
+    return a, b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_residual_and_weights_are_bitwise_the_masked_fancy_index_form(gen, m):
+    # the gathers by ``take``, the cached scatter keys and the unmasked a(t)
+    # where every t > 0 change the cost of a Newton step, not one bit of it
+    for model, fld, source, lumped in _kernel_cases(gen, m):
+        r = residual(model, fld, source=source, lumped=lumped)
+        assert r.tobytes() == _residual_reference(model, fld, source, lumped).tobytes()
+        t0 = fld._norms[1]
+        for t in (t0, t0 + 0.25):               # some zero gradients, then none
+            weights = _newton_weights(model, t)
+            for new, ref in zip(weights, _newton_weights_reference(model, t)):
+                assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+
+
+def _pcg_reference(H, g, eta):
+    """``_pcg`` with ``@`` inner products, ``np.linalg.norm`` and a new
+    array per product and per update."""
+    indptr, indices, data = H.indptr, H.indices, H.data
+    keep = data != 0.0
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        indptr = np.searchsorted(kept, indptr).astype(indices.dtype)
+        indices, data = indices[kept], data[kept]
+    diag = mesh_module._csr_diagonal(indptr, indices, data)
+    top = float(diag.max(initial=0.0)) or 1.0
+    w = 1.0 / np.where(diag > 1e-12 * top, diag, top)
+    d, res, k = np.zeros_like(g), -g, 0
+    z = w * res
+    p, rz, stop = z.copy(), float(res @ z), (eta * np.linalg.norm(g)) ** 2
+    while res @ res > stop and k < 10 * len(g):
+        Hp = mesh_module._csr_matvec(indptr, indices, data, p)
+        curv = float(p @ Hp)
+        k += 1
+        if not curv > 0.0:
+            if k == 1:
+                return p, "gradient", k, Hp
+            break
+        alpha = rz / curv
+        d += alpha * p
+        res -= alpha * Hp
+        np.multiply(w, res, out=z)
+        rz, rz_old = float(res @ z), rz
+        p *= rz / rz_old
+        p += z
+    return d, "newton", k, -(g + res)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("gen", ["crisscross2d", "kuhn3d"])
+def test_pcg_is_bitwise_the_allocating_matmul_loop(gen, m):
+    systems = []
+    for model, fld, source, lumped in _kernel_cases(gen, m):
+        g = residual(model, fld, source=source, lumped=lumped).reshape(-1)
+        systems.append((assemble_hessian(model, fld, lumped=lumped), g))
+    # the "gradient" exits, on negative and on zero curvature
+    systems += [(_stored(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+                 np.array([1.0, -1.0, 0.0])),
+                (_stored(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
+                 np.array([1.0, -1.0, 2.0]))]
+    kinds = set()
+    for H, g in systems:
+        for eta in (1e-12, 0.5):
+            d, kind, its, Hd = _pcg(H, g, eta)
+            d_ref, kind_ref, its_ref, Hd_ref = _pcg_reference(H, g, eta)
+            assert (kind, its) == (kind_ref, its_ref)
+            assert d.tobytes() == d_ref.tobytes() and Hd.tobytes() == Hd_ref.tobytes()
+            kinds.add(kind)
+    assert kinds == {"newton", "gradient"}
+
+
+def test_scatter_keys_are_cached_per_m_and_read_only():
+    # the residuals at m = 1, 2 and 3 on one mesh each read the keys of
+    # their own m, however they interleave, and no caller can write them
+    mesh = build_structured_mesh("crisscross2d", 4)
+    rng = np.random.default_rng(8)
+    model = p_dirichlet(3.0)
+    for m in (1, 2, 3, 1, 3, 2):
+        fld = NodalField(mesh, rng.uniform(-1.0, 1.0, (mesh.num_vertices, m)))
+        r = residual(model, fld)
+        assert r.tobytes() == _residual_reference(model, fld, None, None).tobytes()
+    assert sorted(mesh._keys) == [1, 2, 3]
+    for m, keys in mesh._keys.items():
+        assert mesh._scatter_keys(m) is keys
+        assert keys.shape == (mesh.num_elements * (mesh.dim + 1) * m,)
+        assert_array_equal(keys, (mesh.elements[:, :, None] * m + np.arange(m)).ravel())
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 0
+
+
+def test_threads_sharing_a_mesh_read_equal_scatter_keys():
+    # experiment's worker threads share meshes, and each may build a mesh's
+    # keys for an m the others are building too; whichever copy is kept,
+    # every residual is the serial one
+    model = p_dirichlet(3.0)
+    serial = build_structured_mesh("crisscross2d", 4)
+    rng = np.random.default_rng(9)
+    fields = [rng.uniform(-1.0, 1.0, (serial.num_vertices, m)) for m in (1, 2, 3) * 4]
+    want = [residual(model, NodalField(serial, v)).tobytes() for v in fields]
+
+    def run(mesh, v):
+        return residual(model, NodalField(mesh, v)).tobytes()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            mesh = build_structured_mesh("crisscross2d", 4)
+            with ThreadPoolExecutor(max_workers=len(fields)) as pool:
+                futures = [pool.submit(run, mesh, v) for v in fields]
+                assert [f.result(timeout=60) for f in futures] == want
+            assert sorted(mesh._keys) == [1, 2, 3]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def _stored(dense):
@@ -204,9 +366,9 @@ def test_sparse_products_get_one_index_dtype(monkeypatch, p, m):
     calls = []
     real = mesh_module._csr_matvec
 
-    def recording(indptr, indices, data, x):
+    def recording(indptr, indices, data, x, out=None):
         calls.append((indptr.dtype, indices.dtype))
-        return real(indptr, indices, data, x)
+        return real(indptr, indices, data, x, out=out)
 
     monkeypatch.setattr(mesh_module, "_csr_matvec", recording)
     monkeypatch.setattr(solver_module, "_csr_matvec", recording)
