@@ -2,7 +2,9 @@
 
 Subcommands: mesh-gen, mesh-info, solve, verify, experiment.  Exit codes:
 0 success, 1 a verified claim failed, 2 input/usage error, 3 the solver did
-not converge, 4 a structural hypothesis of the checked claim is not met.
+not converge, 4 a structural hypothesis of the checked claim is not met,
+5 an internal error (a failed projection certificate, or any other
+exception), which is no verdict on the claim.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import (Mesh, MeshFormatError, MeshConformityError, GENERATORS,
-                   build_structured_mesh, load_mesh, save_mesh)
-from .field import NodalField, BoundaryData, FieldFormatError, load_field, save_field
+from .mesh import Mesh, GENERATORS, build_structured_mesh, load_mesh, save_mesh
+from .field import NodalField, BoundaryData, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
 from .solver import _check_tol, minimize
 from . import verify as verify_mod
@@ -27,6 +28,7 @@ EXIT_CLAIM_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 CSV_HEADER_COMMENT = "# femchp-results v1"
 CSV_COLUMNS = (
@@ -492,15 +494,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MeshFormatError, MeshConformityError, FieldFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

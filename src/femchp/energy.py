@@ -71,14 +71,17 @@ class EnergyModel:
             raise ValueError("element coefficients must be positive")
         return replace(self, coeff=coeff)
 
-    def element_coeff(self, num_elements: int) -> np.ndarray:
+    def element_weights(self, mesh: Mesh) -> np.ndarray:
+        """|T| c_T per element: the mesh's read-only ``volumes`` itself when
+        the model has no coefficients, so no array is made per call."""
         if self.coeff is None:
-            return np.ones(num_elements)
-        if len(self.coeff) != num_elements:
+            return mesh.volumes
+        if len(self.coeff) != mesh.num_elements:
             raise ValueError(
-                f"coefficient table has {len(self.coeff)} entries, mesh has {num_elements} elements"
+                f"coefficient table has {len(self.coeff)} entries, "
+                f"mesh has {mesh.num_elements} elements"
             )
-        return self.coeff
+        return mesh.volumes * self.coeff
 
 
 def p_dirichlet(p: float, coeff=None) -> EnergyModel:
@@ -230,10 +233,10 @@ def energy_value(model: EnergyModel, field: NodalField,
                  lumped: LumpedTerm | None = None) -> float:
     """Total energy of the field under the model (+ optional source / lumped)."""
     mesh = field.mesh
-    c = model.element_coeff(mesh.num_elements)
+    w = model.element_weights(mesh)
     _check_terms(field, source, lumped)
     _, t = field._norms
-    total = float(np.sum(mesh.volumes * c * model.F(t)))
+    total = float(np.sum(w * model.F(t)))
 
     if source is not None:
         means = field.values[mesh.elements, 0].mean(axis=1)
@@ -247,19 +250,14 @@ def energy_value(model: EnergyModel, field: NodalField,
 
 
 def _safe_a(model: EnergyModel, t: np.ndarray) -> np.ndarray:
-    """a(t) with zero-gradient elements masked to 0.
+    """a(t), and 0 on zero-gradient elements.
 
     Where t = 0 the gradient factor multiplying a(t) vanishes, so the value
-    is immaterial; a is evaluated only at t > 0, and the residual needs it
-    unclamped there.
+    is immaterial; a sees the stand-in t = 1 there, which ``np.where``
+    selects away, and the residual needs a unclamped where t > 0.
     """
     pos = t > 0.0
-    if pos.all():
-        return model.a(t)
-    out = np.zeros_like(t)
-    if pos.any():
-        out[pos] = model.a(t[pos])
-    return out
+    return np.where(pos, model.a(np.where(pos, t, 1.0)), 0.0)
 
 
 # relative floor on t where a0 is infinite (p < 2), for the Newton model
@@ -272,23 +270,17 @@ def _newton_weights(model: EnergyModel, t: np.ndarray):
 
     The one a(t) policy for models built on a: where a0 is infinite, t is
     clamped from below to 1e-8 * (1 + max t); otherwise zero-gradient
-    elements take a = a0 and b = 0.  The energy and the residual stay
-    unclamped.
+    elements take a = a0 and b = 0, with a and F'' evaluated at the
+    stand-in t = 1 there and selected away.  The energy and the residual
+    stay unclamped.
     """
     a0 = model.a0
     if np.isinf(a0):
         t = np.maximum(t, _A_CLAMP_REL * (1.0 + float(t.max(initial=0.0))))
     pos = t > 0.0
-    every = pos.all()
-    if every:
-        a = model.a(t)
-    else:
-        a = np.full_like(t, a0)
-        a[pos] = model.a(t[pos])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = (model.F_tt(t) - a) / t ** 2
-    if not every:
-        b = np.where(pos, b, 0.0)
+    s = np.where(pos, t, 1.0)
+    a = np.where(pos, model.a(s), a0)
+    b = np.where(pos, (model.F_tt(s) - a) / s ** 2, 0.0)
     return a, b
 
 
@@ -301,13 +293,12 @@ def residual(model: EnergyModel, field: NodalField,
     field gradient contribute zero (their integrand is identically zero).
     """
     mesh = field.mesh
-    c = model.element_coeff(mesh.num_elements)
+    w = model.element_weights(mesh)
     _check_terms(field, source, lumped)
     _, t = field._norms
-    av = _safe_a(model, t)
 
     # per-element nodal forces: vol * c * a * (G^T grad_hat_i)
-    forces = ((mesh.volumes * c * av)[:, None, None] * field._forces).ravel()
+    forces = ((w * _safe_a(model, t))[:, None, None] * field._forces).ravel()
     keys = mesh._scatter_keys(field.m)
 
     if source is not None:

@@ -126,12 +126,8 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
     """
     mesh = field.mesh
     m = field.m
-    c = model.element_coeff(mesh.num_elements)
-
-    _, t = field._norms
-    a_eff, b_eff = _newton_weights(model, t)
-
-    coef = mesh.volumes * c
+    coef = model.element_weights(mesh)
+    a_eff, b_eff = _newton_weights(model, field._norms[1])
     sb = coef * b_eff
     ca = np.multiply(mesh.gradient_grams.transpose(1, 2, 0), coef * a_eff, order="C")
     # element-last forces (m, n+1, E), so every product below runs over the
@@ -154,8 +150,7 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         vn = np.linalg.norm(v, axis=1)
         pos = vn > 0.0
         f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
-        f2 = np.zeros_like(vn)
-        f2[pos] = (q - 2.0) * vn[pos] ** (q - 4.0)
+        f2 = np.where(pos, (q - 2.0) * np.where(pos, vn, 1.0) ** (q - 4.0), 0.0)
         nodal = ((w * f1)[:, None, None] * np.eye(m)
                  + (w * f2)[:, None, None] * (v[:, :, None] * v[:, None, :]))
 
@@ -252,8 +247,7 @@ def _harmonic_start(model, start, source):
     sparse LU of the scalar K serves all m components exactly.
     """
     mesh = start.mesh
-    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
-    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * coef])
+    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * model.element_weights(mesh)])
     lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)

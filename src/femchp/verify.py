@@ -167,7 +167,7 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
     """
     _check_pair(mesh, field)
     a, _ = _newton_weights(model, field._norms[1])
-    w = mesh.volumes * model.element_coeff(mesh.num_elements) * a
+    w = model.element_weights(mesh) * a
     return mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * w], interior=False)
 
 

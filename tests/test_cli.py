@@ -7,6 +7,7 @@ from femchp.cli import (
     EXIT_CLAIM_FAILED,
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     main,
@@ -14,6 +15,7 @@ from femchp.cli import (
     parse_experiment_spec,
     parse_source,
 )
+from femchp import convex
 from femchp.field import NodalField, load_field, save_field
 from femchp.mesh import build_structured_mesh, load_mesh, save_mesh
 
@@ -169,6 +171,27 @@ def test_verify_rejects_a_bad_tolerance(solved_pair, capsys):
         assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
                      "--field", str(field_path), "--tol", tol]) == EXIT_INPUT
         assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_an_internal_error_is_not_a_verdict(tmp_path, solved_pair, monkeypatch, capsys):
+    # a projection whose certificate fails is a fault of the program, not a
+    # failed claim (exit 1); malformed input files stay usage errors
+    mesh_path, field_path = solved_pair
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a mesh\n")
+    for argv in (["--mesh", str(bad), "--field", str(field_path)],
+                 ["--mesh", str(mesh_path), "--field", str(bad)]):
+        assert main(["verify", "--theorem", "chp"] + argv) == EXIT_INPUT
+
+    def uncertified(G, X):
+        raise convex.CertificateError("projection certificate failed for row 0")
+
+    monkeypatch.setattr(convex, "_certified", uncertified)
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
+                 "--field", str(field_path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == ("internal error: CertificateError: "
+                                       "projection certificate failed for row 0\n")
 
 
 def test_verify_strong_chp_hypothesis_exit(tmp_path, solved_pair):

@@ -147,6 +147,24 @@ def test_energy_coefficient_scaling(ref_triangle):
         parse_energy("p-laplace:p=2", coeff=np.array([0.0]))   # must be > 0
 
 
+def test_element_weights_are_the_volumes_times_the_coefficients(right2d_n2):
+    mesh = right2d_n2
+    model = p_dirichlet(3.0)
+    assert model.element_weights(mesh) is mesh.volumes     # no array per call
+    coeff = np.linspace(0.5, 2.0, mesh.num_elements)
+    assert_array_equal(model.with_coeff(coeff).element_weights(mesh), mesh.volumes * coeff)
+    # a table of the wrong length is refused wherever the weights are read
+    short = model.with_coeff(coeff[:-1])
+    f = NodalField(mesh, np.arange(mesh.num_vertices, dtype=float))
+    msg = (f"coefficient table has {mesh.num_elements - 1} entries, "
+           f"mesh has {mesh.num_elements} elements")
+    for call in (lambda: short.element_weights(mesh), lambda: energy_value(short, f),
+                 lambda: residual(short, f),
+                 lambda: minimize(short, mesh, BoundaryData.random_uniform(1, -1.0, 1.0))):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
+
 def test_energy_with_source(ref_triangle):
     # E -= sum_T |T| f_T mean_T(U); here |T| = 1/2, f = -2, mean = 1/3
     f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))

@@ -280,7 +280,7 @@ def _reference_assemble(mesh, blocks, diagonal=None, interior=True):
 def _reference_hessian(model, field, lumped=None):
     """The Newton Hessian from element-major (E, n+1, m, n+1, m) blocks."""
     mesh, m = field.mesh, field.m
-    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
+    coef = mesh.volumes if model.coeff is None else mesh.volumes * model.coeff
     a, b = _newton_weights(model, field._norms[1])
     Pf = np.matmul(mesh.gradients, field._norms[0]).reshape(mesh.num_elements, -1)
     loc = (coef * b)[:, None, None] * (Pf[:, :, None] * Pf[:, None, :])
@@ -328,10 +328,9 @@ def test_assembly_is_bitwise_the_element_major_scatter(gen, n, monkeypatch):
             for lumped in (None, LumpedTerm.from_mesh(mesh, 3.0)):
                 _assert_same_csc(assemble_hessian(model, field, lumped=lumped),
                                  _reference_hessian(model, field, lumped))
-            B = _reference_assemble(mesh, (mesh.volumes * model.element_coeff(
-                mesh.num_elements) * _newton_weights(model, field._norms[1])[0]
-                )[:, None, None, None, None] * mesh.gradient_grams[:, :, None, :, None],
-                interior=False)
+            B = _reference_assemble(mesh, (mesh.volumes * _newton_weights(
+                model, field._norms[1])[0])[:, None, None, None, None]
+                * mesh.gradient_grams[:, :, None, :, None], interior=False)
             _assert_same_csc(beta_weights(mesh, field, model), B)
     coeff = rng.uniform(0.5, 2.0, mesh.num_elements)
     model = p_dirichlet(3.0, coeff=coeff)

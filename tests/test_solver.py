@@ -74,7 +74,7 @@ def _reference_kernels(model, field, source=None, lumped=None):
     einsum / np.add.at form, assembled without ``Mesh.assemble``."""
     mesh, m, n = field.mesh, field.m, field.mesh.dim
     V = mesh.num_vertices
-    coef = mesh.volumes * model.element_coeff(mesh.num_elements)
+    coef = mesh.volumes if model.coeff is None else mesh.volumes * model.coeff
     G = np.einsum("ein,eim->enm", mesh.gradients, field.values[mesh.elements])
     t = np.sqrt(np.einsum("enm,enm->e", G, G))
     P = np.einsum("enm,ein->eim", G, mesh.gradients)
@@ -170,7 +170,7 @@ def _residual_reference(model, field, source, lumped):
     pos = t > 0.0
     av = np.zeros_like(t)
     av[pos] = model.a(t[pos])
-    coef = mesh.volumes * model.element_coeff(mesh.num_elements) * av
+    coef = (mesh.volumes if model.coeff is None else mesh.volumes * model.coeff) * av
     forces = (coef[:, None, None] * np.matmul(mesh.gradients, G)).ravel()
     keys = (mesh.elements[:, :, None] * m + np.arange(m)).ravel()
     if source is not None:
@@ -200,8 +200,9 @@ def _newton_weights_reference(model, t):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("gen", sorted(GENERATORS))
 def test_residual_and_weights_are_bitwise_the_masked_fancy_index_form(gen, m):
-    # the gathers by ``take``, the cached scatter keys and the unmasked a(t)
-    # where every t > 0 change the cost of a Newton step, not one bit of it
+    # the gathers by ``take``, the cached scatter keys and a(t) at the
+    # stand-in t = 1 on zero gradients, selected away by ``np.where``,
+    # change the cost of a Newton step, not one bit of it
     for model, fld, source, lumped in _kernel_cases(gen, m):
         r = residual(model, fld, source=source, lumped=lumped)
         assert r.tobytes() == _residual_reference(model, fld, source, lumped).tobytes()
@@ -256,7 +257,9 @@ def test_pcg_is_bitwise_the_allocating_matmul_loop(gen, m):
     systems += [(_stored(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
                  np.array([1.0, -1.0, 0.0])),
                 (_stored(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])),
-                 np.array([1.0, -1.0, 2.0]))]
+                 np.array([1.0, -1.0, 2.0])),
+                # and the exit on negative curvature at the second step
+                (_stored(np.array([[1.0, 0.0], [0.0, -1.0]])), np.array([1.0, 0.1]))]
     kinds = set()
     for H, g in systems:
         for eta in (1e-12, 0.5):
@@ -266,6 +269,10 @@ def test_pcg_is_bitwise_the_allocating_matmul_loop(gen, m):
             assert d.tobytes() == d_ref.tobytes() and Hd.tobytes() == Hd_ref.tobytes()
             kinds.add(kind)
     assert kinds == {"newton", "gradient"}
+    # that last system keeps its first iterate: its second step is refused
+    d, kind, its, _ = _pcg(*systems[-1], 1e-12)
+    assert (kind, its) == ("newton", 2)
+    assert d.tobytes() == _pcg(*systems[-1], 0.5)[0].tobytes()
 
 
 def test_scatter_keys_are_cached_per_m_and_read_only():
@@ -718,6 +725,48 @@ def test_stagnated_exits_report_the_returned_iterate(monkeypatch, seed, exit_pat
     assert rep.residual_norm == float(np.abs(residual(model, fld)).max())
     assert len(rep.energy_history) == steps + 1
     assert rep.energy == rep.energy_history[-1] == energy_value(model, fld)
+
+
+def test_a_failed_line_search_ends_on_the_last_accepted_iterate(monkeypatch):
+    # the third line search fails: the solve stops with its message, and the
+    # report describes the iterate of the second step, which it returns
+    bases = []
+    real = solver_module._backtrack
+
+    def failing_third(model, base, *args):
+        bases.append(base)
+        if len(bases) == 3:
+            raise LineSearchError("no acceptable step above 1e-16")
+        return real(model, base, *args)
+
+    monkeypatch.setattr(solver_module, "_backtrack", failing_third)
+    model = p_dirichlet(3.0)
+    fld, rep = minimize(model, build_structured_mesh("right2d", 8),
+                        BoundaryData.random_uniform(1, -1.0, 1.0))
+    assert rep.status == "line-search-failure: no acceptable step above 1e-16"
+    assert not rep.converged and fld is bases[-1]
+    assert rep.iterations == rep.newton_steps + rep.gradient_steps == 2
+    assert rep.energy == rep.energy_history[-1] == energy_value(model, fld)
+    assert len(rep.energy_history) == 3
+    assert rep.residual_norm == float(np.abs(residual(model, fld)).max())
+
+
+def test_a_gradient_exit_of_cg_counts_as_a_gradient_step(monkeypatch):
+    # CG hands back kind "gradient" on the first call only; that step is
+    # taken like any other and counted apart from the Newton steps
+    kinds = []
+    real = solver_module._pcg
+
+    def gradient_once(H, g, eta):
+        d, kind, its, Hd = real(H, g, eta)
+        kinds.append("gradient" if not kinds else kind)
+        return d, kinds[-1], its, Hd
+
+    monkeypatch.setattr(solver_module, "_pcg", gradient_once)
+    _, rep = minimize(p_dirichlet(3.0), build_structured_mesh("right2d", 8),
+                      BoundaryData.random_uniform(1, -1.0, 1.0))
+    assert rep.converged and rep.gradient_steps == 1
+    assert rep.newton_steps == len(kinds) - 1 == len(rep.energy_history) - 2
 
 
 def test_solve_report_fields(right2d_n4):

@@ -245,14 +245,18 @@ def test_lemma_pos_violated_on_obtuse_fixture():
     assert out.worst_index == fix["element"]
 
 
-def test_search_finds_violation_on_obtuse_only():
+@pytest.mark.parametrize("m", [1, 2])
+def test_search_finds_violation_on_obtuse_only(m):
+    # m = 1 draws an interval as the target set, m = 2 a triangle
     obtuse = build_structured_mesh("obtuse2d", 4)
-    found = search_lemma_violation(obtuse, m=2, seed=0, trials=100)
+    found = search_lemma_violation(obtuse, m=m, seed=0, trials=100)
     assert found is not None
     assert found["violation"] > 1e-8
+    assert found["values"].shape == (obtuse.num_vertices, m)
+    assert np.shape(found["generators"]) == ((2, 1) if m == 1 else (3, 2))
 
     right = build_structured_mesh("right2d", 4)
-    assert search_lemma_violation(right, m=2, seed=0, trials=100) is None
+    assert search_lemma_violation(right, m=m, seed=0, trials=100) is None
 
 
 def test_mismatched_mesh_field_rejected(right2d_n4, right2d_n2):
