@@ -165,10 +165,21 @@ def cmd_mesh_info(args) -> int:
     print(f"worst_gradient_dot = {_fmt(rep.worst_dot)} "
           f"(element {rep.worst_element}, local pair {rep.worst_pair})")
     print(f"every_element_touches_interior = {rep.every_element_touches_interior}")
-    if rep.max_opposite_angle_sum is not None:
-        print(f"max_opposite_angle_sum = {_fmt(rep.max_opposite_angle_sum)} "
-              f"(delaunay when <= pi)")
+    print(f"max_interior_coupling = {_fmt(_max_interior_coupling(mesh))} "
+          f"(z-matrix rows when <= 0)")
     return EXIT_OK
+
+
+def _max_interior_coupling(mesh: Mesh) -> float:
+    """Largest K[z, y] / K[z, z] over interior vertices z and their
+    neighbours y != z, K the unit-coefficient P1 stiffness; -inf without
+    interior vertices.  In 2D it is <= 0 exactly when every pair of angles
+    opposite an edge at an interior vertex sums to at most pi."""
+    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * mesh.volumes], interior=False)
+    # K is symmetric, so column z of its CSC arrays is row z
+    z = np.repeat(np.arange(mesh.num_vertices), np.diff(K.indptr))
+    off = ~mesh.is_boundary[z] & (K.indices != z)
+    return float((K.data[off] / K.diagonal()[z[off]]).max(initial=-np.inf))
 
 
 def cmd_solve(args) -> int:

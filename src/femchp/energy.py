@@ -312,7 +312,6 @@ def residual(model: EnergyModel, field: NodalField,
 
     if lumped is not None:
         vnorm = np.linalg.norm(field.values, axis=1)
-        fac = np.where(vnorm > 0.0, vnorm ** (lumped.q - 2.0), 0.0)
-        r_full += (lumped.weights * fac)[:, None] * field.values
+        r_full += (lumped.weights * vnorm ** (lumped.q - 2.0))[:, None] * field.values
 
     return r_full.take(mesh.interior_nodes, axis=0)

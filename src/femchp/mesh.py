@@ -67,7 +67,6 @@ class AngleReport:
     is_non_obtuse: bool
     is_acute: bool
     every_element_touches_interior: bool
-    max_opposite_angle_sum: float | None
 
     @property
     def mesh_class(self) -> str:
@@ -190,13 +189,10 @@ class Mesh:
     def _check_conformity(self):
         """Build the face table and reject faces of more than two elements.
 
-        Face k of an element omits its local vertex k.  ``_face_ids`` (E, n+1)
-        holds the id of each such face in a sorted table of distinct faces,
-        and ``_face_counts`` the number of elements sharing each face; faces
-        of one element are boundary faces.
+        Face k of an element omits its local vertex k; faces of one element
+        are boundary faces.
         """
         n = self.dim
-        E = len(self.elements)
         local = np.arange(n + 1)
         keep = np.array([np.delete(local, k) for k in local])   # (n+1, n)
         faces = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
@@ -208,8 +204,6 @@ class Mesh:
         first = np.flatnonzero(new)
         table = sorted_faces[first]
         counts = np.diff(first, append=len(faces))
-        face_ids = np.empty(len(faces), dtype=np.int64)
-        face_ids[order] = np.cumsum(new) - 1
 
         over = np.flatnonzero(counts > 2)
         if len(over):
@@ -231,8 +225,6 @@ class Mesh:
         self.is_boundary = boundary_mask
         self.boundary_nodes = np.flatnonzero(boundary_mask)
         self.interior_nodes = np.flatnonzero(~boundary_mask)
-        self._face_ids = face_ids.reshape(E, n + 1)
-        self._face_counts = counts
 
     def _scan_hanging_nodes(self):
         """Reject vertices lying inside the closure of a foreign element.
@@ -565,10 +557,6 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
 
     touches = bool((~mesh.is_boundary[mesh.elements]).any(axis=1).all())
 
-    max_sum = None
-    if n == 2:
-        max_sum = _max_opposite_angle_sum(mesh)
-
     return AngleReport(
         worst_dot=float(pair_dots[worst_e, worst_p]),
         worst_element=worst_e,
@@ -576,24 +564,7 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
         is_non_obtuse=bool(non_obtuse.all()),
         is_acute=bool(acute.all()),
         every_element_touches_interior=touches,
-        max_opposite_angle_sum=max_sum,
     )
-
-
-def _max_opposite_angle_sum(mesh: Mesh) -> float:
-    """Largest sum of the two angles opposite an interior edge (Delaunay check aid).
-
-    A 2D mesh is Delaunay when this never exceeds pi.  The angles come
-    from the gradient Gram matrices, not from the coordinates.
-    """
-    # the angle at local vertex k sits opposite face (edge) k, between
-    # vertices i and j, and |T| g_i . g_j = -cot(angle) / 2
-    k = np.arange(3)
-    cot = -2.0 * mesh.volumes[:, None] * mesh.gradient_grams[:, (k + 1) % 3, (k + 2) % 3]
-    angles = np.arctan2(1.0, cot)                             # (E, 3)
-    sums = np.bincount(mesh._face_ids.ravel(), weights=angles.ravel(),
-                       minlength=len(mesh._face_counts))
-    return float(sums[mesh._face_counts == 2].max(initial=0.0))
 
 
 # -- structured generators ---------------------------------------------------

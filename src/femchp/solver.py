@@ -149,9 +149,8 @@ def assemble_hessian(model: EnergyModel, field: NodalField,
         v = field.values[mesh.interior_nodes]            # (N0, m)
         vn = np.linalg.norm(v, axis=1)
         pos = vn > 0.0
-        f1 = np.where(pos, vn ** (q - 2.0), 1.0 if q == 2.0 else 0.0)
         f2 = np.where(pos, (q - 2.0) * np.where(pos, vn, 1.0) ** (q - 4.0), 0.0)
-        nodal = ((w * f1)[:, None, None] * np.eye(m)
+        nodal = ((w * vn ** (q - 2.0))[:, None, None] * np.eye(m)
                  + (w * f2)[:, None, None] * (v[:, :, None] * v[:, None, :]))
 
     return mesh.assemble(pairs, nodal)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import NodalField
-from .energy import (EnergyModel, SourceTerm, LumpedTerm, p_dirichlet,
-                     _newton_weights)
+from .energy import EnergyModel, SourceTerm, p_dirichlet, _newton_weights
 from . import convex
 
 __all__ = [
@@ -172,9 +171,7 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
-                      model: EnergyModel | None = None,
-                      source: SourceTerm | None = None,
-                      lumped: LumpedTerm | None = None) -> VerifyReport:
+                      model: EnergyModel | None = None) -> VerifyReport:
     """Strict variant: an extreme interior value forces a constant field.
 
     Hypotheses: acute mesh, every element touches an interior vertex, pure
@@ -188,11 +185,6 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     beta_0 - sum_y beta_y is the row sum of B.
     """
     _check_pair(mesh, field)
-    if source is not None or lumped is not None:
-        raise ValueError(
-            "the strict hull property applies to the pure gradient energy; "
-            "drop the source/lumped terms"
-        )
     if model is None:
         model = p_dirichlet(2.0)
     angle = mesh.angle_report()

@@ -47,6 +47,17 @@ def test_mesh_info_output(tmp_path, capsys):
     assert "mesh_class = acute" in text
     assert "vertices = 23" in text
     assert "every_element_touches_interior = True" in text
+    # K[z, y] / K[z, z] = -(2 cot 60 / 2) / (6 cot 60) on equilateral triangles
+    name, eq, x, *rest = text.splitlines()[-1].split()
+    assert (name, eq, rest) == ("max_interior_coupling", "=", ["(z-matrix", "rows", "when", "<=", "0)"])
+    assert_allclose(float(x), -1.0 / 6.0, rtol=1e-14)
+    # the stiffness test answers in 3D too
+    main(["mesh-gen", "--generator", "kuhn3d", "-n", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["mesh-info", str(out)]) == EXIT_OK
+    name, eq, x, *_ = capsys.readouterr().out.splitlines()[-1].split()
+    assert (name, eq) == ("max_interior_coupling", "=")
+    assert abs(float(x)) <= 1e-15
 
 
 def test_mesh_info_missing_file(tmp_path):
@@ -194,6 +205,23 @@ def test_an_internal_error_is_not_a_verdict(tmp_path, solved_pair, monkeypatch, 
                                        "projection certificate failed for row 0\n")
 
 
+def test_verify_reads_a_given_tolerance(solved_pair, capsys):
+    mesh_path, field_path = solved_pair
+    assert main(["verify", "--theorem", "chp", "--mesh", str(mesh_path),
+                 "--field", str(field_path), "--tol", "1e-3"]) == EXIT_OK
+    assert "(tol 1.0e-03)" in capsys.readouterr().out
+
+
+def test_solve_reads_boundary_data_from_a_field_file(tmp_path, solved_pair):
+    # the minimiser's own values as boundary data give the minimiser back
+    mesh_path, field_path = solved_pair
+    again = tmp_path / "again.field"
+    argv = ["solve", "--mesh", str(mesh_path), "--bc", f"file:{field_path}"]
+    assert main(argv + ["--m", "2", "--out", str(again)]) == EXIT_OK
+    assert np.array_equal(load_field(str(again))[0], load_field(str(field_path))[0])
+    assert main(argv + ["--m", "1"]) == EXIT_INPUT     # the file holds 2 components
+
+
 def test_verify_strong_chp_hypothesis_exit(tmp_path, solved_pair):
     mesh_path, field_path = solved_pair
     rc = main(["verify", "--theorem", "strong-chp", "--mesh", str(mesh_path),
@@ -232,6 +260,19 @@ def scalar_p3_pair(tmp_path_factory):
     assert main(["solve", "--mesh", str(mesh_path), "--energy", "p-laplace:p=3",
                  "--bc", "random:seed=1,lo=-1,hi=1", "--out", str(field_path)]) == EXIT_OK
     return mesh_path, field_path
+
+
+def test_verify_strong_chp_defaults_to_the_dirichlet_energy(scalar_p3_pair, capsys):
+    mesh_path, field_path = scalar_p3_pair
+    argv = ["verify", "--theorem", "strong-chp", "--mesh", str(mesh_path),
+            "--field", str(field_path)]
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main(argv + ["--energy", "p-laplace:p=2"]) == EXIT_OK
+    assert capsys.readouterr().out == text
+    # the weights, and so the beta identity's rounding, follow the model
+    assert main(argv + ["--energy", "p-laplace:p=3"]) == EXIT_OK
+    assert capsys.readouterr().out != text
 
 
 @pytest.mark.parametrize("theorem, read, unread", [
@@ -325,6 +366,24 @@ def test_experiment_checks_every_theorem_in_the_pool(tmp_path, monkeypatch, name
     assert main(["experiment", str(spec), "--out", str(threaded)]) == EXIT_OK
     assert serial.read_bytes() == threaded.read_bytes()
     assert len(serial.read_text().splitlines()) == 2 + n_rows
+
+
+@pytest.mark.parametrize("extra, code, outcome", [
+    # the start, zero inside data in [2, 3]^2, is accepted and fails CHP
+    ("energies = mean-curvature\nbc = random:lo=2,hi=3\nsolver_tol = 1e3\n",
+     EXIT_CLAIM_FAILED, "fail"),
+    # no iteration allowed: CHP holds at the start, but the solve did not converge
+    ("energies = p-laplace:p=3\nbc = random:lo=-1,hi=1\nmax_iters = 0\n",
+     EXIT_NO_CONVERGENCE, "pass"),
+])
+def test_experiment_exit_codes(tmp_path, extra, code, outcome):
+    spec = tmp_path / "s.spec"
+    spec.write_text("generators = right2d:4\nm = 2\nseeds = 1\ntheorems = chp\n" + extra)
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", str(spec), "--out", str(out)]) == code
+    row = out.read_text().splitlines()[2].split(",")
+    assert row[8] == str(code != EXIT_NO_CONVERGENCE) and row[9] == "0"
+    assert row[13] == outcome
 
 
 def test_verify_row_matches_experiment_row(tmp_path, solved_pair):

@@ -724,6 +724,54 @@ def test_census_matches_per_node_reference(name, monkeypatch):
             is_extreme(points, np.append(index, bad), _TOL)
 
 
+def _sweep_sets():
+    """(name, points) for the conditioning sweep of ``project`` and the census."""
+    rng = np.random.default_rng(2028)
+    for k, gap in enumerate((1e-6, 1e-9, 1e-12, 1e-15, 0.0)):
+        # m = 2 points within ``gap`` of a line, and one row exactly on it
+        t = rng.uniform(-1.0, 1.0, 12 + k)
+        off = gap * rng.standard_normal(len(t))
+        yield f"near-collinear-{gap:g}", np.column_stack([t, 0.3 - 1.7 * t + off])
+    for m in (2, 3):
+        for f in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
+            # a third of the points repeated f tol apart, along a random direction
+            pts = rng.uniform(-1.0, 1.0, (15, m))
+            u = rng.standard_normal((5, m))
+            u *= f * _TOL / np.linalg.norm(u, axis=1, keepdims=True)
+            yield f"repeated-{f:g}-tol-m{m}", np.vstack([pts, pts[:5] + u])
+    for scale in (1e-6, 1e6):
+        for m in (1, 2, 3):
+            pts = rng.uniform(-1.0, 1.0, (20, m))
+            yield f"scaled-{scale:g}-m{m}", scale * np.vstack([pts, 3.0 * rng.normal(size=(5, m))])
+    for m in (1, 2, 3):
+        for n in (1, 2):
+            yield f"{n}-point-m{m}", rng.uniform(-1.0, 1.0, (n, m))
+
+
+@pytest.mark.parametrize("name, points", list(_sweep_sets()),
+                         ids=[name for name, _ in _sweep_sets()])
+def test_ill_conditioned_sets_are_certified_and_census_matches(name, points):
+    # every row of these sets passes its certificate (a row that did not
+    # would raise CertificateError, never return), and agrees with the
+    # plain active set on all generators
+    scale = np.abs(points).max()
+    X = np.vstack([points, scale * np.random.default_rng(7).uniform(-2.0, 2.0, (10, points.shape[1]))])
+    K = finite_hull(points)
+    reset_certificate_stats()
+    P = project(K, X)
+    assert certificate_stats().projections == len(X)
+    assert certificate_stats().worst_slack <= 0.0
+    if points.shape[1] > 1:
+        assert_allclose(P, _project_hull(K.generators, X)[0], rtol=0.0, atol=1e-10 * scale)
+    # a generator x passes the certificate at z = x only if
+    # |x - Px|^2 <= 1e-10 (max|z|^2 + |x|^2)
+    sq = np.einsum("ij,ij->i", points, points)
+    assert (np.sum((points - P[:len(points)]) ** 2, axis=1) <= 1e-10 * (sq.max() + sq)).all()
+    index = np.arange(len(points))
+    expect = [_is_extreme_alone(points, i, _TOL) for i in index]
+    assert is_extreme(points, index, _TOL).tolist() == expect
+
+
 @pytest.mark.parametrize("name", ["circle", "random-m2", "random-m3"])
 def test_a_census_hull_missing_a_vertex_matches_the_reference(name, monkeypatch):
     # without its first vertex the reduced hull no longer holds that value,

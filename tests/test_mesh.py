@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 import re
@@ -10,6 +9,7 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import mesh as mesh_module
+from femchp.cli import _max_interior_coupling
 from femchp.energy import LumpedTerm, _newton_weights, mean_curvature, p_dirichlet
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
 from femchp.mesh import (
@@ -20,7 +20,6 @@ from femchp.mesh import (
     MeshFormatError,
     NON_OBTUSE,
     OBTUSE,
-    _max_opposite_angle_sum,
     build_structured_mesh,
     classify_mesh,
     load_mesh,
@@ -589,19 +588,11 @@ def test_face_table_matches_unique_rows(gen):
             k = m.dim + 1
             keep = [[j for j in range(k) if j != i] for i in range(k)]
             faces = np.sort(m.elements[:, keep], axis=2).reshape(-1, m.dim)
-            table, ids, counts = np.unique(faces, axis=0, return_inverse=True,
-                                           return_counts=True)
-            ids = ids.reshape(m.elements.shape)
-            assert_array_equal(m._face_ids, ids)
-            assert_array_equal(m._face_counts, counts)
+            table, counts = np.unique(faces, axis=0, return_counts=True)
             boundary = np.unique(table[counts == 1])
             assert_array_equal(m.boundary_nodes, boundary)
             assert_array_equal(m.interior_nodes,
                                np.setdiff1d(np.arange(m.num_vertices), boundary))
-            if m.dim == 2:
-                ref = copy.copy(m)
-                ref._face_ids, ref._face_counts = ids, counts
-                assert classify_mesh(m).max_opposite_angle_sum == _max_opposite_angle_sum(ref)
 
 
 def test_right2d_counts_and_structure():
@@ -695,17 +686,44 @@ def test_worst_pair_ignores_rounding_of_the_grams(gen, res):
         assert other.worst_dot == pytest.approx(rep.worst_dot, rel=1e-12, abs=1e-12)
 
 
+def _opposite_angles(mesh):
+    """Brute force from the coordinates: for each edge (i, j) at an interior
+    vertex, the angles opposite it, one per element."""
+    opposite = {}
+    for elem in mesh.elements.tolist():
+        for k in range(3):
+            i, j = sorted(elem[:k] + elem[k + 1:])
+            if mesh.is_boundary[i] and mesh.is_boundary[j]:
+                continue
+            u = mesh.vertices[i] - mesh.vertices[elem[k]]
+            v = mesh.vertices[j] - mesh.vertices[elem[k]]
+            cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            opposite.setdefault((i, j), []).append(np.arccos(cos))
+    return opposite
+
+
+def _coupling_reference(mesh, opposite):
+    """max K[z, y] / K[z, z] over interior z by the cotangent formula:
+    K[z, y] is minus half the cotangents opposite edge (z, y), and row z of
+    K sums to zero."""
+    cot = {e: sum(1.0 / np.tan(a) for a in angles) for e, angles in opposite.items()}
+    diag = {}
+    for e, c in cot.items():
+        for z in e:
+            diag[z] = diag.get(z, 0.0) + c
+    return max((-c / diag[z] for e, c in cot.items() for z in e if not mesh.is_boundary[z]),
+               default=-np.inf)
+
+
 def test_angle_report_details():
     rep = classify_mesh(build_structured_mesh("right2d", 2))
     assert rep.is_non_obtuse and not rep.is_acute
     assert rep.worst_dot == 0.0
     assert not rep.every_element_touches_interior   # corner cells
-    assert_allclose(rep.max_opposite_angle_sum, np.pi, atol=1e-12)
 
     rep = classify_mesh(build_structured_mesh("equilateral2d", 2))
     assert rep.is_acute
     assert rep.every_element_touches_interior
-    assert_allclose(rep.max_opposite_angle_sum, 2.0 * np.pi / 3.0, atol=1e-12)
 
     rep = classify_mesh(build_structured_mesh("crisscross2d", 2))
     assert rep.every_element_touches_interior
@@ -714,28 +732,52 @@ def test_angle_report_details():
     assert not rep.is_non_obtuse
     assert rep.worst_dot > 0
 
-    # brute force: per edge, the angles opposite it in each element
+    rep = classify_mesh(build_structured_mesh("kuhn3d", 2))
+    assert not rep.every_element_touches_interior   # corner cells again
+
+    # the stiffness coupling that mesh-info prints, against brute force:
+    # per edge at an interior vertex, the angles opposite it
     for gen, n in (("obtuse2d", 4), ("right2d", 3), ("right2d", 7), ("crisscross2d", 3),
                    ("crisscross2d", 6), ("equilateral2d", 3), ("equilateral2d", 7)):
         mesh = build_structured_mesh(gen, n)
-        opposite = {}
-        for elem in mesh.elements.tolist():
-            for k in range(3):
-                i, j = sorted(elem[:k] + elem[k + 1:])
-                u = mesh.vertices[i] - mesh.vertices[elem[k]]
-                v = mesh.vertices[j] - mesh.vertices[elem[k]]
-                cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-                opposite.setdefault((i, j), []).append(np.arccos(cos))
-        ref = max(sum(a) for a in opposite.values() if len(a) == 2)
+        opposite = _opposite_angles(mesh)
+        x = _max_interior_coupling(mesh)
         # the displaced vertex breaks the Delaunay property
-        assert (ref > np.pi + 1e-9) == (gen == "obtuse2d")
-        assert_allclose(classify_mesh(mesh).max_opposite_angle_sum, ref,
-                        rtol=0.0, atol=1e-15, err_msg=f"{gen}:{n}")
+        assert (max(map(sum, opposite.values())) > np.pi + 1e-9) == (gen == "obtuse2d")
+        assert (x > 1e-12) == (gen == "obtuse2d"), f"{gen}:{n}"
+        assert_allclose(x, _coupling_reference(mesh, opposite), rtol=0.0, atol=1e-14,
+                        err_msg=f"{gen}:{n}")
 
-    # the opposite-angle (Delaunay) measure is 2D only
-    rep = classify_mesh(build_structured_mesh("kuhn3d", 2))
-    assert rep.max_opposite_angle_sum is None
-    assert not rep.every_element_touches_interior   # corner cells again
+    assert _max_interior_coupling(build_structured_mesh("right2d", 8)) == 0.0
+    assert _max_interior_coupling(build_structured_mesh("equilateral2d", 4)) < 0.0
+    assert _max_interior_coupling(build_structured_mesh("obtuse2d", 4)) > 0.0
+    # one value in any dimension; no interior vertex, no coupling
+    assert abs(_max_interior_coupling(build_structured_mesh("kuhn3d", 3))) <= 1e-15
+    assert _max_interior_coupling(build_structured_mesh("right2d", 1)) == -np.inf
+
+
+def test_interior_coupling_sign_matches_opposite_angle_sums():
+    rng = np.random.default_rng(28)
+    broken = []
+    for trial in range(120):
+        gen = ("right2d", "crisscross2d", "equilateral2d")[trial % 3]
+        base = build_structured_mesh(gen, 3 + trial % 4)
+        # interior vertices move by less than half the smallest altitude,
+        # 1 / max |grad hat|, so no element flips: the area is kept
+        reach = rng.choice([0.05, 0.2, 0.35, 0.45]) / np.linalg.norm(base.gradients, axis=2).max()
+        inner = base.interior_nodes
+        turn = rng.uniform(0.0, 2.0 * np.pi, len(inner))
+        verts = base.vertices.copy()
+        verts[inner] += reach * np.column_stack([np.cos(turn), np.sin(turn)])
+        mesh = Mesh(2, verts, base.elements)
+        assert_allclose(mesh.volumes.sum(), base.volumes.sum(), rtol=1e-12)
+        opposite = _opposite_angles(mesh)
+        broken.append(max(map(sum, opposite.values())) > np.pi + 1e-9)
+        x = _max_interior_coupling(mesh)
+        assert (x > 1e-12) == broken[-1], f"trial {trial}"
+        assert_allclose(x, _coupling_reference(mesh, opposite), rtol=0.0, atol=1e-12)
+    # moved right2d and crisscross2d meshes all break it, equilateral2d ones not all
+    assert 0 < sum(broken[2::3]) < len(broken[2::3])
 
 
 def test_generator_catalog_and_validation():

@@ -69,6 +69,34 @@ def test_hessian_symmetry_and_fd(right2d_n2):
                 assert_allclose(H[:, col], fd.reshape(-1), rtol=2e-5, atol=2e-6)
 
 
+def test_lumped_term_at_a_zero_value(monkeypatch):
+    # |v|^(q - 2) at v = 0 is 1 for q = 2 and 0 above, unguarded: the nodal
+    # Hessian block of a zero row is w I for q = 2 and 0 for q = 3, and the
+    # residual is the masked form bit for bit, rows of -0 included
+    mesh = build_structured_mesh("right2d", 4)
+    vals = np.random.default_rng(8).uniform(-1.0, 1.0, (mesh.num_vertices, 2))
+    zero = mesh.interior_nodes[::2]
+    vals[zero] = 0.0
+    vals[zero[::2]] = -0.0
+    field = NodalField(mesh, vals)
+    blocks = []
+    real = Mesh.assemble
+
+    def recording(self, pairs, diagonal=None, interior=True):
+        blocks.append(diagonal)
+        return real(self, pairs, diagonal, interior)
+
+    monkeypatch.setattr(Mesh, "assemble", recording)
+    for q in (2.0, 3.0):
+        lumped = LumpedTerm.from_mesh(mesh, q)
+        assemble_hessian(p_dirichlet(3.0), field, lumped=lumped)
+        at_zero = blocks[-1][::2]
+        expected = (lumped.weights[zero] * (q == 2.0))[:, None, None] * np.eye(2)
+        assert at_zero.tobytes() == expected.tobytes()
+        r = residual(p_dirichlet(3.0), field, lumped=lumped)
+        assert r.tobytes() == _residual_reference(p_dirichlet(3.0), field, None, lumped).tobytes()
+
+
 def _reference_kernels(model, field, source=None, lumped=None):
     """Element gradients, energy, residual and dense interior Hessian in the
     einsum / np.add.at form, assembled without ``Mesh.assemble``."""

@@ -170,17 +170,6 @@ def test_strong_chp_gated_on_nonacute(right2d_n4):
     assert not out.hypotheses["mesh-acute"]
 
 
-def test_strong_chp_refuses_lower_order_terms():
-    mesh = build_structured_mesh("equilateral2d", 4)
-    f = NodalField(mesh, np.zeros(mesh.num_vertices))
-    with pytest.raises(ValueError):
-        verify_strong_chp(mesh, f, model=p_dirichlet(2.0),
-                          source=SourceTerm.constant(mesh, -1.0))
-    with pytest.raises(ValueError):
-        verify_strong_chp(mesh, f, model=p_dirichlet(2.0),
-                          lumped=LumpedTerm.from_mesh(mesh, 2.0))
-
-
 def test_beta_weights_identity_and_sign():
     rng = np.random.default_rng(6)
     for gen in ("equilateral2d", "right2d"):
