@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import Mesh, GENERATORS, build_structured_mesh, load_mesh, save_mesh
+from .mesh import Mesh, GENERATORS, _ANGLE_REL, build_structured_mesh, load_mesh, save_mesh
 from .field import NodalField, BoundaryData, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
 from .solver import _check_tol, minimize
@@ -173,13 +173,17 @@ def cmd_mesh_info(args) -> int:
 def _max_interior_coupling(mesh: Mesh) -> float:
     """Largest K[z, y] / K[z, z] over interior vertices z and their
     neighbours y != z, K the unit-coefficient P1 stiffness; -inf without
-    interior vertices.  In 2D it is <= 0 exactly when every pair of angles
-    opposite an edge at an interior vertex sums to at most pi."""
+    interior vertices.  A ratio within 1e-12 of 0, the tie tolerance of
+    ``classify_mesh``, is the rounding of an exact zero and reads as 0.  In
+    2D it is <= 0 exactly when every pair of angles opposite an edge at an
+    interior vertex sums to at most pi."""
     K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * mesh.volumes], interior=False)
     # K is symmetric, so column z of its CSC arrays is row z
     z = np.repeat(np.arange(mesh.num_vertices), np.diff(K.indptr))
     off = ~mesh.is_boundary[z] & (K.indices != z)
-    return float((K.data[off] / K.diagonal()[z[off]]).max(initial=-np.inf))
+    ratio = K.data[off] / K.diagonal()[z[off]]
+    ratio = np.where(np.abs(ratio) <= _ANGLE_REL, 0.0, ratio)
+    return float(ratio.max(initial=-np.inf))
 
 
 def cmd_solve(args) -> int:

@@ -238,33 +238,27 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     )
 
 
-def _lemma_excesses(field: NodalField, K):
-    """Worst per-element excess of the projection inequalities for P_K.
+def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> VerifyReport:
+    """Elementwise projection inequalities for the nodal projection onto K.
 
     On a non-obtuse mesh the nodal projection P_K V satisfies, elementwise,
     grad V : grad P_K V >= |grad P_K V|^2   and   |grad P_K V| <= |grad V|.
-    Excesses are scaled by 1 / (1 + |grad V|^2) so one tolerance covers both.
-    Returns (worst, worst element, worst of the first, worst of the second).
+    Both read the gradient passes that V and P_K V cache in ``_norms``.
+    Excesses are scaled by 1 / (1 + |grad V|^2) so one tolerance covers
+    both; the violation is the worse of the two on the worst element.
     """
-    projected = field.with_values(convex.project(K, field.values))
-    gV = field.element_gradients()
-    gP = projected.element_gradients()
-    dot = np.einsum("enm,enm->e", gV, gP)
-    pp = np.einsum("enm,enm->e", gP, gP)
-    nv = np.sqrt(np.einsum("enm,enm->e", gV, gV))
-    scale = 1.0 + nv ** 2
-    exc1 = (pp - dot) / scale
-    exc2 = (np.sqrt(pp) - nv) / scale
-    both = np.maximum(exc1, exc2)
-    worst_e = int(np.argmax(both))
-    return float(both[worst_e]), worst_e, float(exc1.max()), float(exc2.max())
-
-
-def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> VerifyReport:
-    """Elementwise projection inequalities for the nodal projection onto K."""
     _check_pair(mesh, field)
     angle = mesh.angle_report()
-    violation, worst_e, exc1, exc2 = _lemma_excesses(field, K)
+    gV, nv = field._norms
+    gP, nP = field.with_values(convex.project(K, field.values))._norms
+    dot = np.einsum("enm,enm->e", gV, gP)
+    pp = np.einsum("enm,enm->e", gP, gP)
+    scale = 1.0 + nv ** 2
+    exc1 = (pp - dot) / scale
+    exc2 = (nP - nv) / scale
+    both = np.maximum(exc1, exc2)
+    worst_e = int(np.argmax(both))
+    violation = float(both[worst_e])
 
     return VerifyReport(
         theorem=LEMMA_POS,
@@ -275,8 +269,8 @@ def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> Ve
         worst_index=worst_e,
         hypotheses={"mesh-non-obtuse": angle.is_non_obtuse},
         details={
-            "worst_inner_product_excess": exc1,
-            "worst_norm_excess": exc2,
+            "worst_inner_product_excess": float(exc1.max()),
+            "worst_norm_excess": float(exc2.max()),
         },
     )
 
@@ -285,32 +279,25 @@ def search_lemma_violation(mesh: Mesh, m: int = 1, seed: int = 0,
                            trials: int = 300, threshold: float = 1e-8):
     """Randomized hunt for a violation of the projection inequalities.
 
-    Draws random nodal fields and random small target sets; returns the
-    first configuration whose normalized excess passes the threshold, or
-    None.  On non-obtuse meshes this should always come back empty; on
-    obtuse meshes violations are typically easy to find.
+    Each trial draws a random nodal field and the hull of m + 1 random
+    points, and runs ``verify_lemma_pos`` on them; returns the first
+    configuration whose normalized excess passes the threshold, or None.
+    On non-obtuse meshes this should always come back empty; on obtuse
+    meshes violations are typically easy to find.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         values = rng.normal(size=(mesh.num_vertices, m))
-        if m == 1:
-            lo, hi = np.sort(rng.normal(size=2) * 0.5)
-            if hi - lo < 1e-3:
-                hi = lo + 1e-3
-            K = convex.finite_hull(np.array([[lo], [hi]]))
-            gens = [[lo], [hi]]
-        else:
-            pts = rng.normal(size=(m + 1, m)) * 0.5
-            K = convex.finite_hull(pts)
-            gens = pts.tolist()
-        worst, worst_e, _, _ = _lemma_excesses(NodalField(mesh, values), K)
-        if worst > threshold:
+        pts = rng.normal(size=(m + 1, m)) * 0.5
+        report = verify_lemma_pos(mesh, NodalField(mesh, values), convex.finite_hull(pts),
+                                  tol=threshold)
+        if report.violation > threshold:
             return {
                 "seed": seed,
                 "trial": trial,
                 "values": values,
-                "generators": gens,
-                "element": worst_e,
-                "violation": worst,
+                "generators": pts.tolist(),
+                "element": report.worst_index,
+                "violation": report.violation,
             }
     return None

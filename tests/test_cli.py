@@ -18,6 +18,7 @@ from femchp.cli import (
 from femchp import convex
 from femchp.field import NodalField, load_field, save_field
 from femchp.mesh import build_structured_mesh, load_mesh, save_mesh
+from femchp.verify import verify_lemma_pos
 
 
 def test_mesh_gen_roundtrip(tmp_path):
@@ -51,13 +52,13 @@ def test_mesh_info_output(tmp_path, capsys):
     name, eq, x, *rest = text.splitlines()[-1].split()
     assert (name, eq, rest) == ("max_interior_coupling", "=", ["(z-matrix", "rows", "when", "<=", "0)"])
     assert_allclose(float(x), -1.0 / 6.0, rtol=1e-14)
-    # the stiffness test answers in 3D too
-    main(["mesh-gen", "--generator", "kuhn3d", "-n", "3", "--out", str(out)])
-    capsys.readouterr()
-    assert main(["mesh-info", str(out)]) == EXIT_OK
-    name, eq, x, *_ = capsys.readouterr().out.splitlines()[-1].split()
-    assert (name, eq) == ("max_interior_coupling", "=")
-    assert abs(float(x)) <= 1e-15
+    # the stiffness test answers in 3D too; right angles couple by exactly 0
+    for gen, n in (("kuhn3d", "3"), ("kuhn3d", "6"), ("crisscross2d", "3")):
+        main(["mesh-gen", "--generator", gen, "-n", n, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["mesh-info", str(out)]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "max_interior_coupling = 0 (z-matrix rows when <= 0)", f"{gen}:{n}"
 
 
 def test_mesh_info_missing_file(tmp_path):
@@ -252,6 +253,21 @@ def test_verify_lemma_pos_interval(tmp_path):
                  "--field", str(field_path)]) == EXIT_INPUT
 
 
+def test_verify_lemma_pos_set_file(tmp_path, solved_pair, capsys):
+    # the generators of the target set are the rows of a field-format file
+    mesh_path, field_path = solved_pair
+    tri = tmp_path / "tri.set"
+    tri.write_text("field 2 3\n-0.5 -0.5\n0.5 -0.2\n0 0.6\n")
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "lemma-pos", "--mesh", str(mesh_path),
+                 "--field", str(field_path), "--set-file", str(tri)]) == EXIT_OK
+    mesh = load_mesh(str(mesh_path))
+    values, _ = load_field(str(field_path), mesh)
+    K = convex.finite_hull(load_field(str(tri))[0])
+    report = verify_lemma_pos(mesh, NodalField(mesh, values), K)
+    assert capsys.readouterr().out == report.to_text() + "\n"
+
+
 @pytest.fixture(scope="module")
 def scalar_p3_pair(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("eq8")
@@ -423,6 +439,22 @@ def test_experiment_gates_lemma_pos_on_obtuse_mesh(tmp_path):
     assert rows and all(",hypothesis-not-met," in ln for ln in rows)
 
 
+def test_experiment_with_fixed_boundary_data_repeats_over_seeds(tmp_path):
+    # only random data draws from the seed: sin-product rows differ in the
+    # seed column alone
+    spec = tmp_path / "s.spec"
+    spec.write_text(SMALL_SPEC.replace("bc = random:lo=-1,hi=1", "bc = sin-product")
+                    .replace("seeds = 1, 2", "seeds = 1, 2, 7").replace("m = 1", "m = 1, 2"))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", str(spec), "--out", str(out)]) == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    assert len(rows) == 6
+    for m in ("1", "2"):
+        per_seed = [r for r in rows if r[3] == m]
+        assert [r[4] for r in per_seed] == ["1", "2", "7"]
+        assert all(r[:4] + r[5:] == per_seed[0][:4] + per_seed[0][5:] for r in per_seed)
+
+
 def test_experiment_spec_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     empty = tmp_path / "e.spec"
@@ -447,6 +479,14 @@ def test_experiment_spec_errors(tmp_path, monkeypatch):
             line = len(SMALL_SPEC.splitlines()) + 1
             with pytest.raises(ValueError, match=f"spec line {line}: "):
                 parse_experiment_spec(SMALL_SPEC + f"{key} = {value}\n")
+    for text, message in (
+            ("generators right2d:2", "spec line 2: expected 'key = value'"),
+            ("= right2d:2", "spec line 2: expected 'key = value'"),
+            ("meshes = right2d:2", "spec line 2: unknown key 'meshes'"),
+            ("generators = zigzag:2", "spec line 2: unknown generator 'zigzag'"),
+            ("generators = right2d:two", "spec line 2: bad resolution in 'right2d:two'")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_experiment_spec("# a comment line\n" + text + "\n")
     zero_q = tmp_path / "q.spec"
     zero_q.write_text(SMALL_SPEC + "lumped_q = 0\n")
     assert main(["experiment", str(zero_q)]) == EXIT_INPUT

@@ -751,8 +751,10 @@ def test_angle_report_details():
     assert _max_interior_coupling(build_structured_mesh("right2d", 8)) == 0.0
     assert _max_interior_coupling(build_structured_mesh("equilateral2d", 4)) < 0.0
     assert _max_interior_coupling(build_structured_mesh("obtuse2d", 4)) > 0.0
-    # one value in any dimension; no interior vertex, no coupling
-    assert abs(_max_interior_coupling(build_structured_mesh("kuhn3d", 3))) <= 1e-15
+    # one value in any dimension; the rounding of an exact zero reads as 0
+    for gen, n in (("crisscross2d", 3), ("kuhn3d", 3), ("kuhn3d", 6)):
+        assert _max_interior_coupling(build_structured_mesh(gen, n)) == 0.0, f"{gen}:{n}"
+    # no interior vertex, no coupling
     assert _max_interior_coupling(build_structured_mesh("right2d", 1)) == -np.inf
 
 

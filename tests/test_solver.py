@@ -779,6 +779,31 @@ def test_a_failed_line_search_ends_on_the_last_accepted_iterate(monkeypatch):
     assert rep.residual_norm == float(np.abs(residual(model, fld)).max())
 
 
+def test_the_line_search_gives_up_below_the_step_floor(monkeypatch, right2d_n4):
+    # the start's energy is real, every trial energy after it is +inf: the
+    # step halves down to the floor, and the solve ends there unconverged
+    calls = []
+    real = solver_module._energy_of
+
+    def infinite_after_the_start(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else np.inf
+
+    monkeypatch.setattr(solver_module, "_energy_of", infinite_after_the_start)
+    fld, rep = minimize(p_dirichlet(3.0), right2d_n4, BoundaryData.random_uniform(1, -1.0, 1.0))
+    assert rep.status == "line-search-failure: no acceptable step above 1e-16"
+    assert not rep.converged and rep.iterations == 0
+    assert fld is calls[0][1] and len(rep.energy_history) == 1
+    # every trial from s = 1 down to the last one at or above the floor
+    assert len(calls) - 1 == int(np.floor(np.log(1e-16) / np.log(solver_module._SHRINK))) + 1
+
+
+def test_an_overflowing_start_energy_is_refused(right2d_n4):
+    # F(t) = t^10 / 10 overflows at these gradients, which themselves stay finite
+    with pytest.raises(ValueError, match="energy is not finite at the initial iterate"):
+        minimize(p_dirichlet(10.0), right2d_n4, BoundaryData.random_uniform(1, 1e35, 2e35))
+
+
 def test_a_gradient_exit_of_cg_counts_as_a_gradient_step(monkeypatch):
     # CG hands back kind "gradient" on the first call only; that step is
     # taken like any other and counted apart from the Newton steps
@@ -840,6 +865,15 @@ def test_oracle_is_bitwise_cg_on_the_interior_stiffness(gen, n, m, source):
         assert info == 0
         values[interior, j] = x
     assert fld.values.tobytes() == values.tobytes()
+
+
+def test_oracle_without_interior_vertices_returns_the_interpolant():
+    mesh = build_structured_mesh("right2d", 1)
+    assert len(mesh.interior_nodes) == 0
+    bc = BoundaryData.random_uniform(5, -1.0, 1.0)
+    for m in (1, 2):
+        assert_array_equal(solve_quadratic_oracle(mesh, bc, m=m).values,
+                           interpolate_boundary(mesh, bc, m).values)
 
 
 def test_oracle_refuses_wrong_energy(right2d_n4):

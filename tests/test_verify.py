@@ -248,6 +248,66 @@ def test_search_finds_violation_on_obtuse_only(m):
     assert search_lemma_violation(right, m=m, seed=0, trials=100) is None
 
 
+def _lemma_reference(field, K):
+    """The projection-lemma excesses from two fresh gradient passes:
+    (worst, worst element, worst inner-product excess, worst norm excess)."""
+    gV = field.element_gradients()
+    gP = field.with_values(convex.project(K, field.values)).element_gradients()
+    dot = np.einsum("enm,enm->e", gV, gP)
+    pp = np.einsum("enm,enm->e", gP, gP)
+    nv = np.sqrt(np.einsum("enm,enm->e", gV, gV))
+    scale = 1.0 + nv ** 2
+    exc1 = (pp - dot) / scale
+    exc2 = (np.sqrt(pp) - nv) / scale
+    both = np.maximum(exc1, exc2)
+    worst_e = int(np.argmax(both))
+    return float(both[worst_e]), worst_e, float(exc1.max()), float(exc2.max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lemma_pos_reads_the_cached_gradient_pass_bit_for_bit(m):
+    # on a fresh field and on a minimiser whose gradient pass the solve
+    # already cached, the report holds the floats of two fresh passes
+    rng = np.random.default_rng(29 + m)
+    for gen in ("right2d", "obtuse2d"):
+        mesh = build_structured_mesh(gen, 5)
+        fresh = NodalField(mesh, rng.normal(size=(mesh.num_vertices, m)))
+        solved_field, _ = minimize(p_dirichlet(3.0), mesh,
+                                   BoundaryData.random_uniform(m, -1.0, 1.0), m=m)
+        assert "_norms" in vars(solved_field) and "_norms" not in vars(fresh)
+        for fld in (fresh, solved_field):
+            K = convex.finite_hull(rng.normal(size=(5, m)) * 0.4)
+            out = verify_lemma_pos(mesh, fld, K)
+            assert (out.violation, out.worst_index, out.details["worst_inner_product_excess"],
+                    out.details["worst_norm_excess"]) == _lemma_reference(fld, K)
+
+
+def test_scalar_search_draws_the_sorted_interval():
+    # m = 1 takes the hull of two drawn normals: the interval between them,
+    # as a sorted draw gives it, however narrow (7.6e-4 wide at obtuse2d
+    # seed 3's trial 1)
+    for gen, seed in (("obtuse2d", 0), ("obtuse2d", 3), ("obtuse2d", 5), ("right2d", 1)):
+        mesh = build_structured_mesh(gen, 4)
+        found = search_lemma_violation(mesh, m=1, seed=seed, trials=40)
+        rng = np.random.default_rng(seed)
+        expected = None
+        for trial in range(40):
+            values = rng.normal(size=(mesh.num_vertices, 1))
+            lo, hi = np.sort(rng.normal(size=2) * 0.5)
+            worst, worst_e, _, _ = _lemma_reference(NodalField(mesh, values),
+                                                    convex.finite_hull([[lo], [hi]]))
+            if worst > 1e-8:
+                expected = (trial, worst_e, worst, [lo, hi])
+                break
+        if expected is None:
+            assert found is None and gen == "right2d"
+            continue
+        trial, worst_e, worst, ends = expected
+        assert (found["trial"], found["element"], found["violation"]) == (trial, worst_e, worst)
+        assert sorted(g[0] for g in found["generators"]) == ends
+        assert_array_equal(found["values"], values)
+
+
 def test_mismatched_mesh_field_rejected(right2d_n4, right2d_n2):
     f = NodalField(right2d_n2, np.zeros(9))
     with pytest.raises(ValueError):
