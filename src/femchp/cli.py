@@ -50,9 +50,7 @@ _OPTION_INPUT = {"--source": "source", "--energy": "model",
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}"
 
 
 # -- small parsers -----------------------------------------------------------

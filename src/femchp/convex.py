@@ -7,11 +7,12 @@ over affine subproblems advances all rows of a batch together.  For
 m = 2 and m = 3 ``project`` first reduces the generators to the vertices
 of their polygon (Andrew's monotone chain) or polyhedron (Quickhull) and
 locates each row in its fan triangulation from one vertex, built once per
-call: a row inside starts the iteration from its simplex and ends it at
-once, the others run it on the vertices alone.  The reduced hull is not
-checked; flat, collinear and one-point sets, near-flat solids whose
-Quickhull loses a facet's neighbour, empty fans and rows that fail their
-certificate on the reduced hull run it on all the generators.
+call: a row inside is returned as itself, and its barycentric weights are
+checked as its proof of membership; the others run the iteration on the
+vertices alone.  The reduced hull is not checked; flat, collinear and
+one-point sets, near-flat solids whose Quickhull loses a facet's
+neighbour, empty fans and rows that fail their membership or certificate
+on the reduced hull run it on all the generators.
 ``project`` takes a point or a batch of rows and certifies every row,
 against all the generators, by the variational inequality
 
@@ -147,41 +148,25 @@ def _affine_coefficients(G: np.ndarray, act: np.ndarray, X: np.ndarray) -> np.nd
     return nu
 
 
-def _project_hull(G: np.ndarray, X: np.ndarray, start=None):
+def _project_hull(G: np.ndarray, X: np.ndarray):
     """Active-set nearest point iteration over the hull of the rows of G,
     run for all rows of X (k, m) together.
 
-    ``start`` (act0, lam0), both (k, s), warm-starts a row from the
-    generators act0[r] with the convex weights lam0[r] if that point
-    already passes the gap test that ends a row; every other row starts
-    from its nearest generator.  The gap test is relative to the data:
-    1e-14 * (max|G|^2 + |x|^2).  Each row keeps at most m + 2 active
-    generators and their convex weights.  A row stops when its slots are
-    full, or when the generator it added was dropped again, which leaves
-    its active set and weights as they were.  Returns (P, act, lam): the
-    nearest points (k, m), the active generator indices (k, m + 2; -1
-    marks a free slot) and their weights, 0 on free slots.
+    Every row starts from its nearest generator.  A row's gap test is
+    relative to the data: 1e-14 * (max|G|^2 + |x|^2).  Each row keeps at
+    most m + 2 active generators and their convex weights.  A row stops
+    when its slots are full, or when the generator it added was dropped
+    again, which leaves its active set and weights as they were.  Returns
+    (P, act, lam): the nearest points (k, m), the active generator indices
+    (k, m + 2; -1 marks a free slot) and their weights, 0 on free slots.
     """
     k, m = X.shape
     tol = 1e-14 * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
     act = np.full((k, m + 2), -1)
     lam = np.zeros((k, m + 2))
-    warm = np.zeros(k, dtype=bool)
-    if start is not None:
-        s = start[0].shape[1]
-        act[:, :s], lam[:, :s] = start
-        Y = np.einsum("rs,rsk->rk", lam, G[act])
-        # a warm start stands only where it already passes the loop's gap
-        # test: its active weights need not minimise over their affine hull
-        warm = (act[:, 0] >= 0) & (_worst_gaps(G, X, Y) <= tol)
-        if warm.all():
-            return Y, act, lam
-    rows = np.flatnonzero(~warm)
-    d2 = ((G - X[rows, None]) ** 2).sum(axis=2)
-    act[rows], lam[rows] = -1, 0.0
-    act[rows, 0] = d2.argmin(axis=1)
-    lam[rows, 0] = 1.0
-    del d2
+    act[:, 0] = ((G - X[:, None]) ** 2).sum(axis=2).argmin(axis=1)
+    lam[:, 0] = 1.0
+    rows = np.arange(k)
     Y = np.einsum("rs,rsk->rk", lam, G[act])
     for _ in range(20 * len(G) + 200):
         D = X[rows] - Y[rows]
@@ -377,9 +362,9 @@ def _fan(W: np.ndarray, F: np.ndarray):
     W[0] joined to each facet of F, the facets that ``_reduced_hull`` finds
     W[0] more than eps beneath, so that every simplex has a volume well
     above rounding and an invertible edge matrix.  The fan of a wrong hull
-    only gives wrong starts, which the certificate catches.  Returns
-    (S, E, Inv): per simplex its vertex positions (0, a, ...) in W, its
-    edge matrix (rows W[a] - W[0]) and the inverse.
+    only gives wrong locations, which ``_members`` or the certificate
+    catches.  Returns (S, E, Inv): per simplex its vertex positions
+    (0, a, ...) in W, its edge matrix (rows W[a] - W[0]) and the inverse.
     """
     E = W[F] - W[0]
     return np.column_stack([np.zeros_like(F[:, 0]), F]), E, np.linalg.inv(E)
@@ -396,7 +381,7 @@ def _locate(W: np.ndarray, fan, X: np.ndarray):
     renormalised.  Returns (simp, w), both (k, m + 1): the vertex
     positions in W and the weights, or -1 and zero weights for a row
     outside the hull.  Rounding can misplace a row near a face of the fan,
-    so the weights are only a start that ``_project_hull`` tests.
+    so the weights are only a claim of membership that ``_members`` tests.
     """
     S, E, Inv = fan
     R = X - W[0]
@@ -421,9 +406,9 @@ def _reduced_hull(G: np.ndarray):
     The facets are oriented outward: for m = 2 the counter-clockwise edges
     (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of
     ``_polyhedron``.  The hull is not checked against the generators: it
-    only decides where ``_project_hull`` runs and where it starts, and the
-    certificate in ``_certified`` reads every generator.  Returns (v, fan):
-    the vertex indices in G and the ``_fan`` of G[v].
+    only decides which rows ``_certified`` returns as themselves and where
+    ``_project_hull`` runs, and the certificate reads every generator.
+    Returns (v, fan): the vertex indices in G and the ``_fan`` of G[v].
     """
     m = G.shape[1]
     if m == 2:
@@ -476,30 +461,40 @@ def _certified(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     certifies it against every row of G and counts it in the statistics,
     on blocks of at most ``_BLOCK`` row x generator entries.  Rows with
     m = 1 are clipped to [min G, max G], so they are members by
-    construction; the others must pass ``_members`` on the weights of
-    ``_project_hull``, mapped back to G's rows.  The certificate is the
-    only gate.  m = 2 generators that span a polygon and m = 3 ones that
-    span a solid are reduced once to the vertices of their hull
-    (``_reduced_hull``), and ``_project_hull`` runs on those, warm-started
-    from the simplex and weights ``_locate`` finds in the hull's fan, which
-    is built once per call; a row whose membership or certificate then
-    fails starts again on all of G.  Any other set runs on all of G.
+    construction; the others must pass ``_members`` on their weights,
+    mapped back to G's rows.  The certificate is the only gate.  m = 2
+    generators that span a polygon and m = 3 ones that span a solid are
+    reduced once to the vertices of their hull (``_reduced_hull``), whose
+    fan is built once per call.  A row that ``_locate`` places in the fan
+    is its own projection, with the barycentric weights it finds there;
+    ``_project_hull`` runs on the vertices for the others.  A row whose
+    membership or certificate then fails is redone on all of G.  Any other
+    set runs on all of G.
     """
-    P = np.empty_like(X)
+    P = X.copy()
     cert = _CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
     slack = np.empty(len(X))
     member = np.ones(len(X), dtype=bool)
     step = max(1, _BLOCK // len(G))
     v, fan = _reduced_hull(G) or (np.arange(len(G)), None)
     W = G[v]
+    m = G.shape[1]
     for s in range(0, len(X), step):
         r = slice(s, s + step)
-        if G.shape[1] == 1:
+        if m == 1:
             P[r] = np.clip(X[r], G.min(), G.max())
         else:
-            start = None if fan is None else _locate(W, fan, X[r])
-            P[r], act, lam = _project_hull(W, X[r], start)
-            member[r] = _members(G, P[r], np.where(act >= 0, v[act], -1), lam)
+            # a row that _locate places is its own projection; the certificate
+            # holds trivially at P = x, so _members on its weights is its check
+            Y = P[r]
+            act = np.full((len(Y), m + 2), -1)
+            lam = np.zeros(act.shape)
+            if fan is not None:
+                act[:, :m + 1], lam[:, :m + 1] = _locate(W, fan, Y)
+            out = np.flatnonzero(act[:, 0] < 0)
+            if len(out):
+                Y[out], act[out], lam[out] = _project_hull(W, Y[out])
+            member[r] = _members(G, Y, np.where(act >= 0, v[act], -1), lam)
         slack[r] = _worst_gaps(G, X[r], P[r]) - cert[r]
         if fan is not None:
             # the reduced hull is never checked: a wrong one, or a near-flat

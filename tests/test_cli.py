@@ -15,7 +15,7 @@ from femchp.cli import (
     parse_experiment_spec,
     parse_source,
 )
-from femchp import convex
+from femchp import cli, convex
 from femchp.field import NodalField, load_field, save_field
 from femchp.mesh import build_structured_mesh, load_mesh, save_mesh
 from femchp.verify import verify_lemma_pos
@@ -82,6 +82,16 @@ def test_solve_affine_matches_interpolant(tmp_path, capsys):
 def test_solve_unknown_energy(tmp_path):
     assert main(["solve", "--generator", "right2d", "-n", "2",
                  "--energy", "bilaplacian", "--bc", "sin-product"]) == EXIT_INPUT
+
+
+def test_a_solver_runtime_error_exits_as_no_convergence(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("x")
+
+    monkeypatch.setattr(cli, "minimize", fail)
+    assert main(["solve", "--generator", "right2d", "-n", "2",
+                 "--bc", "sin-product"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "error: x\n"
 
 
 def test_solve_needs_mesh_or_generator():
@@ -506,6 +516,8 @@ def test_parse_bc_forms():
                 "random:seed", "file:", "polynomial:2"):
         with pytest.raises(ValueError):
             parse_bc(bad)
+    with pytest.raises(ValueError, match="affine rows disagree on the spatial dimension"):
+        parse_bc("affine:1,2,0.5;0,1")
 
 
 def test_parse_source_forms(tmp_path, right2d_n2):

@@ -164,7 +164,7 @@ def test_blocks_match_one_block(monkeypatch):
     inside = np.tile([0.5, 0.5], (12, 1))
     inside[7] = [5.0, 5.0]
     # its weights are true: (0.5, 0.5) = 0.5 g0 + 0.25 g1 + 0.25 g2, and g0
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X: (
         np.where(X > 4.0, G[0], X), np.tile([0, 1, 2, -1], (len(X), 1)),
         np.where((X > 4.0).all(axis=1)[:, None], [1.0, 0.0, 0.0, 0.0],
                  [0.5, 0.25, 0.25, 0.0])))
@@ -312,7 +312,8 @@ def _rows_inside_need_no_affine_solve(m, monkeypatch):
     X = np.einsum("rs,rsk->rk", w, K.generators[rng.integers(0, 200, (500, m + 1))])
     calls = []
     _spy(monkeypatch, "_affine_coefficients", calls)
-    assert_allclose(project(K, X), X, rtol=0.0, atol=1e-15)
+    # a located row is its own projection, bit for bit
+    assert project(K, X).tobytes() == X.tobytes()
     assert calls == []
     project(K, X + 3.0 * np.eye(m)[0])
     assert calls
@@ -323,10 +324,9 @@ def test_rows_inside_the_polygon_need_no_affine_solve(monkeypatch):
 
 
 def _a_wrong_location_is_mended(m, mutation, monkeypatch):
-    # a located row starts from its simplex and weights only if they pass
-    # the gap test, so a wrong claim of _locate costs a cold start on the
-    # hull vertices, never a wrong point (weights that pass it but are not
-    # convex fail _members)
+    # a located row is returned as itself on the word of its simplex and
+    # weights, so a wrong claim of _locate fails _members and the row is
+    # redone on all generators, never left at a wrong point
     rng = np.random.default_rng(21)
     K = finite_hull(rng.uniform(-1.0, 1.0, (40, m)))
     inner = 0.6 if m == 2 else 0.4
@@ -792,7 +792,8 @@ def test_a_census_hull_missing_a_vertex_matches_the_reference(name, monkeypatch)
 
 def test_a_census_on_a_torn_polyhedron_matches_the_reference(monkeypatch):
     # every hull the census builds has the facets around one vertex torn
-    # out; the vertices stay right, and the certificate mends the starts
+    # out; the vertices stay right, and the rows the torn fan misses run the
+    # active set on them
     points, _ = _census_case("random-m3")
     index = np.arange(len(points))
     expect = [_is_extreme_alone(points, int(i), _TOL) for i in index]
@@ -918,7 +919,7 @@ def test_variational_inequality_measure():
 
 def test_wrong_projection_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X: (
         G[np.zeros(len(X), dtype=int)], np.tile([0, -1, -1, -1], (len(X), 1)),
         np.tile([1.0, 0.0, 0.0, 0.0], (len(X), 1))))
     with pytest.raises(CertificateError):
@@ -931,7 +932,7 @@ def test_projection_left_unmoved_raises(monkeypatch):
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     real = convex._project_hull
     monkeypatch.setattr(convex, "_project_hull",
-                        lambda G, X, start=None: (X,) + real(G, X, start)[1:])
+                        lambda G, X: (X,) + real(G, X)[1:])
     assert_allclose(project(K, [0.5, 0.5]), [0.5, 0.5], atol=0.0)
     with pytest.raises(CertificateError, match="membership failed for row 1:"):
         project(K, np.array([[0.5, 0.5], [3.0, 3.0]]))
@@ -946,7 +947,7 @@ def test_bad_weights_raise(monkeypatch, act, lam):
     # (2, 1) is the true projection of (3, 1) onto the square and each
     # weight set reproduces it within 1e-15, yet none is a convex combination
     K = finite_hull(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
-    monkeypatch.setattr(convex, "_project_hull", lambda G, X, start=None: (
+    monkeypatch.setattr(convex, "_project_hull", lambda G, X: (
         np.array([[2.0, 1.0]]), np.array([act]), np.array([lam])))
     with pytest.raises(CertificateError, match="membership failed for row 0:"):
         project(K, np.array([[3.0, 1.0]]))
@@ -1014,6 +1015,18 @@ def test_dimension_mismatch():
     K = finite_hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         project(K, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: finite_hull(np.zeros((0, 2))), "hull needs at least one generator point"),
+    (lambda: finite_hull([[0.0, np.nan], [1.0, 0.0]]),
+     "hull generators contain non-finite entries"),
+    (lambda: project(finite_hull([[0.0, 0.0], [1.0, 0.0]]), [np.inf, 0.0]),
+     "cannot project a non-finite point"),
+], ids=["no-generators", "non-finite-generator", "non-finite-point"])
+def test_bad_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _sampled_distance(points, x, steps=2000):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ def test_lumped_weights_and_energy(ref_triangle):
                     base + 1.0 / 24.0, atol=1e-15)
     with pytest.raises(ValueError):
         LumpedTerm.from_mesh(ref_triangle, 1.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: p_dirichlet(2.0).with_coeff(np.ones((2, 2))),
+     "coefficient table must be one dimensional"),
+    (lambda f: parse_energy("p-laplace:p=two"), "bad exponent in 'p-laplace:p=two'"),
+    (lambda f: parse_energy("mean-curvature:1"),
+     "mean-curvature takes no parameters, got 'mean-curvature:1'"),
+    (lambda f: SourceTerm(np.zeros((1, 1))),
+     "source values must be one dimensional (one per element)"),
+    (lambda f: energy_value(p_dirichlet(2.0), f, lumped=LumpedTerm(2.0, np.ones(4))),
+     "lumped weights do not match the mesh"),
+], ids=["coeff-table", "exponent", "mean-curvature-parameter", "source-shape",
+        "lumped-weights"])
+def test_energy_input_is_refused_with_its_message(ref_triangle, call, message):
+    f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(f)
 
 
 def test_lumped_weights_sum_in_element_order():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -140,6 +142,27 @@ def test_boundary_nodal_missing_vertex(right2d_n2):
     bc = BoundaryData.from_values(vals)
     with pytest.raises(ValueError):
         bc.boundary_values(right2d_n2, 1)
+
+
+def test_boundary_nodal_values_in_one_dimension(right2d_n2):
+    # a 1-D value array is one component per vertex
+    vals = np.arange(9.0)
+    bc = BoundaryData.from_values(vals)
+    nodes = right2d_n2.boundary_nodes
+    assert_array_equal(bc.boundary_values(right2d_n2, 1), vals[nodes, None])
+    f = interpolate_boundary(right2d_n2, bc, 1)
+    assert_array_equal(f.values[nodes, 0], vals[nodes])
+
+
+@pytest.mark.parametrize("bc, m, message", [
+    (BoundaryData("polynomial"), 1, "unknown boundary data kind 'polynomial'"),
+    (BoundaryData.sin_product(), 0, "m must be >= 1, got 0"),
+    (BoundaryData.from_values(np.zeros((9, 1, 1))), 1, "boundary data produced shape (8, 1, 1)"),
+    (BoundaryData.from_values(np.full(9, np.nan)), 1, "boundary data produced non-finite values"),
+], ids=["unknown-kind", "m", "shape", "non-finite"])
+def test_boundary_input_is_refused_with_its_message(right2d_n2, bc, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        interpolate_boundary(right2d_n2, bc, m)
 
 
 def test_save_load_roundtrip(tmp_path, right2d_n2):

@@ -795,6 +795,23 @@ def test_generator_catalog_and_validation():
         build_structured_mesh("moebius", 3)
 
 
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("dim, vertices, elements, message", [
+    (4, _TRIANGLE, [[0, 1, 2]], "dim must be 2 or 3, got 4"),
+    (2, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]],
+     "vertices must have shape (V, 2), got (3, 3)"),
+    (2, _TRIANGLE, [[0, 1]], "elements must have shape (E, 3), got (1, 2)"),
+    (2, [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]], [[0, 1, 2]],
+     "vertices contain non-finite coordinates"),
+    (2, _TRIANGLE, np.zeros((0, 3), dtype=int), "mesh has no elements"),
+], ids=["dim", "vertex-shape", "element-shape", "non-finite", "no-elements"])
+def test_mesh_input_is_refused_with_its_message(dim, vertices, elements, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Mesh(dim, vertices, elements)
+
+
 def test_save_load_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(5)
     mesh = build_structured_mesh("kuhn3d", 2)

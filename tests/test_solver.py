@@ -876,6 +876,12 @@ def test_oracle_without_interior_vertices_returns_the_interpolant():
                            interpolate_boundary(mesh, bc, m).values)
 
 
+def test_oracle_refuses_a_source_on_a_vector_field(right2d_n4):
+    src = SourceTerm.constant(right2d_n4, -1.0)
+    with pytest.raises(ValueError, match=r"source terms are only defined for scalar fields \(m=1\)"):
+        solve_quadratic_oracle(right2d_n4, BoundaryData.sin_product(), source=src, m=2)
+
+
 def test_oracle_refuses_wrong_energy(right2d_n4):
     # the oracle is only a p = 2 reference; nothing to check here beyond
     # the solver agreeing with it, but it must solve multicomponent data

@@ -325,3 +325,18 @@ def test_meshes_without_interior_nodes():
             assert out.outcome == "pass"
             assert out.violation == 0.0 and out.worst_index is None
         assert convex.certificate_stats().projections == before
+
+
+@pytest.mark.parametrize("gen, N, model, m, seed", [
+    ("equilateral2d", 8, p_dirichlet(3.0), 2, 1),
+    ("kuhn3d", 3, mean_curvature(), 3, 6),
+], ids=["equilateral2d-p3-m2", "kuhn3d-mean-curvature-m3"])
+def test_chp_reports_exactly_zero_when_every_interior_value_is_located(gen, N, model, m, seed):
+    # every interior value of these minimisers lies inside the boundary
+    # hull's fan, so each is its own projection: no rounding noise is left
+    # to name a worst node
+    mesh, fld, rep = solved(gen, N, model, m=m, seed=seed)
+    assert rep.converged
+    out = verify_chp(mesh, fld)
+    assert out.outcome == "pass"
+    assert out.violation == 0.0 and out.worst_index is None
