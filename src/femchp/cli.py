@@ -16,7 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import Mesh, GENERATORS, _ANGLE_REL, build_structured_mesh, load_mesh, save_mesh
+from .mesh import (Mesh, GENERATORS, _max_interior_coupling, build_structured_mesh, load_mesh,
+                   save_mesh)
 from .field import NodalField, BoundaryData, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
 from .solver import _check_tol, minimize
@@ -168,22 +169,6 @@ def cmd_mesh_info(args) -> int:
     return EXIT_OK
 
 
-def _max_interior_coupling(mesh: Mesh) -> float:
-    """Largest K[z, y] / K[z, z] over interior vertices z and their
-    neighbours y != z, K the unit-coefficient P1 stiffness; -inf without
-    interior vertices.  A ratio within 1e-12 of 0, the tie tolerance of
-    ``classify_mesh``, is the rounding of an exact zero and reads as 0.  In
-    2D it is <= 0 exactly when every pair of angles opposite an edge at an
-    interior vertex sums to at most pi."""
-    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * mesh.volumes], interior=False)
-    # K is symmetric, so column z of its CSC arrays is row z
-    z = np.repeat(np.arange(mesh.num_vertices), np.diff(K.indptr))
-    off = ~mesh.is_boundary[z] & (K.indices != z)
-    ratio = K.data[off] / K.diagonal()[z[off]]
-    ratio = np.where(np.abs(ratio) <= _ANGLE_REL, 0.0, ratio)
-    return float(ratio.max(initial=-np.inf))
-
-
 def cmd_solve(args) -> int:
     mesh = _mesh_from_args(args)
     coeff = _load_element_values(args.coeff, mesh) if args.coeff else None
@@ -311,46 +296,44 @@ def parse_experiment_spec(text: str) -> dict:
         if key in seen:
             raise ValueError(f"spec line {ln}: duplicate key {key!r}")
         seen.add(key)
-        if key == "generators":
-            gens = []
-            for item in value.split(","):
-                name, _, res = item.strip().partition(":")
-                if name not in GENERATORS:
-                    raise ValueError(f"spec line {ln}: unknown generator {name!r}")
-                try:
-                    gens.append((name, int(res)))
-                except ValueError:
-                    raise ValueError(f"spec line {ln}: bad resolution in {item!r}") from None
-            spec["generators"] = gens
-        elif key == "energies":
-            spec["energies"] = [item.strip() for item in value.split(",") if item.strip()]
-            for e in spec["energies"]:
-                parse_energy(e)
-        elif key == "bc":
-            parse_bc(value)
-            spec["bc"] = value
-        elif key == "m":
-            spec["m"] = [int(v) for v in value.split(",")]
-        elif key == "seeds":
-            spec["seeds"] = [int(v) for v in value.split(",")]
-        elif key == "theorems":
-            toks = [v.strip() for v in value.split(",") if v.strip()]
-            for t in toks:
-                if t not in _THEOREMS:
-                    raise ValueError(f"spec line {ln}: unknown theorem {t!r}")
-            spec["theorems"] = toks
-        elif key in ("solver_tol", "verify_tol"):
-            try:
+        try:
+            if key == "generators":
+                gens = []
+                for item in value.split(","):
+                    name, _, res = item.strip().partition(":")
+                    if name not in GENERATORS:
+                        raise ValueError(f"unknown generator {name!r}")
+                    try:
+                        gens.append((name, int(res)))
+                    except ValueError:
+                        raise ValueError(f"bad resolution in {item!r}") from None
+                spec["generators"] = gens
+            elif key == "energies":
+                spec["energies"] = [item.strip() for item in value.split(",") if item.strip()]
+                for e in spec["energies"]:
+                    parse_energy(e)
+            elif key == "bc":
+                parse_bc(value)
+                spec["bc"] = value
+            elif key in ("m", "seeds"):
+                spec[key] = [int(v) for v in value.split(",")]
+            elif key == "theorems":
+                toks = [v.strip() for v in value.split(",") if v.strip()]
+                for t in toks:
+                    if t not in _THEOREMS:
+                        raise ValueError(f"unknown theorem {t!r}")
+                spec["theorems"] = toks
+            elif key in ("solver_tol", "verify_tol"):
                 spec[key] = float(value)
                 _check_tol(key, spec[key])
-            except ValueError as exc:
-                raise ValueError(f"spec line {ln}: {exc}") from None
-        elif key == "lumped_q":
-            spec[key] = float(value)
-        elif key == "max_iters":
-            spec[key] = int(value)
-        else:
-            spec[key] = value
+            elif key == "lumped_q":
+                spec[key] = float(value)
+            elif key == "max_iters":
+                spec[key] = int(value)
+            else:
+                spec[key] = value
+        except ValueError as exc:
+            raise ValueError(f"spec line {ln}: {exc}") from None
 
     for required in ("generators", "energies", "bc"):
         if required not in spec or not spec[required]:
@@ -472,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="value components")
     p.add_argument("--source", help="const:VALUE or file:PATH (per element)")
     p.add_argument("--lumped-q", type=float, default=None,
-                   help="exponent of the lumped zero-order term (q >= 2)")
+                   help="exponent of the lumped zero-order term (2 <= q < inf)")
     p.add_argument("--coeff", help="file with one positive c_T per element")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iters", type=int, default=10000)

@@ -177,6 +177,8 @@ class SourceTerm:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise ValueError("source values must be one dimensional (one per element)")
+        if not np.isfinite(self.values).all():
+            raise ValueError("source values must be finite")
 
     @classmethod
     def constant(cls, mesh: Mesh, value: float) -> "SourceTerm":
@@ -202,14 +204,14 @@ def lumped_weights(mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LumpedTerm:
-    """Zero order term sum_z w_z |U(z)|^q / q with q >= 2."""
+    """Zero order term sum_z w_z |U(z)|^q / q with 2 <= q < infinity."""
 
     q: float
     weights: np.ndarray
 
     def __post_init__(self):
-        if not self.q >= 2.0:
-            raise ValueError(f"lumped exponent must satisfy q >= 2, got {self.q}")
+        if not 2.0 <= self.q < np.inf:
+            raise ValueError(f"lumped exponent must satisfy 2 <= q < inf, got {self.q}")
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, q: float) -> "LumpedTerm":

@@ -380,6 +380,10 @@ class Mesh:
         A.data = data
         return A
 
+    def _stiffness(self, w: np.ndarray, interior: bool = True) -> scipy.sparse.csc_matrix:
+        """sum_T w_T grad phi_i . grad phi_k, one weight w_T per element, by ``assemble``."""
+        return self.assemble([self.gradient_grams.transpose(1, 2, 0) * w], interior=interior)
+
     def _scatter_keys(self, m: int) -> np.ndarray:
         """The DOF z*m + j of each element-major entry (e, i, j), z the
         vertex of local vertex i in element e: the keys by which the nodal
@@ -565,6 +569,22 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
         is_acute=bool(acute.all()),
         every_element_touches_interior=touches,
     )
+
+
+def _max_interior_coupling(mesh: Mesh) -> float:
+    """Largest K[z, y] / K[z, z] over interior vertices z and their
+    neighbours y != z, K the unit-coefficient P1 stiffness; -inf without
+    interior vertices.  A ratio within 1e-12 of 0, the tie tolerance of
+    ``classify_mesh``, is the rounding of an exact zero and reads as 0.  In
+    2D it is <= 0 exactly when every pair of angles opposite an edge at an
+    interior vertex sums to at most pi."""
+    K = mesh._stiffness(mesh.volumes, interior=False)
+    # K is symmetric, so column z of its CSC arrays is row z
+    z = np.repeat(np.arange(mesh.num_vertices), np.diff(K.indptr))
+    off = ~mesh.is_boundary[z] & (K.indices != z)
+    ratio = K.data[off] / K.diagonal()[z[off]]
+    ratio = np.where(np.abs(ratio) <= _ANGLE_REL, 0.0, ratio)
+    return float(ratio.max(initial=-np.inf))
 
 
 # -- structured generators ---------------------------------------------------

@@ -246,7 +246,7 @@ def _harmonic_start(model, start, source):
     sparse LU of the scalar K serves all m components exactly.
     """
     mesh = start.mesh
-    K = mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * model.element_weights(mesh)])
+    K = mesh._stiffness(model.element_weights(mesh))
     lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)

@@ -166,8 +166,7 @@ def beta_weights(mesh: Mesh, field: NodalField, model: EnergyModel):
     """
     _check_pair(mesh, field)
     a, _ = _newton_weights(model, field._norms[1])
-    w = model.element_weights(mesh) * a
-    return mesh.assemble([mesh.gradient_grams.transpose(1, 2, 0) * w], interior=False)
+    return mesh._stiffness(model.element_weights(mesh) * a, interior=False)
 
 
 def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,

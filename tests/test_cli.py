@@ -109,6 +109,27 @@ def test_solve_bad_bc_and_source(tmp_path):
                      "--bc", "sin-product", "--lumped-q", q]) == EXIT_INPUT
 
 
+def test_non_finite_term_parameters_are_input_errors(tmp_path, capsys):
+    # a NaN or infinite source and q = inf are refused: not a DMP verdict,
+    # not a pass, and not a line search that fails on a NaN slope
+    mesh, field = str(tmp_path / "r4.mesh"), str(tmp_path / "u.field")
+    save_mesh(build_structured_mesh("right2d", 4), mesh)
+    bc = ["--bc", "random:seed=1,lo=-1,hi=1"]
+    assert main(["solve", "--mesh", mesh, "--energy", "p-laplace:p=2", *bc,
+                 "--out", field]) == EXIT_OK
+    capsys.readouterr()
+    verify_dmp = ["verify", "--theorem", "dmp", "--mesh", mesh, "--field", field]
+    for argv, message in (
+            (verify_dmp + ["--source", "const:nan"], "source values must be finite"),
+            (verify_dmp + ["--source", "const:-inf"], "source values must be finite"),
+            (["solve", "--mesh", mesh, "--energy", "p-laplace:p=2", *bc,
+              "--source", "const:nan"], "source values must be finite"),
+            (["solve", "--mesh", mesh, "--energy", "p-laplace:p=3", *bc,
+              "--lumped-q", "inf"], "lumped exponent must satisfy 2 <= q < inf, got inf")):
+        assert main(argv) == EXIT_INPUT, argv
+        assert message in capsys.readouterr().err
+
+
 def test_solve_rejects_a_bad_cap_or_tolerance(capsys):
     for opt, value in (("--max-iters", "-1"), ("--tol", "-1"), ("--tol", "nan")):
         assert main(["solve", "--generator", "right2d", "-n", "2",
@@ -496,6 +517,11 @@ def test_experiment_spec_errors(tmp_path, monkeypatch):
             ("generators = zigzag:2", "spec line 2: unknown generator 'zigzag'"),
             ("generators = right2d:two", "spec line 2: bad resolution in 'right2d:two'")):
         with pytest.raises(ValueError, match=f"^{message}"):
+            parse_experiment_spec("# a comment line\n" + text + "\n")
+    # a value that fails to parse names its line, whatever its key
+    for text in ("m = two", "energies = foo", "bc = nope", "seeds = 1,,2",
+                 "lumped_q = abc", "max_iters = 1.5"):
+        with pytest.raises(ValueError, match="^spec line 2: "):
             parse_experiment_spec("# a comment line\n" + text + "\n")
     zero_q = tmp_path / "q.spec"
     zero_q.write_text(SMALL_SPEC + "lumped_q = 0\n")

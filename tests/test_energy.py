@@ -206,10 +206,14 @@ def test_lumped_weights_and_energy(ref_triangle):
      "mean-curvature takes no parameters, got 'mean-curvature:1'"),
     (lambda f: SourceTerm(np.zeros((1, 1))),
      "source values must be one dimensional (one per element)"),
+    (lambda f: SourceTerm(np.array([np.nan])), "source values must be finite"),
+    (lambda f: SourceTerm.constant(f.mesh, -np.inf), "source values must be finite"),
     (lambda f: energy_value(p_dirichlet(2.0), f, lumped=LumpedTerm(2.0, np.ones(4))),
      "lumped weights do not match the mesh"),
+    (lambda f: LumpedTerm.from_mesh(f.mesh, np.inf),
+     "lumped exponent must satisfy 2 <= q < inf, got inf"),
 ], ids=["coeff-table", "exponent", "mean-curvature-parameter", "source-shape",
-        "lumped-weights"])
+        "source-nan", "source-infinite", "lumped-weights", "lumped-exponent-infinite"])
 def test_energy_input_is_refused_with_its_message(ref_triangle, call, message):
     f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -9,7 +9,6 @@ import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from femchp import mesh as mesh_module
-from femchp.cli import _max_interior_coupling
 from femchp.energy import LumpedTerm, _newton_weights, mean_curvature, p_dirichlet
 from femchp.field import BoundaryData, NodalField, interpolate_boundary
 from femchp.mesh import (
@@ -20,6 +19,7 @@ from femchp.mesh import (
     MeshFormatError,
     NON_OBTUSE,
     OBTUSE,
+    _max_interior_coupling,
     build_structured_mesh,
     classify_mesh,
     load_mesh,
@@ -338,6 +338,14 @@ def test_assembly_is_bitwise_the_element_major_scatter(gen, n, monkeypatch):
     coef = mesh.volumes * coeff
     _assert_same_csc(K, _reference_assemble(
         mesh, (coef[:, None, None] * mesh.gradient_grams)[:, :, None, :, None]))
+    # the one weighted-stiffness builder behind K, B and mesh-info's sign
+    # test, at either interior flag; w = volumes over all vertices is the
+    # sign test's own K
+    for w in (mesh.volumes, rng.uniform(0.5, 2.0, mesh.num_elements)):
+        for interior in (True, False):
+            _assert_same_csc(mesh._stiffness(w, interior), _reference_assemble(
+                mesh, (w[:, None, None] * mesh.gradient_grams)[:, :, None, :, None],
+                interior=interior))
 
 
 def test_one_scalar_pattern_per_interior_flag(monkeypatch):
