@@ -16,11 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import (Mesh, GENERATORS, _max_interior_coupling, build_structured_mesh, load_mesh,
-                   save_mesh)
+from .mesh import (Mesh, GENERATORS, _check_tol, _max_interior_coupling, build_structured_mesh,
+                   load_mesh, save_mesh)
 from .field import NodalField, BoundaryData, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
-from .solver import _check_tol, minimize
+from .solver import minimize
 from . import verify as verify_mod
 from . import convex
 
@@ -199,7 +199,6 @@ def _check_theorem(theorem: str, mesh: Mesh, field: NodalField, tol, extra_input
     check, extra = _THEOREMS[theorem]
     kwargs = {extra: extra_input(extra)} if extra else {}
     if tol is not None:
-        _check_tol("tol", tol)
         kwargs["tol"] = tol
     return check(mesh, field, **kwargs)
 

@@ -13,18 +13,21 @@ vertices alone.  The reduced hull is not checked; flat, collinear and
 one-point sets, near-flat solids whose Quickhull loses a facet's
 neighbour, empty fans and rows that fail their membership or certificate
 on the reduced hull run it on all the generators.
-``project`` takes a point or a batch of rows and certifies every row,
-against all the generators, by the variational inequality
+``project`` takes a point or a batch of rows and certifies every row by
+the variational inequality
 
     (x - Px) . (z - Px) <= tol   for all generators z,
 
 with tol = 1e-10 * (max|z|^2 + |x|^2), and, for m >= 2, checks that Px is
 the convex combination of generators its active-set weights claim, so Px
 lies in the set.  A row that fails either check raises CertificateError.
-``is_extreme`` runs the same block loop once on the hull's vertices and
-once per value within tol of a vertex.  The statistics stay
-process-wide: every certified row counts once and the worst slack seen
-is kept, both read through ``certificate_stats``.
+The inequality is evaluated only where its value is not known exactly: a
+located row has every gap exactly 0, an interval's gaps are largest at
+its two ends, and only rows that the iteration moved are read against
+every generator.  ``is_extreme`` runs the same routine once on the
+hull's vertices and once per value within tol of a vertex.  The
+statistics stay process-wide: every certified row counts once and the
+worst slack seen is kept, both read through ``certificate_stats``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import NodalField
+from .mesh import _check_tol
 
 __all__ = [
     "ConvexSet",
@@ -50,9 +54,9 @@ __all__ = [
 ]
 
 _CERT_REL_TOL = 1e-10
-# the block loop of ``project`` and ``is_extreme`` works on blocks of rows
-# whose (rows x generators) arrays hold at most this many entries, or on
-# single rows
+# ``_certified`` locates rows in blocks whose (rows x fan simplices) arrays,
+# and projects and certifies them in blocks whose (rows x generators)
+# arrays, hold at most this many entries, or single rows
 _BLOCK = 1 << 17
 # the reduced hull's eps, relative to max|G|: Quickhull drops the points
 # within it of the hull, and the fan keeps only simplices whose apex lies
@@ -105,15 +109,22 @@ def finite_hull(points) -> ConvexSet:
     """Convex hull of finitely many points in R^m (m >= 1).
 
     Exactly repeated rows are dropped, keeping each first occurrence in
-    input order; distinct rows are all kept, however close.
+    input order; distinct rows are all kept, however close, while -0.0 and
+    0.0 compare equal.  One stable ``np.lexsort`` over the columns puts
+    each row's repeats right after it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("hull needs at least one generator point")
+    if points.shape[1] == 0:
+        raise ValueError("hull generators need at least one coordinate (m >= 1)")
     if not np.isfinite(points).all():
         raise ValueError("hull generators contain non-finite entries")
-    _, first = np.unique(points, axis=0, return_index=True)
-    points = points[np.sort(first)]
+    order = np.lexsort(points.T)
+    S = points[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = (S[1:] != S[:-1]).any(axis=1)
+    points = points[np.sort(order[first])]
     points.flags.writeable = False
     return ConvexSet(m=points.shape[1], generators=points)
 
@@ -407,7 +418,8 @@ def _reduced_hull(G: np.ndarray):
     (ring[i], ring[i + 1]) of ``_polygon``, for m = 3 the triangles of
     ``_polyhedron``.  The hull is not checked against the generators: it
     only decides which rows ``_certified`` returns as themselves and where
-    ``_project_hull`` runs, and the certificate reads every generator.
+    ``_project_hull`` runs, and the certificate of a moved row reads every
+    generator.
     Returns (v, fan): the vertex indices in G and the ``_fan`` of G[v].
     """
     m = G.shape[1]
@@ -455,57 +467,64 @@ def _members(G: np.ndarray, P: np.ndarray, act: np.ndarray, lam: np.ndarray) -> 
 
 
 def _certified(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The one block loop behind ``project`` and ``is_extreme``.
+    """The one projection routine behind ``project`` and ``is_extreme``.
 
-    Projects each row of X (k, m) onto the hull of the rows of G,
-    certifies it against every row of G and counts it in the statistics,
-    on blocks of at most ``_BLOCK`` row x generator entries.  Rows with
-    m = 1 are clipped to [min G, max G], so they are members by
-    construction; the others must pass ``_members`` on their weights,
-    mapped back to G's rows.  The certificate is the only gate.  m = 2
-    generators that span a polygon and m = 3 ones that span a solid are
-    reduced once to the vertices of their hull (``_reduced_hull``), whose
-    fan is built once per call.  A row that ``_locate`` places in the fan
-    is its own projection, with the barycentric weights it finds there;
-    ``_project_hull`` runs on the vertices for the others.  A row whose
-    membership or certificate then fails is redone on all of G.  Any other
-    set runs on all of G.
+    Projects each row of X (k, m) onto the hull of the rows of G, certifies
+    it and counts every row once in the statistics.  Rows with m = 1 are
+    clipped to [min G, max G], so they are members by construction, and
+    their certificate reads only those two ends: the gap (x - Px) z is
+    monotone in z, and so is its rounding, so no other generator gives a
+    larger one.  For m >= 2, generators that span a polygon (m = 2) or a
+    solid (m = 3) are reduced once to the vertices of their hull
+    (``_reduced_hull``), whose fan is built once per call, and ``_locate``
+    runs on blocks of at most ``_BLOCK`` row x fan-simplex entries.  A row
+    it places is its own projection, with the barycentric weights it finds
+    there: at P = x every gap is exactly 0, so its slack is -cert with no
+    generator product.  Only the other rows run ``_project_hull`` on the
+    vertices and the certificate against every row of G, on blocks of at
+    most ``_BLOCK`` row x generator entries.  Every row must pass
+    ``_members`` on its weights, mapped back to G's rows; one whose
+    membership or certificate fails is redone on all of G.  Any other set
+    runs every row on all of G.
     """
-    P = X.copy()
-    cert = _CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
-    slack = np.empty(len(X))
-    member = np.ones(len(X), dtype=bool)
-    step = max(1, _BLOCK // len(G))
-    v, fan = _reduced_hull(G) or (np.arange(len(G)), None)
-    W = G[v]
     m = G.shape[1]
-    for s in range(0, len(X), step):
-        r = slice(s, s + step)
-        if m == 1:
-            P[r] = np.clip(X[r], G.min(), G.max())
-        else:
-            # a row that _locate places is its own projection; the certificate
-            # holds trivially at P = x, so _members on its weights is its check
-            Y = P[r]
-            act = np.full((len(Y), m + 2), -1)
-            lam = np.zeros(act.shape)
-            if fan is not None:
-                act[:, :m + 1], lam[:, :m + 1] = _locate(W, fan, Y)
-            out = np.flatnonzero(act[:, 0] < 0)
-            if len(out):
-                Y[out], act[out], lam[out] = _project_hull(W, Y[out])
-            member[r] = _members(G, Y, np.where(act >= 0, v[act], -1), lam)
-        slack[r] = _worst_gaps(G, X[r], P[r]) - cert[r]
+    cert = _CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max() + np.einsum("ij,ij->i", X, X))
+    if m == 1:
+        lo, hi = G.min(), G.max()
+        P = np.clip(X, lo, hi)
+        slack = _worst_gaps(np.array([[lo], [hi]]), X, P) - cert
+        member = np.ones(len(X), dtype=bool)
+    else:
+        v, fan = _reduced_hull(G) or (np.arange(len(G)), None)
+        W = G[v]
+        P = X.copy()
+        act = np.full((len(X), m + 2), -1)
+        lam = np.zeros(act.shape)
+        if fan is not None:
+            step = max(1, _BLOCK // len(fan[0]))
+            for s in range(0, len(X), step):
+                r = slice(s, s + step)
+                act[r, :m + 1], lam[r, :m + 1] = _locate(W, fan, X[r])
+        # a located row keeps P = x, where every gap is exactly 0
+        slack = -cert
+        step = max(1, _BLOCK // len(G))
+        out = np.flatnonzero(act[:, 0] < 0)
+        for s in range(0, len(out), step):
+            o = out[s:s + step]
+            P[o], act[o], lam[o] = _project_hull(W, X[o])
+            slack[o] = _worst_gaps(G, X[o], P[o]) - cert[o]
+        member = _members(G, P, np.where(act >= 0, v[act], -1), lam)
         if fan is not None:
             # the reduced hull is never checked: a wrong one, or a near-flat
             # solid whose rim some generators lie past, fails the rows it
             # misplaces here, and they start again on all of G
-            redo = s + np.flatnonzero(~member[r] | (slack[r] > 0.0))
-            if len(redo):
-                P[redo], act, lam = _project_hull(G, X[redo])
-                member[redo] = _members(G, P[redo], act, lam)
-                slack[redo] = _worst_gaps(G, X[redo], P[redo]) - cert[redo]
-        _STATS.record(slack[r])
+            redo = np.flatnonzero(~member | (slack > 0.0))
+            for s in range(0, len(redo), step):
+                o = redo[s:s + step]
+                P[o], act, lam = _project_hull(G, X[o])
+                member[o] = _members(G, P[o], act, lam)
+                slack[o] = _worst_gaps(G, X[o], P[o]) - cert[o]
+    _STATS.record(slack)
     if not member.all():
         i = int(np.argmin(member))
         raise CertificateError(
@@ -577,6 +596,10 @@ def is_extreme(points, index, tol: float) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"index must be a 1-D integer array, got {index.dtype} "
+                         f"of shape {index.shape}")
+    _check_tol("tol", tol)
     bad = (index < 0) | (index >= len(points))
     if bad.any():
         raise IndexError(f"index {index[bad].flat[0]} out of range [0, {len(points)})")

@@ -773,3 +773,11 @@ def load_mesh(path) -> Mesh:
         raise MeshFormatError(f"line {li + 1}: trailing content after simplex block")
 
     return Mesh(dim, vertices, elements)
+
+
+def _check_tol(name: str, tol) -> None:
+    """Raise ValueError unless ``tol`` is a finite number >= 0: the one
+    tolerance rule of the solver, the verifiers, ``is_extreme`` and the
+    command line."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse.linalg
 
-from .mesh import Mesh, _csr_diagonal, _csr_matvec
+from .mesh import Mesh, _check_tol, _csr_diagonal, _csr_matvec
 from .field import NodalField, BoundaryData, interpolate_boundary
 from .energy import (EnergyModel, SourceTerm, LumpedTerm, energy_value, residual,
                      p_dirichlet, _newton_weights)
@@ -251,12 +251,6 @@ def _harmonic_start(model, start, source):
                                   options={"SymmetricMode": True})
     r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)
     return _trial(start, -1.0, lu.solve(r))
-
-
-def _check_tol(name: str, tol) -> None:
-    """Raise ValueError unless ``tol`` is a finite number >= 0."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {tol}")
 
 
 def minimize(model: EnergyModel, mesh: Mesh, boundary: BoundaryData, m: int = 1,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _check_tol
 from .field import NodalField
 from .energy import EnergyModel, SourceTerm, p_dirichlet, _newton_weights
 from . import convex
@@ -114,6 +114,7 @@ def verify_chp(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> VerifyReport
     pass/fail.
     """
     _check_pair(mesh, field)
+    _check_tol("tol", tol)
     hull = convex.boundary_hull(field)
     return _interior_report(CHP, mesh, field, hull, tol, {}, {
         "interior_nodes": len(mesh.interior_nodes),
@@ -130,6 +131,7 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
     distances are those to the half-line (-inf, boundary max].
     """
     _check_pair(mesh, field)
+    _check_tol("tol", tol)
     if field.m != 1:
         raise ValueError("the maximum principle check needs a scalar field (m=1)")
     bmax = float(field.values[mesh.boundary_nodes, 0].max())
@@ -148,6 +150,7 @@ def verify_hull_with_zero(mesh: Mesh, field: NodalField, tol: float = 1e-8) -> V
     escape the plain boundary hull is ``verify_chp``'s violation.
     """
     _check_pair(mesh, field)
+    _check_tol("tol", tol)
     hull = convex.hull_with_origin(field.values[mesh.boundary_nodes])
     return _interior_report(HULL_WITH_ZERO, mesh, field, hull, tol, {},
                             {"hull_generators": len(hull.generators)})
@@ -184,6 +187,7 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     beta_0 - sum_y beta_y is the row sum of B.
     """
     _check_pair(mesh, field)
+    _check_tol("tol", tol)
     if model is None:
         model = p_dirichlet(2.0)
     angle = mesh.angle_report()
@@ -247,6 +251,7 @@ def verify_lemma_pos(mesh: Mesh, field: NodalField, K, tol: float = 1e-10) -> Ve
     both; the violation is the worse of the two on the worst element.
     """
     _check_pair(mesh, field)
+    _check_tol("tol", tol)
     angle = mesh.angle_report()
     gV, nv = field._norms
     gP, nP = field.with_values(convex.project(K, field.values))._norms

@@ -194,6 +194,21 @@ def test_near_duplicate_generators_are_kept():
     assert certificate_stats().worst_slack <= 0.0
 
 
+
+def test_repeats_go_as_np_unique_finds_them():
+    # integer-valued clouds with many repeats, some entries negated, so
+    # that -0.0 and 0.0 both occur: they compare equal, and the first
+    # occurrence is kept with its own sign
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 3):
+        for _ in range(30):
+            pts = rng.integers(-2, 3, (int(rng.integers(1, 60)), m)).astype(float)
+            pts[rng.random(pts.shape) < 0.3] *= -1.0
+            _, first = np.unique(pts, axis=0, return_index=True)
+            assert finite_hull(pts).generators.tobytes() == pts[np.sort(first)].tobytes()
+    K = finite_hull([[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0]])
+    assert K.generators.tobytes() == np.array([[-0.0, 1.0], [1.0, -0.0]]).tobytes()
+
 def test_polygon_keeps_the_corners():
     # the unit square's corners, listed counter-clockwise among its edge
     # midpoints and some interior points
@@ -369,8 +384,8 @@ def test_the_fan_is_built_once_per_call(m, monkeypatch):
     K = finite_hull(rng.uniform(-1.0, 1.0, (30, m)))
     X = np.vstack([rng.uniform(-0.3, 0.3, (20, m)), 3.0 * rng.normal(size=(10, m))])
     ref = _project_hull(K.generators, X)[0]
-    # blocks of 8 rows: four of them
-    monkeypatch.setattr(convex, "_BLOCK", 8 * len(K.generators))
+    # _locate runs on blocks of 8 rows x fan simplices: four of them
+    monkeypatch.setattr(convex, "_BLOCK", 8 * len(_fan_of(K.generators)[2][0]))
     built, located = [], []
     _spy(monkeypatch, "_fan", built)
     _spy(monkeypatch, "_locate", located)
@@ -378,8 +393,33 @@ def test_the_fan_is_built_once_per_call(m, monkeypatch):
         built.clear()
         located.clear()
         assert_allclose(project(K, X), ref, rtol=0.0, atol=1e-13)
-        assert len(built) == 1 and len(located) == 4
+        assert len(built) == 1
+        assert [len(args[2]) for args in located] == [8, 8, 8, 6]
 
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_certificate_reads_only_the_rows_that_move(m, monkeypatch):
+    # a located row is its own projection and its gaps are exactly 0, so
+    # the certificate reads G only for the rows _project_hull moved; an
+    # interval's certificate reads its two ends
+    rng = np.random.default_rng(60 + m)
+    K = finite_hull(rng.uniform(-1.0, 1.0, (40, m)))
+    X = np.vstack([rng.uniform(-0.3, 0.3, (30, m)), 3.0 + rng.uniform(0.0, 1.0, (10, m))])
+    moved, read = [], []
+    _spy(monkeypatch, "_project_hull", moved)
+    _spy(monkeypatch, "_worst_gaps", read)
+    P = project(K, X)
+    if m == 1:
+        assert moved == []
+        ((ends, rows, _),) = read
+        assert ends.tolist() == [[K.generators.min()], [K.generators.max()]]
+        assert rows.tobytes() == X.tobytes()
+    else:
+        assert [args[1].tobytes() for args in read] == [args[1].tobytes() for args in moved]
+        assert all(len(args[0]) == len(K.generators) for args in read)
+        assert np.vstack([args[1] for args in read]).tobytes() == X[30:].tobytes()
+        assert (P[:30] == X[:30]).all()
 
 def test_a_thin_triangle_with_an_empty_fan_goes_down_the_plain_path(monkeypatch):
     G = np.array(_EMPTY_FAN)
@@ -635,6 +675,8 @@ def test_is_extreme():
                        [0.5, 0.5], [0.5, 0.0]])
     # corners, then the centroid and an edge midpoint
     assert is_extreme(square, np.arange(6), tol=1e-9).tolist() == [True] * 4 + [False] * 2
+    # tol 0 is a tolerance like any other
+    assert is_extreme(square, np.arange(6), tol=0.0).tolist() == [True] * 4 + [False] * 2
 
 
 def _is_extreme_alone(points, index, tol):
@@ -724,6 +766,7 @@ def test_census_matches_per_node_reference(name, monkeypatch):
             is_extreme(points, np.append(index, bad), _TOL)
 
 
+
 def _sweep_sets():
     """(name, points) for the conditioning sweep of ``project`` and the census."""
     rng = np.random.default_rng(2028)
@@ -771,6 +814,79 @@ def test_ill_conditioned_sets_are_certified_and_census_matches(name, points):
     expect = [_is_extreme_alone(points, i, _TOL) for i in index]
     assert is_extreme(points, index, _TOL).tolist() == expect
 
+
+
+def _certified_on_every_generator(G, X):
+    """The projection of ``_certified`` with every row certified against
+    every generator in one block: the reference for the products it
+    skips.  Returns (P, slack)."""
+    m = G.shape[1]
+    cert = convex._CERT_REL_TOL * (np.einsum("ij,ij->i", G, G).max()
+                                   + np.einsum("ij,ij->i", X, X))
+    P = np.clip(X, G.min(), G.max()) if m == 1 else X.copy()
+    fan = None
+    if m > 1:
+        v, fan = convex._reduced_hull(G) or (np.arange(len(G)), None)
+        act = np.full((len(X), m + 2), -1)
+        lam = np.zeros(act.shape)
+        if fan is not None:
+            act[:, :m + 1], lam[:, :m + 1] = convex._locate(G[v], fan, X)
+        out = np.flatnonzero(act[:, 0] < 0)
+        P[out], act[out], lam[out] = _project_hull(G[v], X[out])
+        member = _members(G, P, np.where(act >= 0, v[act], -1), lam)
+    slack = _worst_gaps(G, X, P) - cert
+    if fan is not None:
+        redo = np.flatnonzero(~member | (slack > 0.0))
+        P[redo] = _project_hull(G, X[redo])[0]
+        slack[redo] = _worst_gaps(G, X[redo], P[redo]) - cert[redo]
+    return P, slack
+
+
+def _equivalence_cases():
+    """(name, generators, rows) for the skipped-product equivalence."""
+    rng = np.random.default_rng(2032)
+    for m in (1, 2, 3):
+        for n in (1, 2, 5, 40):
+            G = rng.uniform(-1.0, 1.0, (n, m))
+            w = rng.dirichlet(np.ones(n), 15)
+            yield f"random-{n}-m{m}", G, np.vstack([
+                G,                                      # on the generators
+                w @ G,                                  # inside: x - Px = 0
+                G.mean(axis=0) + rng.normal(size=(15, m)),
+                3.0 * rng.normal(size=(5, m)),
+            ])
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [2.0, -0.0], [-0.0, 3.0]])
+    yield "signed-zeros-m1", np.array([[-0.0], [0.0], [1.0]]), np.vstack([zeros[:, :1], [[-2.0]]])
+    yield "signed-zeros-m2", np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 1.0], [1.0, 1.0]]), zeros
+    yield "signed-zeros-m3", np.array([[-0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.0, 1.0, 0.0],
+                                       [0.0, -0.0, 1.0]]), np.column_stack([zeros, -zeros[:, 0]])
+    for name, points in _sweep_sets():
+        scale = np.abs(points).max()
+        yield name, points, np.vstack([points, scale * rng.uniform(-2.0, 2.0, (10, points.shape[1]))])
+
+
+@pytest.mark.parametrize("name, G, X", list(_equivalence_cases()),
+                         ids=[name for name, _, _ in _equivalence_cases()])
+def test_skipped_products_leave_every_bit(name, G, X, monkeypatch):
+    # a located row and an interval's inner generators add nothing to the
+    # certificate: projections, per-row slacks and statistics are bitwise
+    # those of the reference that reads every generator for every row; the
+    # set is taken as given, repeats and signed zeros included
+    K = convex.ConvexSet(m=G.shape[1], generators=G)
+    P, slack = _certified_on_every_generator(G, X)
+    recorded = []
+
+    class Kept(convex.CertificateStats):
+        def record(self, slacks):
+            recorded.append(slacks.copy())
+            super().record(slacks)
+
+    stats = Kept()
+    monkeypatch.setattr(convex, "_STATS", stats)
+    assert project(K, X).tobytes() == P.tobytes()
+    assert np.concatenate(recorded).tobytes() == slack.tobytes()
+    assert stats.projections == len(X)
+    assert repr(stats.worst_slack) == repr(float(slack.max()))
 
 @pytest.mark.parametrize("name", ["circle", "random-m2", "random-m3"])
 def test_a_census_hull_missing_a_vertex_matches_the_reference(name, monkeypatch):
@@ -1019,11 +1135,23 @@ def test_dimension_mismatch():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: finite_hull(np.zeros((0, 2))), "hull needs at least one generator point"),
+    (lambda: finite_hull(np.zeros((3, 0))), "hull generators need at least one coordinate"),
     (lambda: finite_hull([[0.0, np.nan], [1.0, 0.0]]),
      "hull generators contain non-finite entries"),
     (lambda: project(finite_hull([[0.0, 0.0], [1.0, 0.0]]), [np.inf, 0.0]),
      "cannot project a non-finite point"),
-], ids=["no-generators", "non-finite-generator", "non-finite-point"])
+    (lambda: is_extreme(np.eye(3), 1, _TOL), "index must be a 1-D integer array"),
+    (lambda: is_extreme(np.eye(3), np.array([[0, 1]]), _TOL), "index must be a 1-D integer array"),
+    (lambda: is_extreme(np.eye(3), np.array([0.0, 1.0]), _TOL),
+     "index must be a 1-D integer array"),
+    (lambda: is_extreme(np.eye(3), np.array([True, False, True]), _TOL),
+     "index must be a 1-D integer array"),
+    (lambda: is_extreme(np.eye(3), np.arange(3), np.nan), "tol must be a finite number >= 0"),
+    (lambda: is_extreme(np.eye(3), np.arange(3), -1.0), "tol must be a finite number >= 0"),
+    (lambda: is_extreme(np.eye(3), np.arange(3), np.inf), "tol must be a finite number >= 0"),
+], ids=["no-generators", "no-coordinates", "non-finite-generator", "non-finite-point",
+        "scalar-index", "2-d-index", "float-index", "bool-index", "nan-tol", "negative-tol",
+        "infinite-tol"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

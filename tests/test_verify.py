@@ -314,6 +314,29 @@ def test_mismatched_mesh_field_rejected(right2d_n4, right2d_n2):
         verify_chp(right2d_n4, f)
 
 
+
+_VERIFIERS = {
+    "chp": lambda mesh, f, tol: verify_chp(mesh, f, tol=tol),
+    "dmp": lambda mesh, f, tol: verify_dmp(mesh, f, tol=tol),
+    "hull0": lambda mesh, f, tol: verify_hull_with_zero(mesh, f, tol=tol),
+    "strong-chp": lambda mesh, f, tol: verify_strong_chp(mesh, f, tol=tol),
+    "lemma-pos": lambda mesh, f, tol: verify_lemma_pos(
+        mesh, f, convex.finite_hull([[-0.5], [0.5]]), tol=tol),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_VERIFIERS))
+def test_verifiers_refuse_a_tolerance_that_is_no_finite_number_ge_0(theorem, right2d_n4):
+    # a NaN tol failed every report at violation 0, and an infinite one
+    # passed any field
+    vals = np.random.default_rng(5).uniform(-1.0, 1.0, (right2d_n4.num_vertices, 1))
+    f = NodalField(right2d_n4, vals)
+    check = _VERIFIERS[theorem]
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            check(right2d_n4, f, tol)
+    assert check(right2d_n4, f, 0.0).tol == 0.0
+
 def test_meshes_without_interior_nodes():
     # zero rows to project: both checks pass and no projection is counted
     for gen in ("right2d", "kuhn3d"):
