@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import (Mesh, GENERATORS, _check_tol, _max_interior_coupling, build_structured_mesh,
+from .mesh import (Mesh, GENERATORS, _check_tol, _max_coupling, build_structured_mesh,
                    load_mesh, save_mesh)
 from .field import NodalField, BoundaryData, load_field, save_field
 from .energy import parse_energy, SourceTerm, LumpedTerm
@@ -164,7 +164,8 @@ def cmd_mesh_info(args) -> int:
     print(f"worst_gradient_dot = {_fmt(rep.worst_dot)} "
           f"(element {rep.worst_element}, local pair {rep.worst_pair})")
     print(f"every_element_touches_interior = {rep.every_element_touches_interior}")
-    print(f"max_interior_coupling = {_fmt(_max_interior_coupling(mesh))} "
+    K = mesh._stiffness(mesh.volumes, interior=False)
+    print(f"max_interior_coupling = {_fmt(_max_coupling(K, mesh.interior_nodes))} "
           f"(z-matrix rows when <= 0)")
     return EXIT_OK
 

@@ -105,6 +105,16 @@ class ConvexSet:
     generators: np.ndarray
 
 
+def _point_rows(points) -> np.ndarray:
+    """``points`` as a float (k, m) array, one point a row; a 1-D array is
+    refused rather than read as one point, since a field reads it as k
+    scalar values."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a (k, m) array, got shape {points.shape}")
+    return points
+
+
 def finite_hull(points) -> ConvexSet:
     """Convex hull of finitely many points in R^m (m >= 1).
 
@@ -113,8 +123,8 @@ def finite_hull(points) -> ConvexSet:
     0.0 compare equal.  One stable ``np.lexsort`` over the columns puts
     each row's repeats right after it.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[0] == 0:
+    points = _point_rows(points)
+    if points.shape[0] == 0:
         raise ValueError("hull needs at least one generator point")
     if points.shape[1] == 0:
         raise ValueError("hull generators need at least one coordinate (m >= 1)")
@@ -131,7 +141,7 @@ def finite_hull(points) -> ConvexSet:
 
 def hull_with_origin(points) -> ConvexSet:
     """Convex hull of the given points together with the origin."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_rows(points)
     return finite_hull(np.vstack([points, np.zeros((1, points.shape[1]))]))
 
 
@@ -594,7 +604,7 @@ def is_extreme(points, index, tol: float) -> np.ndarray:
     projected onto the hull of the generators farther than tol from them;
     one with none is extreme.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_rows(points)
     index = np.asarray(index)
     if index.ndim != 1 or index.dtype.kind not in "iu":
         raise ValueError(f"index must be a 1-D integer array, got {index.dtype} "

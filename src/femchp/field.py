@@ -36,9 +36,9 @@ class NodalField:
         values = np.array(values, dtype=float, order="C")
         if values.ndim == 1:
             values = values[:, None]
-        if values.ndim != 2 or values.shape[0] != mesh.num_vertices:
+        if values.ndim != 2 or values.shape[0] != mesh.num_vertices or values.shape[1] == 0:
             raise ValueError(
-                f"values must have shape ({mesh.num_vertices}, m), got {values.shape}"
+                f"values must have shape ({mesh.num_vertices}, m), m >= 1, got {values.shape}"
             )
         if not np.isfinite(values).all():
             raise ValueError("field values contain non-finite entries")

@@ -109,7 +109,10 @@ class Mesh:
         # private copies: elements are reoriented in place and both arrays
         # are frozen below, which must not reach the caller's arrays
         vertices = np.array(vertices, dtype=float, order="C")
-        elements = np.array(elements, dtype=np.int64, order="C")
+        index = np.asarray(elements)
+        elements = np.array(index, dtype=np.int64, order="C")
+        if index.dtype.kind == "f" and (elements != index).any():
+            raise ValueError("element vertex indices must be integers")
         if vertices.ndim != 2 or vertices.shape[1] != dim:
             raise ValueError(f"vertices must have shape (V, {dim}), got {vertices.shape}")
         if elements.ndim != 2 or elements.shape[1] != dim + 1:
@@ -571,18 +574,18 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     )
 
 
-def _max_interior_coupling(mesh: Mesh) -> float:
-    """Largest K[z, y] / K[z, z] over interior vertices z and their
-    neighbours y != z, K the unit-coefficient P1 stiffness; -inf without
-    interior vertices.  A ratio within 1e-12 of 0, the tie tolerance of
-    ``classify_mesh``, is the rounding of an exact zero and reads as 0.  In
-    2D it is <= 0 exactly when every pair of angles opposite an edge at an
-    interior vertex sums to at most pi."""
-    K = mesh._stiffness(mesh.volumes, interior=False)
+def _max_coupling(K, rows) -> float:
+    """Largest K[z, y] / K[z, z] over z in ``rows`` and neighbours y != z of
+    a symmetric K on all vertices, K[z, z] > 0 on ``rows``; -inf for no rows.
+    It is <= 0 exactly on Z-matrix rows.  A ratio within 1e-12 of 0, the tie
+    tolerance of ``classify_mesh``, is the rounding of an exact zero and reads
+    as 0.  For the unit-coefficient stiffness at interior vertices in 2D, it
+    is <= 0 exactly when every two angles opposite an edge sum to at most pi."""
     # K is symmetric, so column z of its CSC arrays is row z
-    z = np.repeat(np.arange(mesh.num_vertices), np.diff(K.indptr))
-    off = ~mesh.is_boundary[z] & (K.indices != z)
-    ratio = K.data[off] / K.diagonal()[z[off]]
+    diag = _csr_diagonal(K.indptr, K.indices, K.data)
+    z = np.repeat(np.arange(len(diag)), np.diff(K.indptr))
+    off = np.isin(z, rows) & (K.indices != z)
+    ratio = K.data[off] / diag[z[off]]
     ratio = np.where(np.abs(ratio) <= _ANGLE_REL, 0.0, ratio)
     return float(ratio.max(initial=-np.inf))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .mesh import Mesh, _check_tol
+from .mesh import Mesh, _check_tol, _csr_diagonal, _csr_matvec, _max_coupling
 from .field import NodalField
 from .energy import EnergyModel, SourceTerm, p_dirichlet, _newton_weights
 from . import convex
@@ -134,6 +134,8 @@ def verify_dmp(mesh: Mesh, field: NodalField, source: SourceTerm | None = None,
     _check_tol("tol", tol)
     if field.m != 1:
         raise ValueError("the maximum principle check needs a scalar field (m=1)")
+    if source is not None:
+        source.check(mesh)
     bmax = float(field.values[mesh.boundary_nodes, 0].max())
     vmin = float(field.values[:, 0].min())
     return _interior_report(
@@ -198,16 +200,13 @@ def verify_strong_chp(mesh: Mesh, field: NodalField, tol: float = 1e-9,
     extreme = interior[convex.is_extreme(values, interior, tol)]
 
     B = beta_weights(mesh, field, model)
-    diag = B.diagonal()
-    row_sums = np.asarray(B.sum(axis=1)).ravel()[interior]
-    beta0 = diag[interior]
-    ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(beta0), 1e-300))
+    diag = _csr_diagonal(B.indptr, B.indices, B.data)
+    row_sums = _csr_matvec(B.indptr, B.indices, B.data, np.ones(len(diag)))[interior]
+    ident_worst = float((np.abs(row_sums) / np.maximum(np.abs(diag[interior]), 1e-300))
                         .max(initial=0.0))
-    # lambda_y = -B[y, z] / B[z, z] >= 0 at each extreme z with B[z, z] > 0;
+    # lambda_y = -B[z, y] / B[z, z] >= 0 at each extreme z with B[z, z] > 0;
     # they sum to 1 - (row sum) / beta_0, which the identity test bounds
-    col = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
-    at = np.isin(col, extreme) & (B.indices != col) & (diag[col] > 0.0)
-    lam_ok = bool((-B.data[at] / diag[col[at]] >= -1e-10).all())
+    lam_ok = _max_coupling(B, extreme[diag[extreme] > 0.0]) <= 1e-10
 
     if len(extreme):
         spread = float((values.max(axis=0) - values.min(axis=0)).max())

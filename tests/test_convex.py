@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -1149,9 +1150,14 @@ def test_dimension_mismatch():
     (lambda: is_extreme(np.eye(3), np.arange(3), np.nan), "tol must be a finite number >= 0"),
     (lambda: is_extreme(np.eye(3), np.arange(3), -1.0), "tol must be a finite number >= 0"),
     (lambda: is_extreme(np.eye(3), np.arange(3), np.inf), "tol must be a finite number >= 0"),
+    (lambda: finite_hull([0.0, 1.0]), re.escape("points must be a (k, m) array, got shape (2,)")),
+    (lambda: hull_with_origin([0.0, 1.0]),
+     re.escape("points must be a (k, m) array, got shape (2,)")),
+    (lambda: is_extreme(np.array([0.0, 1.0]), np.arange(1), _TOL),
+     re.escape("points must be a (k, m) array, got shape (2,)")),
 ], ids=["no-generators", "no-coordinates", "non-finite-generator", "non-finite-point",
         "scalar-index", "2-d-index", "float-index", "bool-index", "nan-tol", "negative-tol",
-        "infinite-tol"])
+        "infinite-tol", "1-d-hull", "1-d-hull-with-origin", "1-d-extreme"])
 def test_bad_input_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

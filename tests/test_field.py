@@ -26,6 +26,9 @@ def test_field_shape_checks(right2d_n2):
         NodalField(right2d_n2, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         NodalField(right2d_n2, np.full((9, 1), np.nan))
+    with pytest.raises(ValueError, match=re.escape("values must have shape (9, m), m >= 1, "
+                                                   "got (9, 0)")):
+        NodalField(right2d_n2, np.zeros((9, 0)))
     f = NodalField(right2d_n2, np.zeros(9))     # 1d input becomes (V, 1)
     assert f.values.shape == (9, 1)
     assert f.m == 1

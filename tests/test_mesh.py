@@ -19,7 +19,7 @@ from femchp.mesh import (
     MeshFormatError,
     NON_OBTUSE,
     OBTUSE,
-    _max_interior_coupling,
+    _max_coupling,
     build_structured_mesh,
     classify_mesh,
     load_mesh,
@@ -723,6 +723,44 @@ def _coupling_reference(mesh, opposite):
                default=-np.inf)
 
 
+def _interior_coupling(mesh):
+    """The coupling that mesh-info prints: the unit-coefficient stiffness
+    read at the interior vertices."""
+    return _max_coupling(mesh._stiffness(mesh.volumes, interior=False), mesh.interior_nodes)
+
+
+def _dense_coupling(mesh, K, rows):
+    """max K[z, y] / K[z, z] over z in rows and the y != z sharing an
+    element with z, from the dense matrix and the element list, with the
+    same 1e-12 reading of zero."""
+    D = K.toarray()
+    best = -np.inf
+    for z in rows:
+        around = np.unique(mesh.elements[(mesh.elements == z).any(axis=1)])
+        for y in around[around != z]:
+            r = D[z, y] / D[z, z]
+            best = max(best, 0.0 if abs(r) <= 1e-12 else r)
+    return best
+
+
+@pytest.mark.parametrize("model", [p_dirichlet(2.0), p_dirichlet(3.0), mean_curvature()],
+                         ids=["p2", "p3", "mean-curvature"])
+@pytest.mark.parametrize("spec", [("equilateral2d", 4), ("obtuse2d", 4), ("kuhn3d", 3)])
+def test_max_coupling_is_the_dense_maximum(spec, model):
+    mesh = build_structured_mesh(*spec)
+    rng = np.random.default_rng(33)
+    values = rng.uniform(-1.0, 1.0, (mesh.num_vertices, 2))
+    B = beta_weights(mesh, NodalField(mesh, values), model)
+    positive = np.flatnonzero(B.diagonal() > 0.0)
+    assert _max_coupling(B, positive[:0]) == -np.inf
+    assert _max_coupling(B, []) == -np.inf
+    for size in (1, 3, len(positive) // 2, len(positive)):
+        rows = np.sort(rng.choice(positive, size, replace=False))
+        assert _max_coupling(B, rows) == _dense_coupling(mesh, B, rows), f"{size} rows"
+    K = mesh._stiffness(mesh.volumes, interior=False)
+    assert _interior_coupling(mesh) == _dense_coupling(mesh, K, mesh.interior_nodes)
+
+
 def test_angle_report_details():
     rep = classify_mesh(build_structured_mesh("right2d", 2))
     assert rep.is_non_obtuse and not rep.is_acute
@@ -749,21 +787,21 @@ def test_angle_report_details():
                    ("crisscross2d", 6), ("equilateral2d", 3), ("equilateral2d", 7)):
         mesh = build_structured_mesh(gen, n)
         opposite = _opposite_angles(mesh)
-        x = _max_interior_coupling(mesh)
+        x = _interior_coupling(mesh)
         # the displaced vertex breaks the Delaunay property
         assert (max(map(sum, opposite.values())) > np.pi + 1e-9) == (gen == "obtuse2d")
         assert (x > 1e-12) == (gen == "obtuse2d"), f"{gen}:{n}"
         assert_allclose(x, _coupling_reference(mesh, opposite), rtol=0.0, atol=1e-14,
                         err_msg=f"{gen}:{n}")
 
-    assert _max_interior_coupling(build_structured_mesh("right2d", 8)) == 0.0
-    assert _max_interior_coupling(build_structured_mesh("equilateral2d", 4)) < 0.0
-    assert _max_interior_coupling(build_structured_mesh("obtuse2d", 4)) > 0.0
+    assert _interior_coupling(build_structured_mesh("right2d", 8)) == 0.0
+    assert _interior_coupling(build_structured_mesh("equilateral2d", 4)) < 0.0
+    assert _interior_coupling(build_structured_mesh("obtuse2d", 4)) > 0.0
     # one value in any dimension; the rounding of an exact zero reads as 0
     for gen, n in (("crisscross2d", 3), ("kuhn3d", 3), ("kuhn3d", 6)):
-        assert _max_interior_coupling(build_structured_mesh(gen, n)) == 0.0, f"{gen}:{n}"
+        assert _interior_coupling(build_structured_mesh(gen, n)) == 0.0, f"{gen}:{n}"
     # no interior vertex, no coupling
-    assert _max_interior_coupling(build_structured_mesh("right2d", 1)) == -np.inf
+    assert _interior_coupling(build_structured_mesh("right2d", 1)) == -np.inf
 
 
 def test_interior_coupling_sign_matches_opposite_angle_sums():
@@ -783,7 +821,7 @@ def test_interior_coupling_sign_matches_opposite_angle_sums():
         assert_allclose(mesh.volumes.sum(), base.volumes.sum(), rtol=1e-12)
         opposite = _opposite_angles(mesh)
         broken.append(max(map(sum, opposite.values())) > np.pi + 1e-9)
-        x = _max_interior_coupling(mesh)
+        x = _interior_coupling(mesh)
         assert (x > 1e-12) == broken[-1], f"trial {trial}"
         assert_allclose(x, _coupling_reference(mesh, opposite), rtol=0.0, atol=1e-12)
     # moved right2d and crisscross2d meshes all break it, equilateral2d ones not all
@@ -814,10 +852,18 @@ _TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (2, [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]], [[0, 1, 2]],
      "vertices contain non-finite coordinates"),
     (2, _TRIANGLE, np.zeros((0, 3), dtype=int), "mesh has no elements"),
-], ids=["dim", "vertex-shape", "element-shape", "non-finite", "no-elements"])
+    (2, _TRIANGLE, [[0, 1.7, 2]], "element vertex indices must be integers"),
+], ids=["dim", "vertex-shape", "element-shape", "non-finite", "no-elements",
+        "fractional-index"])
 def test_mesh_input_is_refused_with_its_message(dim, vertices, elements, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Mesh(dim, vertices, elements)
+
+
+def test_integral_float_indices_are_read_as_integers():
+    mesh = Mesh(2, _TRIANGLE, [[0.0, 1.0, 2.0]])
+    assert mesh.elements.dtype == np.int64
+    assert_array_equal(mesh.elements, [[0, 1, 2]])
 
 
 def test_save_load_roundtrip_exact(tmp_path):

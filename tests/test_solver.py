@@ -27,6 +27,7 @@ import femchp.solver as solver_module
 from femchp.solver import (
     LineSearchError,
     _backtrack,
+    _relative_decrease,
     _pcg,
     assemble_hessian,
     minimize,
@@ -880,6 +881,39 @@ def test_oracle_refuses_a_source_on_a_vector_field(right2d_n4):
     src = SourceTerm.constant(right2d_n4, -1.0)
     with pytest.raises(ValueError, match=r"source terms are only defined for scalar fields \(m=1\)"):
         solve_quadratic_oracle(right2d_n4, BoundaryData.sin_product(), source=src, m=2)
+
+
+def _broken_grams(change):
+    """A ``Mesh.gradient_grams`` property whose arrays pass through
+    ``change`` first, so the oracle assembles a broken stiffness."""
+    real = Mesh.gradient_grams.fget
+    return property(lambda mesh: change(real(mesh).copy()))
+
+
+def _skew(g):
+    g[:, 0, 1] += 1.0
+    return g
+
+
+@pytest.mark.parametrize("grams, message", [
+    (_broken_grams(_skew), "stiffness assembly is not symmetric"),
+    (_broken_grams(np.zeros_like), "interior stiffness has a non-positive diagonal entry"),
+], ids=["asymmetric", "zero-diagonal"])
+def test_oracle_refuses_a_broken_stiffness(monkeypatch, right2d_n4, grams, message):
+    monkeypatch.setattr(Mesh, "gradient_grams", grams)
+    with pytest.raises(RuntimeError, match=message):
+        solve_quadratic_oracle(right2d_n4, BoundaryData.sin_product())
+
+
+def test_oracle_reports_a_failed_cg(monkeypatch, right2d_n4):
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda op, rhs, **kw: (rhs, 7))
+    with pytest.raises(RuntimeError, match=r"conjugate gradients failed \(info 7\)"):
+        solve_quadratic_oracle(right2d_n4, BoundaryData.sin_product())
+
+
+def test_relative_decrease_of_two_zero_energies_is_zero():
+    assert _relative_decrease(0.0, 0.0) == 0.0
+    assert _relative_decrease(2.0, 1.0) == 0.5
 
 
 def test_oracle_refuses_wrong_energy(right2d_n4):

@@ -79,6 +79,12 @@ def test_dmp_rejects_vector_fields(right2d_n4):
         verify_dmp(right2d_n4, f)
 
 
+def test_dmp_checks_its_source_against_the_mesh(right2d_n4):
+    f = NodalField(right2d_n4, np.zeros(right2d_n4.num_vertices))
+    with pytest.raises(ValueError, match="source has 5 entries, mesh has 32 elements"):
+        verify_dmp(right2d_n4, f, source=SourceTerm(np.full(5, -1.0)))
+
+
 def test_dmp_gates_on_positive_source(right2d_n4):
     src = SourceTerm.constant(right2d_n4, 0.5)
     f = NodalField(right2d_n4, np.zeros(right2d_n4.num_vertices))
