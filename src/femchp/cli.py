@@ -133,14 +133,6 @@ def parse_source(text: str, mesh: Mesh) -> SourceTerm:
     raise ValueError(f"unknown source spec {text!r} (use const:VALUE or file:PATH)")
 
 
-def _mesh_from_args(args) -> Mesh:
-    if getattr(args, "mesh", None):
-        return load_mesh(args.mesh)
-    if getattr(args, "generator", None):
-        return build_structured_mesh(args.generator, args.resolution)
-    raise ValueError("provide either --mesh FILE or --generator NAME with --resolution N")
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -171,9 +163,10 @@ def cmd_mesh_info(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    mesh = _mesh_from_args(args)
-    coeff = _load_element_values(args.coeff, mesh) if args.coeff else None
-    model = parse_energy(args.energy, coeff=coeff)
+    mesh = load_mesh(args.mesh)
+    model = parse_energy(args.energy)
+    if args.coeff:
+        model = model.with_coeff(_load_element_values(args.coeff, mesh))
     bc = parse_bc(args.bc)
     source = parse_source(args.source, mesh) if args.source else None
     lumped = LumpedTerm.from_mesh(mesh, args.lumped_q) if args.lumped_q is not None else None
@@ -389,6 +382,9 @@ def cmd_experiment(args) -> int:
         spec = parse_experiment_spec(fh.read())
     if args.out:
         spec["out"] = args.out
+    threads = os.environ.get("FEMCHP_THREADS", "1")
+    if not threads.strip().isdecimal() or int(threads) < 1:
+        raise ValueError(f"FEMCHP_THREADS must be an integer >= 1, got {threads!r}")
 
     meshes = {}
     for name, res in spec["generators"]:
@@ -405,12 +401,10 @@ def cmd_experiment(args) -> int:
         for seed in spec["seeds"]
     ]
 
-    threads = max(1, int(os.environ.get("FEMCHP_THREADS", "1")))
-
     def run(combo):
         return _run_combo(spec, meshes[combo[:2]], combo)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         done = list(pool.map(run, combos))
 
     rows = [row for combo_rows, _, _ in done for row in combo_rows]
@@ -446,9 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mesh_info)
 
     p = sub.add_parser("solve", help="minimise an energy and write the field")
-    p.add_argument("--mesh")
-    p.add_argument("--generator", choices=sorted(GENERATORS))
-    p.add_argument("--resolution", "-n", type=int, default=4)
+    p.add_argument("--mesh", required=True)
     p.add_argument("--energy", default="p-laplace:p=2")
     p.add_argument("--bc", required=True, help="boundary data (see parse_bc)")
     p.add_argument("-m", "--m", dest="m", type=int, default=1,
@@ -469,9 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--source", help="const:VALUE or file:PATH (dmp hypothesis)")
     p.add_argument("--energy", help="energy model (strong-chp weights)")
-    p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
-                   help="scalar interval target set (lemma-pos)")
-    p.add_argument("--set-file", help="target set generators in field format (lemma-pos)")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
+                        help="scalar interval target set (lemma-pos)")
+    target.add_argument("--set-file", help="target set generators in field format (lemma-pos)")
     p.add_argument("--csv", help="append a result row to this CSV")
     p.set_defaults(func=cmd_verify)
 

@@ -45,7 +45,7 @@ class EnergyModel:
     a(t) = F'(t)/t is the nonlinearity weight in the first variation; it is
     nonnegative for monotone F.  Profiles need F'(0) = 0, so a(0) is the
     limit F''(0), read from ``a0``; ``a`` itself is evaluated only at t > 0.
-    ``coeff`` holds optional positive per-element multipliers c_T.
+    ``coeff``: optional per-element multipliers c_T, attached only by ``with_coeff``.
     """
 
     name: str
@@ -67,8 +67,8 @@ class EnergyModel:
         coeff = np.asarray(coeff, dtype=float)
         if coeff.ndim != 1:
             raise ValueError("coefficient table must be one dimensional")
-        if not (coeff > 0).all():
-            raise ValueError("element coefficients must be positive")
+        if not ((coeff > 0) & np.isfinite(coeff)).all():
+            raise ValueError("element coefficients must be finite and positive")
         return replace(self, coeff=coeff)
 
     def element_weights(self, mesh: Mesh) -> np.ndarray:
@@ -84,7 +84,7 @@ class EnergyModel:
         return mesh.volumes * self.coeff
 
 
-def p_dirichlet(p: float, coeff=None) -> EnergyModel:
+def p_dirichlet(p: float) -> EnergyModel:
     """F(t) = t^p / p for 1 < p < infinity."""
     p = float(p)
     if not 1.0 < p < np.inf:
@@ -99,11 +99,10 @@ def p_dirichlet(p: float, coeff=None) -> EnergyModel:
     def a(t):
         return np.power(t, p - 2.0)
 
-    model = EnergyModel(name=f"p-laplace:p={p:g}", F=F, F_tt=F_tt, a=a)
-    return model.with_coeff(coeff) if coeff is not None else model
+    return EnergyModel(name=f"p-laplace:p={p:g}", F=F, F_tt=F_tt, a=a)
 
 
-def mean_curvature(coeff=None) -> EnergyModel:
+def mean_curvature() -> EnergyModel:
     """F(t) = sqrt(1 + t^2), the area integrand of a graph."""
 
     def F(t):
@@ -115,8 +114,7 @@ def mean_curvature(coeff=None) -> EnergyModel:
     def a(t):
         return 1.0 / np.sqrt(1.0 + t ** 2)
 
-    model = EnergyModel(name="mean-curvature", F=F, F_tt=F_tt, a=a)
-    return model.with_coeff(coeff) if coeff is not None else model
+    return EnergyModel(name="mean-curvature", F=F, F_tt=F_tt, a=a)
 
 
 # name: (F, F'', a)
@@ -128,7 +126,7 @@ _ORLICZ = {
 }
 
 
-def orlicz(psi: str, coeff=None) -> EnergyModel:
+def orlicz(psi: str) -> EnergyModel:
     """Named smooth convex profiles: log-cosh and power-log.
 
     log-cosh: F(t) = log(cosh t).  power-log: F(t) = (1+t) log(1+t) - t.
@@ -137,14 +135,13 @@ def orlicz(psi: str, coeff=None) -> EnergyModel:
     if psi not in _ORLICZ:
         raise ValueError(f"unknown orlicz profile {psi!r}; choices: {', '.join(sorted(_ORLICZ))}")
     F, F_tt, a = _ORLICZ[psi]
-    model = EnergyModel(name=f"orlicz:{psi}", F=F, F_tt=F_tt, a=a)
-    return model.with_coeff(coeff) if coeff is not None else model
+    return EnergyModel(name=f"orlicz:{psi}", F=F, F_tt=F_tt, a=a)
 
 
 CATALOG = ("p-laplace", "mean-curvature", "orlicz")
 
 
-def parse_energy(text: str, coeff=None) -> EnergyModel:
+def parse_energy(text: str) -> EnergyModel:
     """Parse an energy spec string.
 
     Examples: ``p-laplace:p=3``, ``mean-curvature``, ``orlicz:log-cosh``.
@@ -157,13 +154,13 @@ def parse_energy(text: str, coeff=None) -> EnergyModel:
             p = float(rest[2:])
         except ValueError:
             raise ValueError(f"bad exponent in {text!r}") from None
-        return p_dirichlet(p, coeff=coeff)
+        return p_dirichlet(p)
     if head == "mean-curvature":
         if rest:
             raise ValueError(f"mean-curvature takes no parameters, got {text!r}")
-        return mean_curvature(coeff=coeff)
+        return mean_curvature()
     if head == "orlicz":
-        return orlicz(rest, coeff=coeff)
+        return orlicz(rest)
     raise ValueError(f"unknown energy {text!r}; choices: {', '.join(CATALOG)}")
 
 

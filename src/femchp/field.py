@@ -84,7 +84,7 @@ class BoundaryData:
     Closed-form kinds evaluate componentwise at boundary vertex coordinates;
     the random kind draws uniform values per boundary vertex in ascending
     index order from a seeded generator; the nodal kind reads values per
-    vertex index from an array or file.
+    vertex index from an array or file of at most one row per vertex.
     """
 
     def __init__(self, kind: str, **params):
@@ -172,6 +172,9 @@ class BoundaryData:
                 values = values[:, None]
             if values.shape[1] != m:
                 raise ValueError(f"nodal data has {values.shape[1]} components, need {m}")
+            if len(values) > mesh.num_vertices:
+                raise ValueError(f"nodal data has {len(values)} rows, "
+                                 f"mesh has {mesh.num_vertices} vertices")
             if len(values) < mesh.num_vertices and nodes.max() >= len(values):
                 missing = nodes[nodes >= len(values)][0]
                 raise ValueError(

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 import scipy.sparse.linalg
@@ -249,7 +249,8 @@ def _harmonic_start(model, start, source):
     K = mesh._stiffness(model.element_weights(mesh))
     lu = scipy.sparse.linalg.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
-    r = residual(p_dirichlet(2.0, coeff=model.coeff), start, source=source)
+    # model.coeff was checked when it attached, so it is copied, not re-checked
+    r = residual(replace(p_dirichlet(2.0), coeff=model.coeff), start, source=source)
     return _trial(start, -1.0, lu.solve(r))
 
 

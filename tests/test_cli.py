@@ -65,9 +65,20 @@ def test_mesh_info_missing_file(tmp_path):
     assert main(["mesh-info", str(tmp_path / "nope.mesh")]) == EXIT_INPUT
 
 
+def _mesh_file(tmp_path, generator, n):
+    path = tmp_path / f"{generator}{n}.mesh"
+    save_mesh(build_structured_mesh(generator, n), str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def r2_mesh(tmp_path):
+    return _mesh_file(tmp_path, "right2d", 2)
+
+
 def test_solve_affine_matches_interpolant(tmp_path, capsys):
     out = tmp_path / "u.field"
-    rc = main(["solve", "--generator", "equilateral2d", "-n", "4",
+    rc = main(["solve", "--mesh", _mesh_file(tmp_path, "equilateral2d", 4),
                "--energy", "p-laplace:p=3", "--bc", "affine:0.2,0.3,-0.1",
                "--out", str(out)])
     assert rc == EXIT_OK
@@ -79,33 +90,43 @@ def test_solve_affine_matches_interpolant(tmp_path, capsys):
     assert_allclose(values[:, 0], exact, atol=1e-10)
 
 
-def test_solve_unknown_energy(tmp_path):
-    assert main(["solve", "--generator", "right2d", "-n", "2",
+def test_solve_unknown_energy(r2_mesh):
+    assert main(["solve", "--mesh", r2_mesh,
                  "--energy", "bilaplacian", "--bc", "sin-product"]) == EXIT_INPUT
 
 
-def test_a_solver_runtime_error_exits_as_no_convergence(monkeypatch, capsys):
+def test_a_solver_runtime_error_exits_as_no_convergence(r2_mesh, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("x")
 
     monkeypatch.setattr(cli, "minimize", fail)
-    assert main(["solve", "--generator", "right2d", "-n", "2",
+    assert main(["solve", "--mesh", r2_mesh,
                  "--bc", "sin-product"]) == EXIT_NO_CONVERGENCE
     assert capsys.readouterr().err == "error: x\n"
 
 
-def test_solve_needs_mesh_or_generator():
-    assert main(["solve", "--bc", "sin-product"]) == EXIT_INPUT
+def test_solve_needs_mesh(tmp_path, capsys):
+    # argparse refuses a solve without --mesh, as it does a verify
+    for argv in (["solve", "--bc", "sin-product"],
+                 ["verify", "--theorem", "chp", "--field", str(tmp_path / "u.field")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "the following arguments are required: --mesh" in capsys.readouterr().err
+    # the generator options are gone: mesh-gen is their one front end
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--generator", "right2d", "-n", "2", "--bc", "sin-product"])
+    assert exc.value.code == EXIT_INPUT
 
 
-def test_solve_bad_bc_and_source(tmp_path):
-    assert main(["solve", "--generator", "right2d", "-n", "2",
+def test_solve_bad_bc_and_source(r2_mesh):
+    assert main(["solve", "--mesh", r2_mesh,
                  "--bc", "affine:"]) == EXIT_INPUT
-    assert main(["solve", "--generator", "right2d", "-n", "2",
+    assert main(["solve", "--mesh", r2_mesh,
                  "--bc", "sin-product", "--source", "weird:1"]) == EXIT_INPUT
     # a lumped exponent of 0 is rejected like any other q < 2, not dropped
     for q in ("0", "1"):
-        assert main(["solve", "--generator", "right2d", "-n", "2",
+        assert main(["solve", "--mesh", r2_mesh,
                      "--bc", "sin-product", "--lumped-q", q]) == EXIT_INPUT
 
 
@@ -130,38 +151,37 @@ def test_non_finite_term_parameters_are_input_errors(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_solve_rejects_a_bad_cap_or_tolerance(capsys):
+def test_solve_rejects_a_bad_cap_or_tolerance(r2_mesh, capsys):
     for opt, value in (("--max-iters", "-1"), ("--tol", "-1"), ("--tol", "nan")):
-        assert main(["solve", "--generator", "right2d", "-n", "2",
+        assert main(["solve", "--mesh", r2_mesh,
                      "--bc", "sin-product", opt, value]) == EXIT_INPUT
         assert "must be" in capsys.readouterr().err
 
 
-def test_solve_rejects_abs_distance_center_of_wrong_length(capsys):
+def test_solve_rejects_abs_distance_center_of_wrong_length(r2_mesh, capsys):
     for center in ("0.5", "0.5,0.5,0.5"):
-        assert main(["solve", "--generator", "right2d", "-n", "2",
+        assert main(["solve", "--mesh", r2_mesh,
                      "--bc", f"abs-distance:{center}"]) == EXIT_INPUT
         assert "mesh has dimension 2" in capsys.readouterr().err
 
 
-def test_solve_steep_energy_reports_no_convergence():
+def test_solve_steep_energy_reports_no_convergence(tmp_path):
     # the default tolerance sits below the floating point residual floor of
     # this energy on random data, so the solver stops without converging
-    rc = main(["solve", "--generator", "right2d", "-n", "8",
+    rc = main(["solve", "--mesh", _mesh_file(tmp_path, "right2d", 8),
                "--energy", "p-laplace:p=10", "--bc", "random:seed=3,lo=-1,hi=1",
                "--m", "2"])
     assert rc == EXIT_NO_CONVERGENCE
 
 
-def test_solve_coeff_plumbing(tmp_path):
+def test_solve_coeff_plumbing(tmp_path, r2_mesh):
     mesh = build_structured_mesh("right2d", 2)
     uniform = tmp_path / "u.field"
     weighted = tmp_path / "w.field"
     coeff = tmp_path / "c.txt"
     coeff.write_text("\n".join(str(0.5 + 0.25 * k) for k in range(mesh.num_elements)))
 
-    argv = ["solve", "--generator", "right2d", "-n", "2",
-            "--bc", "random:seed=5,lo=0,hi=1"]
+    argv = ["solve", "--mesh", r2_mesh, "--bc", "random:seed=5,lo=0,hi=1"]
     assert main(argv + ["--out", str(uniform)]) == EXIT_OK
     assert main(argv + ["--coeff", str(coeff), "--out", str(weighted)]) == EXIT_OK
     u, _ = load_field(str(uniform), mesh)
@@ -171,6 +191,25 @@ def test_solve_coeff_plumbing(tmp_path):
     short = tmp_path / "short.txt"
     short.write_text("1.0 2.0")
     assert main(argv + ["--coeff", str(short)]) == EXIT_INPUT
+
+
+def test_solve_refuses_a_non_finite_coefficient(tmp_path, r2_mesh, capsys):
+    # an infinite c_T is an input error, like NaN, not a non-finite energy
+    for bad in ("inf", "nan"):
+        coeff = tmp_path / f"{bad}.txt"
+        coeff.write_text(" ".join(["1.0"] * 7 + [bad]))
+        assert main(["solve", "--mesh", r2_mesh, "--bc", "random:seed=1",
+                     "--coeff", str(coeff)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: element coefficients must be finite and positive\n")
+
+
+def test_solve_refuses_nodal_data_longer_than_the_mesh(tmp_path, r2_mesh, capsys):
+    big = tmp_path / "big.field"
+    mesh = build_structured_mesh("right2d", 4)
+    save_field(NodalField(mesh, np.zeros((mesh.num_vertices, 1))), str(big))
+    assert main(["solve", "--mesh", r2_mesh, "--bc", f"file:{big}"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: nodal data has 25 rows, mesh has 9 vertices\n"
 
 
 @pytest.fixture()
@@ -284,6 +323,17 @@ def test_verify_lemma_pos_interval(tmp_path):
                  "--field", str(field_path)]) == EXIT_INPUT
 
 
+def test_verify_lemma_pos_takes_one_target_set(tmp_path, solved_pair, capsys):
+    # lemma-pos checks one target set, so two are a usage error
+    mesh_path, field_path = solved_pair
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "lemma-pos", "--mesh", str(mesh_path),
+              "--field", str(field_path), "--interval", "-1", "1",
+              "--set-file", str(field_path)])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --set-file: not allowed with argument --interval" in capsys.readouterr().err
+
+
 def test_verify_lemma_pos_set_file(tmp_path, solved_pair, capsys):
     # the generators of the target set are the rows of a field-format file
     mesh_path, field_path = solved_pair
@@ -370,6 +420,23 @@ def test_experiment_small_run_is_deterministic(tmp_path, monkeypatch):
     assert lines[0] == CSV_HEADER_COMMENT
     assert len(lines) == 4   # header, columns, one row per seed
     assert all(",pass," in ln for ln in lines[2:])
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "", "1.5"])
+def test_experiment_refuses_a_bad_thread_count(tmp_path, monkeypatch, capsys, threads):
+    # read once before any mesh is built; no CSV is written
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    spec = tmp_path / "s.spec"
+    spec.write_text(SMALL_SPEC)
+    out = tmp_path / "rows.csv"
+    monkeypatch.setenv("FEMCHP_THREADS", threads)
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    assert main(["experiment", str(spec), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: FEMCHP_THREADS must be an integer >= 1, got {threads!r}\n")
+    assert not out.exists()
 
 
 THREADED_SPECS = {

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -142,10 +143,10 @@ def test_energy_hand_values(ref_triangle):
 
 def test_energy_coefficient_scaling(ref_triangle):
     f = NodalField(ref_triangle, np.array([0.0, 1.0, 0.0]))
-    model = parse_energy("p-laplace:p=2", coeff=np.array([3.0]))
+    model = parse_energy("p-laplace:p=2").with_coeff(np.array([3.0]))
     assert_allclose(energy_value(model, f), 0.75, atol=1e-15)
     with pytest.raises(ValueError):
-        parse_energy("p-laplace:p=2", coeff=np.array([0.0]))   # must be > 0
+        parse_energy("p-laplace:p=2").with_coeff(np.array([0.0]))   # must be > 0
 
 
 def test_element_weights_are_the_volumes_times_the_coefficients(right2d_n2):
@@ -164,6 +165,17 @@ def test_element_weights_are_the_volumes_times_the_coefficients(right2d_n2):
                  lambda: minimize(short, mesh, BoundaryData.random_uniform(1, -1.0, 1.0))):
         with pytest.raises(ValueError, match=msg):
             call()
+
+
+def test_coefficients_attach_only_through_with_coeff():
+    # the factories take no coefficients, and the one attach point refuses
+    # every entry that is not finite and positive, +inf as well as NaN
+    for factory in (p_dirichlet, mean_curvature, orlicz, parse_energy):
+        assert "coeff" not in inspect.signature(factory).parameters
+    model = p_dirichlet(2.0)
+    for bad in (np.inf, np.nan, 0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="^element coefficients must be finite and positive$"):
+            model.with_coeff(np.array([1.0, bad]))
 
 
 def test_energy_with_source(ref_triangle):

@@ -12,7 +12,7 @@ from femchp.field import (
     load_field,
     save_field,
 )
-from femchp.mesh import build_structured_mesh
+from femchp.mesh import Mesh, build_structured_mesh
 
 
 def affine_values(mesh, const, coeffs):
@@ -145,6 +145,20 @@ def test_boundary_nodal_missing_vertex(right2d_n2):
     bc = BoundaryData.from_values(vals)
     with pytest.raises(ValueError):
         bc.boundary_values(right2d_n2, 1)
+
+
+def test_boundary_nodal_data_longer_than_the_mesh_is_refused(right2d_n2):
+    # extra rows belong to another mesh; reading its rows by index is no answer
+    too_long = BoundaryData.from_values(np.zeros((10, 1)))
+    with pytest.raises(ValueError, match="^nodal data has 10 rows, mesh has 9 vertices$"):
+        too_long.boundary_values(right2d_n2, 1)
+    # shorter data that covers every boundary vertex stays accepted: a
+    # square fanned from its centre, vertex 4, the one interior vertex
+    square = Mesh(2, [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+                  [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    corners = np.arange(4.0)
+    assert_array_equal(BoundaryData.from_values(corners).boundary_values(square, 1),
+                       corners[:, None])
 
 
 def test_boundary_nodal_values_in_one_dimension(right2d_n2):

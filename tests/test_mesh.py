@@ -332,7 +332,7 @@ def test_assembly_is_bitwise_the_element_major_scatter(gen, n, monkeypatch):
                 * mesh.gradient_grams[:, :, None, :, None], interior=False)
             _assert_same_csc(beta_weights(mesh, field, model), B)
     coeff = rng.uniform(0.5, 2.0, mesh.num_elements)
-    model = p_dirichlet(3.0, coeff=coeff)
+    model = p_dirichlet(3.0).with_coeff(coeff)
     minimize(model, mesh, BoundaryData.random_uniform(3, -1.0, 1.0), m=2, max_iters=0)
     (K,) = factors
     coef = mesh.volumes * coeff

@@ -166,7 +166,7 @@ def _kernel_cases(gen, m):
     coeff = rng.uniform(0.5, 2.0, mesh.num_elements)
     cases = [
         (p_dirichlet(1.5), zero_interior, None, None),      # the a(t) clamp
-        (p_dirichlet(3.0, coeff=coeff), zero_interior, None, None),
+        (p_dirichlet(3.0).with_coeff(coeff), zero_interior, None, None),
         (p_dirichlet(3.0), generic, None, LumpedTerm.from_mesh(mesh, 3.0)),
         (mean_curvature(), generic, None, None),
     ]
@@ -653,7 +653,8 @@ def test_quadratic_energies_take_one_exact_step_and_a_confirming_one(spec):
     cases.append((1, coeff, SourceTerm.constant(mesh, 3.0)))
     for seed, (m, c, source) in enumerate(cases):
         bc = BoundaryData.random_uniform(seed, -1.0, 1.0)
-        fld, rep = minimize(p_dirichlet(2.0, coeff=c), mesh, bc, m=m, source=source)
+        model = p_dirichlet(2.0) if c is None else p_dirichlet(2.0).with_coeff(c)
+        fld, rep = minimize(model, mesh, bc, m=m, source=source)
         case = (m, c is not None, source is not None)
         assert rep.converged and rep.newton_steps == rep.iterations == 2, case
         assert rep.gradient_steps == rep.backtracks == 0, case
@@ -975,10 +976,10 @@ def test_p_above_two_starts_from_the_harmonic_extension(p, m):
     assert np.abs(fld.values - oracle.values).max() <= 1e-10
     # random element coefficients: the start is the weighted p = 2 minimiser
     coeff = np.random.default_rng(m).uniform(0.1, 10.0, mesh.num_elements)
-    fld, rep = minimize(p_dirichlet(p, coeff=coeff), mesh, bc, m=m,
+    fld, rep = minimize(p_dirichlet(p).with_coeff(coeff), mesh, bc, m=m,
                         source=source, max_iters=0)
     assert rep.start == "harmonic"
-    r2 = residual(p_dirichlet(2.0, coeff=coeff), fld, source=source)
+    r2 = residual(p_dirichlet(2.0).with_coeff(coeff), fld, source=source)
     assert np.abs(r2).max() <= 1e-13
 
 
