@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -422,8 +423,20 @@ def cmd_experiment(args) -> int:
 # -- argument wiring ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, that reads every negative
+    number an option takes as a value.  argparse recognises only plain
+    negative decimals (before Python 3.13 only the forms -1 and -1.5), and
+    takes -1e-3 or -inf for an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="femchp",
         description="P1 energy minimisation with hull/maximum principle checks",
     )

@@ -90,17 +90,22 @@ class Mesh:
     ``volumes`` (E,) holds the element volumes and ``gradients``
     (E, dim+1, dim) the constant P1 basis gradients: row i of an element
     is the gradient of the hat function of its local vertex i.  Both come
-    from the element's edge matrix B, whose rows are x_i - x_0: |det B| is
-    n! times the volume, rows 1..n of the gradients are the columns of
-    inv(B), and row 0 is minus their sum, since the hats partition unity.
-    Construction fails with MeshConformityError for degenerate elements,
-    faces shared by more than two elements, or vertices that lie inside the
-    closure of an element they are not a vertex of (hanging nodes).  Faces
-    are matched through one sort of the face rows, and hanging-node
-    candidates come from a uniform grid of cells about one median element
-    wide, so set-up costs close to O(V + E) on quasi-uniform meshes.  When
-    several vertices hang, the error names the first (element, vertex) pair
-    in element order, then vertex order.
+    from the element's edge matrix B, whose rows are r_(i-1) = x_i - x_0,
+    in closed form (Cramer's rule): the cofactor rows are c_0 = r_1^perp,
+    c_1 = -r_0^perp in 2D, with (a, b)^perp = (b, -a), and c_0 = r_1 x r_2,
+    c_1 = r_2 x r_0, c_2 = r_0 x r_1 in 3D.  det B = r_0 . c_0 is n! times
+    the signed volume, row i >= 1 of the gradients is c_(i-1) / |det B|,
+    taken after the reorientation, and row 0 is minus their sum, since the
+    hats partition unity.  The forward error is of order cond(B) eps, as
+    for an LU-based inverse, and an element gets the same bits in either
+    orientation.  Construction fails with MeshConformityError for
+    degenerate elements, faces shared by more than two elements, or
+    vertices that lie inside the closure of an element they are not a
+    vertex of (hanging nodes).  Faces are matched through one sort of the
+    face rows, and hanging-node candidates come from a uniform grid of
+    cells about one median element wide, so set-up costs close to O(V + E)
+    on quasi-uniform meshes.  When several vertices hang, the error names
+    the first (element, vertex) pair in element order, then vertex order.
     """
 
     def __init__(self, dim: int, vertices, elements):
@@ -127,8 +132,8 @@ class Mesh:
             raise MeshConformityError(
                 f"element vertex index out of range [0, {V})"
             )
-        sorted_rows = np.sort(elements, axis=1)
-        repeats = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+        repeats = functools.reduce(np.logical_or, (
+            elements[:, i] == elements[:, j] for i, j in itertools.combinations(range(dim + 1), 2)))
         if repeats.any():
             e = int(np.argmax(repeats))
             raise MeshConformityError(
@@ -138,9 +143,7 @@ class Mesh:
         self.vertices = vertices
         self.elements = elements
 
-        lo = vertices.min(axis=0)
-        hi = vertices.max(axis=0)
-        self.diameter = float(np.linalg.norm(hi - lo))
+        self.diameter = float(np.linalg.norm([np.ptp(c) for c in vertices.T]))
 
         self._orient_and_compute_geometry()
         self._check_conformity()
@@ -159,21 +162,15 @@ class Mesh:
 
     def _orient_and_compute_geometry(self):
         n = self.dim
-        coords = self.vertices[self.elements]          # (E, n+1, n)
-        B = coords[:, 1:] - coords[:, :1]              # (E, n, n), row i-1 is x_i - x_0
-        det = np.linalg.det(B)
-
-        # swapping the last two vertices swaps the last two rows of B and
-        # negates its determinant
-        flip = det < 0
-        self.elements[flip, n - 1:] = self.elements[flip, n - 1:][:, ::-1]
-        B[flip, n - 2:] = B[flip, n - 2:][:, ::-1]
+        X = _slots(self.vertices, self.elements)       # (n, n+1, E)
+        R = X[:, 1:] - X[:, :1]                        # [d, i-1]: x_i - x_0
+        det = (R[:, 0] * _cofactors(R)[0]).sum(axis=0)
         vols = np.abs(det) / math.factorial(n)
 
         # local diameters for the degeneracy test
         iu, ju = np.triu_indices(n + 1, k=1)
-        diff = coords[:, iu] - coords[:, ju]           # (E, n(n+1)/2, n)
-        diams = np.sqrt((diff ** 2).sum(axis=2).max(axis=1))
+        diff = np.take(X, iu, axis=1) - np.take(X, ju, axis=1)   # (n, n(n+1)/2, E)
+        diams = np.sqrt((diff * diff).sum(axis=0).max(axis=0))
         bad = vols <= _DEGENERACY_REL * diams ** n
         if bad.any():
             e = int(np.argmax(bad))
@@ -181,11 +178,19 @@ class Mesh:
                 f"element {e} is degenerate (volume {vols[e]:.3e}, diameter {diams[e]:.3e})"
             )
 
+        # swapping the last two vertices swaps the last two rows of B and
+        # negates its determinant; the cofactors come from the swapped rows,
+        # so that either orientation of an element gives the same bits
+        flip = det < 0
+        self.elements[flip, n - 1:] = self.elements[flip, n - 1:][:, ::-1]
+        R[:, n - 2:] = np.where(flip, R[:, [n - 1, n - 2]], R[:, n - 2:])
+
         # x = x_0 + B^T lam maps the barycentrics lam_1..lam_n to points, so
-        # the gradient of hat i is column i-1 of inv(B)
-        grads = np.empty_like(coords)
-        grads[:, 1:] = np.transpose(np.linalg.inv(B), (0, 2, 1))
-        grads[:, 0] = -grads[:, 1:].sum(axis=1)
+        # the gradient of hat i is column i-1 of inv(B) = C^T / det B
+        G = _cofactors(R) / np.abs(det)                # (n, n, E): [i-1, d]
+        grads = np.empty((len(det), n + 1, n))
+        grads[:, 1:] = G.transpose(2, 0, 1)
+        grads[:, 0] = -G.sum(axis=0).T
         self.volumes = vols
         self.gradients = grads
 
@@ -198,26 +203,28 @@ class Mesh:
         n = self.dim
         local = np.arange(n + 1)
         keep = np.array([np.delete(local, k) for k in local])   # (n+1, n)
-        faces = np.sort(self.elements[:, keep], axis=2).reshape(-1, n)
+        # faces[j][e (n+1) + k]: the j-th smallest vertex of face k of element e
+        faces = _sorted_columns([self.elements[:, keep[:, j]].ravel() for j in range(n)])
         # lexsort is stable, so each face's copies keep their element order
-        order = np.lexsort(faces.T[::-1])
-        sorted_faces = faces[order]
-        new = np.ones(len(faces), dtype=bool)
-        new[1:] = (sorted_faces[1:] != sorted_faces[:-1]).any(axis=1)
+        order = np.lexsort(faces[::-1])
+        sorted_faces = [f[order] for f in faces]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = functools.reduce(np.logical_or, (f[1:] != f[:-1] for f in sorted_faces))
         first = np.flatnonzero(new)
-        table = sorted_faces[first]
-        counts = np.diff(first, append=len(faces))
+        counts = np.diff(first, append=len(order))
 
         over = np.flatnonzero(counts > 2)
         if len(over):
             # report the face whose third element comes first in element order
             k = int(order[first[over] + 2].min())
             raise MeshConformityError(
-                f"face {tuple(faces[k].tolist())} is shared by more than two elements"
+                f"face {tuple(int(f[k]) for f in faces)} is shared by more than two elements"
             )
 
         boundary_mask = np.zeros(len(self.vertices), dtype=bool)
-        boundary_mask[table[counts == 1].ravel()] = True
+        boundary = first[counts == 1]
+        for f in sorted_faces:
+            boundary_mask[f[boundary]] = True
 
         used = np.zeros(len(self.vertices), dtype=bool)
         used[self.elements.ravel()] = True
@@ -247,28 +254,29 @@ class Mesh:
         """
         V, n = self.vertices.shape
         geo_tol = _HANGING_REL * self.diameter
-        coords = self.vertices[self.elements]
-        lo = coords.min(axis=1)                        # (E, n)
-        hi = coords.max(axis=1)
-        ext = (hi - lo).max(axis=1)
+        X = _slots(self.vertices, self.elements)       # (n, n+1, E)
+        lo = X.min(axis=1)                             # (n, E)
+        hi = X.max(axis=1)
+        ext = (hi - lo).max(axis=0)
+        # every vertex belongs to an element (_check_conformity)
+        vmin = lo.min(axis=1)
+        vmax = hi.max(axis=1)
         lo -= geo_tol
         hi += geo_tol
-        grad_norms = np.linalg.norm(self.gradients, axis=2)   # (E, n+1)
+        grad_norms = np.sqrt(np.einsum("eid,eid->ie", self.gradients, self.gradients))
 
         # The cell width starts at the median box and doubles while the
         # boxes cover more than 2^n rows per element on average (a few large
         # elements among many small ones).  At most 2^20 cells per axis keep
         # the keys in int64.  The half-cell shift puts the vertices of the
         # structured meshes mid-cell, where a box covers 2 cells per axis.
-        vmin = self.vertices.min(axis=0)
-        vmax = self.vertices.max(axis=0)
         h = max(np.median(ext), (vmax - vmin).max() / 2 ** 20)
         while True:
             origin = vmin - h / 2
             shape = np.floor((vmax - origin) / h).astype(np.int64) + 1
-            c0, c1 = (np.clip(np.floor((b - origin) / h).astype(np.int64), 0, shape - 1)
-                      for b in (lo, hi))
-            rows = np.prod(c1[:, :-1] - c0[:, :-1] + 1, axis=1)    # (E,)
+            c0, c1 = (np.clip(np.floor((b - origin[:, None]) / h).astype(np.int64),
+                              0, shape[:, None] - 1) for b in (lo, hi))     # (n, E)
+            rows = np.prod(c1[:-1] - c0[:-1] + 1, axis=0)    # (E,)
             if rows.sum() <= 2 ** n * len(rows):
                 break
             h *= 2
@@ -285,31 +293,35 @@ class Mesh:
         for s, t in _blocks(rows):
             e = np.repeat(np.arange(s, t), rows[s:t])
             j = np.arange(bounds[s], bounds[t]) - bounds[e]    # row within its element
-            key = c0[e, -1]
+            key = c0[-1, e]
             for d in range(n - 2, -1, -1):
-                j, r = np.divmod(j, c1[e, d] - c0[e, d] + 1)
-                key = key + (c0[e, d] + r) * strides[d]
-            last = np.searchsorted(keys, key + c1[e, -1] - c0[e, -1], side="right")
+                j, r = np.divmod(j, c1[d, e] - c0[d, e] + 1)
+                key = key + (c0[d, e] + r) * strides[d]
+            last = np.searchsorted(keys, key + c1[-1, e] - c0[-1, e], side="right")
             rs = slice(bounds[s], bounds[t])
             first[rs] = np.searchsorted(keys, key, side="left")
             count[rs] = last - first[rs]
 
+        # np.take copies a non-contiguous source on every call
+        ET = np.ascontiguousarray(self.elements.T)     # (n+1, E)
+        VT = np.ascontiguousarray(self.vertices.T)     # (n, V)
         for s, t in _blocks(np.add.reduceat(count, bounds[:-1])):
             rs = slice(bounds[s], bounds[t])
             c = count[rs]
             e_idx = np.repeat(np.repeat(np.arange(s, t), rows[s:t]), c)
             v_idx = order[np.arange(len(e_idx)) + np.repeat(first[rs] - (np.cumsum(c) - c), c)]
-            foreign = _all_columns(self.elements[e_idx] != v_idx[:, None])
+            foreign = (np.take(ET, e_idx, axis=1) != v_idx).all(axis=0)
             e_idx, v_idx = e_idx[foreign], v_idx[foreign]
-            x = self.vertices[v_idx]
-            inside = _all_columns((x >= lo[e_idx]) & (x <= hi[e_idx]))
-            e_idx, v_idx, x = e_idx[inside], v_idx[inside], x[inside]
+            x = np.take(VT, v_idx, axis=1)                             # (n, P)
+            inside = ((x >= np.take(lo, e_idx, axis=1))
+                      & (x <= np.take(hi, e_idx, axis=1))).all(axis=0)
+            e_idx, v_idx, x = e_idx[inside], v_idx[inside], x[:, inside]
             # barycentrics lam_i = delta_i0 + g_i . (x - x_0)
-            lam = np.einsum("pin,pn->pi", self.gradients[e_idx],
-                            x - self.vertices[self.elements[e_idx, 0]])   # (P, n+1)
-            lam[:, 0] += 1.0
-            slack = geo_tol * grad_norms[e_idx]
-            hanging = np.flatnonzero(_all_columns(lam >= -slack))
+            lam = np.einsum("pid,dp->ip", np.take(self.gradients, e_idx, axis=0),
+                            x - np.take(VT, np.take(ET[0], e_idx), axis=1))
+            lam[0] += 1.0
+            slack = geo_tol * np.take(grad_norms, e_idx, axis=1)
+            hanging = np.flatnonzero((lam >= -slack).all(axis=0))
             if len(hanging):
                 k = hanging[np.argmin(e_idx[hanging] * V + v_idx[hanging])]
                 raise MeshConformityError(
@@ -519,10 +531,34 @@ def _csr_diagonal(indptr, indices, data):
     return y
 
 
-def _all_columns(mask):
-    """``mask.all(axis=1)`` for a tall, narrow mask, one column at a time
+def _slots(vertices, elements):
+    """Element coordinates as (n, n+1, E): entry [d, i] holds coordinate d
+    of local vertex i of every element, one contiguous array per slot, so
+    that sums and extrema over vertices or coordinates run elementwise
     (numpy reduces a short last axis row by row, several times slower)."""
-    return functools.reduce(np.logical_and, mask.T)
+    return np.take(vertices.T, elements.T, axis=1)
+
+
+def _cofactors(R):
+    """The cofactor rows c_i of the edge matrices B whose row r_i is R[:, i]
+    (see ``Mesh``), as (n, n, E) with c_i = C[i]: B c_i = det B e_i."""
+    if len(R) == 2:
+        (r0x, r1x), (r0y, r1y) = R
+        return np.array([[r1y, -r1x], [-r0y, r0x]])
+    r0, r1, r2 = R.transpose(1, 0, 2)
+    return np.array([np.cross(r1, r2, axis=0), np.cross(r2, r0, axis=0),
+                     np.cross(r0, r1, axis=0)])
+
+
+def _sorted_columns(columns):
+    """The rows of a tall, narrow array given as its columns, each row
+    sorted, by a bubble network of elementwise min/max over the columns
+    (numpy sorts a short last axis row by row, several times slower)."""
+    cols = list(columns)
+    for stop in range(len(cols) - 1, 0, -1):
+        for j in range(stop):
+            cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
+    return cols
 
 
 def _blocks(sizes):
@@ -549,23 +585,25 @@ def classify_mesh(mesh: Mesh) -> AngleReport:
     grams = mesh.gradient_grams
     n = mesh.dim
     iu, ju = np.triu_indices(n + 1, k=1)
-    pair_dots = grams[:, iu, ju]                      # (E, n_pairs)
-    scale = np.abs(grams).max(axis=(1, 2))
+    # one contiguous (E,) slot per entry, so that the maxima run elementwise
+    slots = np.ascontiguousarray(grams.reshape(len(grams), -1).T)   # ((n+1)^2, E)
+    pair_dots = np.take(slots, iu * (n + 1) + ju, axis=0)   # (n_pairs, E)
+    scale = np.maximum(slots.max(axis=0), -slots.min(axis=0))
     tol = _ANGLE_REL * scale
 
-    max_dot = pair_dots.max(axis=1)
+    max_dot = pair_dots.max(axis=0)
     non_obtuse = max_dot <= tol
     acute = max_dot < -tol
 
     near = max_dot.max() - tol
     worst_e = int(np.argmax(max_dot >= near))
-    worst_p = int(np.argmax(pair_dots[worst_e] >= near[worst_e]))
+    worst_p = int(np.argmax(pair_dots[:, worst_e] >= near[worst_e]))
     worst_pair = (int(iu[worst_p]), int(ju[worst_p]))
 
-    touches = bool((~mesh.is_boundary[mesh.elements]).any(axis=1).all())
+    touches = not np.take(mesh.is_boundary, mesh.elements.T).all(axis=0).any()
 
     return AngleReport(
-        worst_dot=float(pair_dots[worst_e, worst_p]),
+        worst_dot=float(pair_dots[worst_p, worst_e]),
         worst_element=worst_e,
         worst_pair=worst_pair,
         is_non_obtuse=bool(non_obtuse.all()),

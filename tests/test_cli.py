@@ -323,6 +323,23 @@ def test_verify_lemma_pos_interval(tmp_path):
                  "--field", str(field_path)]) == EXIT_INPUT
 
 
+def test_negative_option_values_in_exponent_notation(tmp_path, capsys):
+    # argparse before Python 3.13 reads -1e-3 and -1e3 as unknown flags
+    mesh_path = tmp_path / "r4.mesh"
+    field_path = tmp_path / "u.field"
+    main(["mesh-gen", "--generator", "right2d", "-n", "4", "--out", str(mesh_path)])
+    main(["solve", "--mesh", str(mesh_path), "--bc", "random:seed=1,lo=2,hi=3",
+          "--out", str(field_path)])
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "lemma-pos", "--mesh", str(mesh_path),
+                 "--field", str(field_path), "--interval", "-1e-3", "1"]) == EXIT_OK
+    assert "outcome = pass" in capsys.readouterr().out.splitlines()
+    assert main(["solve", "--mesh", str(mesh_path), "--bc", "random:seed=1",
+                 "--lumped-q", "-1e3"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: lumped exponent must satisfy 2 <= q < inf, got -1000.0\n")
+
+
 def test_verify_lemma_pos_takes_one_target_set(tmp_path, solved_pair, capsys):
     # lemma-pos checks one target set, so two are a usage error
     mesh_path, field_path = solved_pair

@@ -136,16 +136,50 @@ def test_edge_matrix_geometry_matches_the_augmented_inverse():
         assert_allclose(mesh.gradients.sum(axis=1), 0.0, atol=1e-13 * scale.max())
 
 
+def test_either_orientation_gives_the_same_geometry_bits():
+    # swapping the last two vertices reverses an element, and the mesh swaps
+    # them back: the volumes and gradients come out bit for bit the same
+    for name, dim, verts, elems in _geometry_cases():
+        swapped = elems.copy()
+        swapped[:, -2:] = elems[:, :-3:-1]
+        mesh, other = Mesh(dim, verts, elems), Mesh(dim, verts, swapped)
+        assert_array_equal(mesh.elements, other.elements, err_msg=name)
+        assert mesh.volumes.tobytes() == other.volumes.tobytes(), name
+        assert mesh.gradients.tobytes() == other.gradients.tobytes(), name
+
+
+# (dim, flat, t_edge): flat(t) is a sliver of area t/2 against diameter 1, or
+# of volume t/6 against diameter sqrt(2), degenerate for t <= t_edge
+_SLIVERS = (
+    (2, lambda t: [[0.0, 0.0], [1.0, 0.0], [0.5, t]], 2.0 * mesh_module._DEGENERACY_REL),
+    (3, lambda t: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, t]],
+     6.0 * mesh_module._DEGENERACY_REL * 2.0 ** 1.5),
+)
+
+
+def test_rotated_slivers_match_the_augmented_inverse():
+    # the closed-form inverse of an edge matrix B has a forward error of
+    # order eps cond(B), as the reference's LAPACK inverse does
+    rng = np.random.default_rng(35)
+    eps = np.finfo(float).eps
+    for dim, flat, t_edge in _SLIVERS:
+        elems = np.arange(dim + 1)[None]
+        for _ in range(20):
+            rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            verts = np.array(flat(2.0 * t_edge)) @ rotation.T
+            mesh = Mesh(dim, verts, elems)
+            ref_elems, _, ref_grads = _reference_geometry(dim, verts, elems)
+            assert_array_equal(mesh.elements, ref_elems)
+            coords = verts[ref_elems[0]]
+            bound = 4.0 * eps * np.linalg.cond(coords[1:] - coords[0]) * np.abs(ref_grads).max()
+            assert np.abs(mesh.gradients - ref_grads).max() <= bound
+
+
 def test_degenerate_element_message():
     # slivers at half and at twice the degeneracy threshold, in either
     # orientation, after a valid element far away
-    rel = mesh_module._DEGENERACY_REL
     tri, tet = np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]), np.array(TET) + 5.0
-    # area t/2 against diameter 1; volume t/6 against diameter sqrt(2)
-    for dim, far, flat, t_edge in (
-            (2, tri, lambda t: [[0.0, 0.0], [1.0, 0.0], [0.5, t]], 2.0 * rel),
-            (3, tet, lambda t: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                [0.3, 0.3, t]], 6.0 * rel * 2.0 ** 1.5)):
+    for (dim, flat, t_edge), far in zip(_SLIVERS, (tri, tet)):
         k = dim + 1
         for factor in (0.5, 2.0):
             verts = np.vstack([far, flat(factor * t_edge)])

@@ -732,7 +732,7 @@ def test_backtrack_without_a_slope_takes_the_full_step(right2d_n4):
             assert not np.isfinite(E_new)
 
 
-@pytest.mark.parametrize("seed, exit_path", [(1, "rounding"), (4, "stall")])
+@pytest.mark.parametrize("seed, exit_path", [(1, "rounding"), (7, "stall")])
 def test_stagnated_exits_report_the_returned_iterate(monkeypatch, seed, exit_path):
     # p = 10 on right2d:8 ends in the rounding regime, either on a full step
     # that fails to reduce the residual (one line search more than accepted
